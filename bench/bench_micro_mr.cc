@@ -180,24 +180,25 @@ void BenchEngine(bench::MicroBench* mb) {
 
   mb->Run("engine/function_spec", [&] {
     auto result = runner.Run(fn_spec, input);
-    g_sink = g_sink + static_cast<uint64_t>(result.metrics.TotalMapOutputPairs());
+    g_sink = g_sink +
+             static_cast<uint64_t>(result.metrics.TotalMapOutputPairs());
   });
   mb->Run("engine/typed_spec", [&] {
     auto result = runner.Run(typed_spec, input);
-    g_sink = g_sink + static_cast<uint64_t>(result.metrics.TotalMapOutputPairs());
+    g_sink = g_sink +
+             static_cast<uint64_t>(result.metrics.TotalMapOutputPairs());
   });
   mb->Speedup("engine/speedup", "engine/function_spec", "engine/typed_spec");
 }
 
 // ---------------------------------------------------------------------
-// Scheduler comparison, two shapes:
+// Scheduler measurements, two shapes:
 //  * skew: a Fig-9-style map phase — task sizes decay as e^(-s*k) over
-//    many tasks, so the phase has one dominant task and a long tail.
-//    Work stealing must hold the line here (the FIFO pool is already a
-//    dynamic list scheduler; the stealing path must not cost makespan).
+//    many tasks, so the phase has one dominant task and a long tail;
+//    the stealing path must not cost makespan.
 //  * overhead: thousands of near-empty tasks, where the per-task cost is
-//    the scheduler itself — the atomic shard claim against the pool's
-//    mutex + condvar handoff per task.
+//    the scheduler itself — the atomic shard claim against the raw
+//    pool's mutex + condvar handoff per task.
 // ---------------------------------------------------------------------
 
 void BenchSkewScheduler(bench::MicroBench* mb) {
@@ -224,22 +225,13 @@ void BenchSkewScheduler(bench::MicroBench* mb) {
   spec.key_less = [](const int& a, const int& b) { return a < b; };
   spec.group_equal = [](const int& a, const int& b) { return a == b; };
 
-  for (mr::TaskSchedulerKind kind :
-       {mr::TaskSchedulerKind::kFifo, mr::TaskSchedulerKind::kWorkStealing}) {
-    mr::ExecutionOptions options;
-    options.scheduler = kind;
-    mr::JobRunner runner(4, options);
-    mb->Run(std::string("skew/") + mr::TaskSchedulerKindName(kind),
-            [&runner, &spec, &input] {
-              auto result = runner.Run(spec, input);
-              ERLB_CHECK(result.status.ok());
-              g_sink = g_sink +
-                       static_cast<uint64_t>(
-                           result.metrics.TotalMapOutputPairs());
-            });
-  }
-  mb->Speedup("skew/work_stealing_vs_fifo", "skew/fifo",
-              "skew/work_stealing");
+  mr::JobRunner runner(4);
+  mb->Run("skew/work_stealing", [&runner, &spec, &input] {
+    auto result = runner.Run(spec, input);
+    ERLB_CHECK(result.status.ok());
+    g_sink = g_sink +
+             static_cast<uint64_t>(result.metrics.TotalMapOutputPairs());
+  });
 }
 
 void BenchSchedulerOverhead(bench::MicroBench* mb) {

@@ -13,6 +13,7 @@
 //   $ ./bench_serve [--json <path>] [--reps N] [--min-rep-ms N]
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdm/bdm.h"
@@ -106,7 +107,11 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> keys(m);
   for (uint32_t p = 0; p < m; ++p) {
     for (int i = 0; i < 4000; ++i) {
-      keys[p].push_back("k" + std::to_string(zipf.Sample(&key_rng)));
+      // Appending to an lvalue sidesteps GCC 12's -Wrestrict false
+      // positive on `"lit" + std::to_string(x)`.
+      std::string key = "k";
+      key += std::to_string(zipf.Sample(&key_rng));
+      keys[p].push_back(std::move(key));
     }
   }
   auto base = bdm::Bdm::FromKeys(keys);

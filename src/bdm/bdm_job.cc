@@ -31,7 +31,7 @@ bool BdmKeyEqual(const BdmKey& a, const BdmKey& b) {
 
 // Skipped / missing-key tallies live in the task counters (not shared
 // atomics): counters are assigned per attempt, merged into the job
-// counters, and persisted in checkpoint manifests — so retried and
+// counters, and persisted in task commit records — so retried and
 // resumed tasks report exactly what an uninterrupted run reports.
 constexpr char kCounterSkipped[] = "bdm.skipped_entities";
 constexpr char kCounterMissingKey[] = "bdm.missing_key_entities";

@@ -14,8 +14,8 @@ namespace {
 // Adding an ERLB_FAULT_POINT without an entry here is a lint error
 // (tools/lint_erlb.py), which keeps tests/test_fault_sweep.cc exhaustive.
 constexpr std::string_view kRegisteredFaultSites[] = {
-    "checkpoint.commit",  // mr/checkpoint.cc: manifest rewrite
-    "checkpoint.load",    // mr/checkpoint.cc: manifest read/validate
+    "checkpoint.commit",  // mr/task_commit.cc: after a .done record's rename
+    "checkpoint.load",    // mr/task_commit.cc: .done record read/validate
     "csv.read_chunk",     // common/csv.cc: chunked CSV ingest
     "io.read",            // common/io_buffer.cc: buffered file read
     "io.write",           // common/io_buffer.cc: buffered file write

@@ -202,9 +202,9 @@ Result<DataflowReport> Dataflow::Run() {
     execution.temp_dir = spill_dir->path();
   }
   // With a checkpoint root configured, each stage runs under its own
-  // runner whose checkpoint directory (and manifest identity) is scoped
+  // runner whose checkpoint directory (and record identity) is scoped
   // by the stage name — a restarted graph re-executes stages in the same
-  // deterministic order, so stage k finds stage k's manifests.
+  // deterministic order, so stage k finds stage k's commit records.
   const std::string checkpoint_root = execution.checkpoint.dir;
 
   Stopwatch total_watch;

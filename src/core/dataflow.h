@@ -242,7 +242,7 @@ class Dataflow {
   /// options().execution.checkpoint.dir is set, each stage's external
   /// jobs write durable checkpoints under
   /// `<dir>/<stage>/job-<k>` and a rerun of the same graph over the same
-  /// input resumes past committed map tasks; the checkpoint root is
+  /// input resumes past committed tasks; the checkpoint root is
   /// removed after a fully successful run (unless keep_on_success). A
   /// Dataflow is single-shot; a second Run is FailedPrecondition.
   [[nodiscard]] Result<DataflowReport> Run();

@@ -258,9 +258,9 @@ class ErPipelineBuilder {
     return *this;
   }
   /// Durable checkpoint root for the run's external jobs: a rerun with
-  /// the same config over the same input resumes past committed map
-  /// tasks (see mr/checkpoint.h). Requires a spillable execution mode —
-  /// Validate() rejects the combination with kInMemory.
+  /// the same config over the same input resumes past committed map and
+  /// reduce tasks (see mr/task_commit.h). Requires a spillable execution
+  /// mode — Validate() rejects the combination with kInMemory.
   ErPipelineBuilder& CheckpointDir(std::string dir) {
     config_.execution.checkpoint.dir = std::move(dir);
     return *this;

@@ -161,14 +161,18 @@ std::string DataflowReportToJson(const DataflowReport& report) {
       job.Add("checkpointed", Json(s.job->checkpointed));
       job.Add("task_retries", Json(s.job->task_retries));
       job.Add("map_tasks_resumed", Json(s.job->map_tasks_resumed));
+      // Reduce tasks resume only from commit records, which exist in
+      // checkpointed and multi-process jobs; other reports stay
+      // byte-identical to previous releases.
+      if (s.job->checkpointed || s.job->multi_process) {
+        job.Add("reduce_tasks_resumed", Json(s.job->reduce_tasks_resumed));
+      }
       if (s.job->multi_process) {
-        // Only multi-process runs emit these keys, so single-process
-        // reports stay byte-identical to previous releases (and the
-        // crash harness can diff across modes by stripping them).
+        // Only multi-process runs emit these keys (the crash harness
+        // diffs reports across modes by stripping them).
         job.Add("multi_process", Json(true));
         job.Add("worker_processes", Json(s.job->worker_processes));
         job.Add("worker_deaths", Json(s.job->worker_deaths));
-        job.Add("reduce_tasks_resumed", Json(s.job->reduce_tasks_resumed));
       }
       stage.Add("job", std::move(job));
     }

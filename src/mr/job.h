@@ -24,11 +24,13 @@
 //    The merged sequence is byte-identical to the engine's previous
 //    concatenate-then-stable-sort shuffle (differential-tested).
 //  * Optional combiner per map task (the BDM job's counting optimization).
-//  * Tasks run on a fixed-size worker pool in FIFO order, emulating a
-//    cluster with a fixed number of processes.
+//  * Tasks run on a fixed-size worker pool (work-stealing scheduler,
+//    mr/task_scheduler.h), emulating a cluster with a fixed number of
+//    processes.
 //
-// Execution modes. The shuffle runs in one of two ways, selected by
-// ExecutionOptions (per JobRunner) and producing byte-identical output:
+// Execution modes. One job driver (JobRunner::RunJob) runs every mode,
+// selected by ExecutionOptions (per JobRunner) and producing
+// byte-identical output:
 //
 //  * kInMemory — every map task's sorted runs stay in RAM until the
 //    reduce phase merges them (the engine's original behavior). Peak
@@ -40,9 +42,16 @@
 //    is O(largest map-task output + workers × m × io_buffer) instead of
 //    O(total intermediate data). Requires SpillCodec specializations for
 //    the intermediate key/value types.
+//  * kMultiProcess — kExternal's spill-file shuffle, with tasks sharded
+//    across forked worker processes (proc/coordinator.h).
 //  * kAuto (default) picks kExternal when a sampled estimate of the input
 //    size exceeds spill_threshold_bytes and the types are spillable,
 //    kInMemory otherwise.
+//
+// With ExecutionOptions::checkpoint.dir set, a spilling job commits
+// every task durably (mr/task_commit.h) and a restarted job resumes from
+// the committed map tasks — and reduce tasks, when the output types are
+// spillable.
 //
 // Job wiring comes in two flavors. `JobSpec` stores part/comp/group as
 // `std::function`s — maximally flexible, one indirect call per key
@@ -74,7 +83,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mr/checkpoint.h"
 #include "mr/counters.h"
 #include "mr/merge.h"
 #include "mr/metrics.h"
@@ -133,8 +141,8 @@ struct ExecutionOptions {
   /// deadline has its result discarded and counts as a DeadlineExceeded
   /// failure (retryable). 0 disables.
   uint64_t task_attempt_timeout_ms = 0;
-  /// Durable checkpoint configuration (mr/checkpoint.h). Only external-
-  /// mode jobs checkpoint; the in-memory fast path is unaffected.
+  /// Durable checkpoint configuration (mr/task_commit.h). Only spilling
+  /// jobs checkpoint; the in-memory fast path is unaffected.
   CheckpointOptions checkpoint;
   /// kMultiProcess: number of worker processes to fork (>= 1). Leaving
   /// this 0 in multi-process mode is an InvalidArgument at Run() —
@@ -142,11 +150,6 @@ struct ExecutionOptions {
   /// that explicitly (core::Dataflow does for the WorkerProcesses(0)
   /// builder shorthand).
   uint32_t num_worker_processes = 0;
-  /// Intra-process task→thread scheduling for the threaded paths
-  /// (mr/task_scheduler.h). Work stealing by default; kFifo restores the
-  /// historical static submission order. Outputs are byte-identical
-  /// either way.
-  TaskSchedulerKind scheduler = TaskSchedulerKind::kWorkStealing;
 
   /// Rejects knob combinations no execution path can honor — zero
   /// buffers or attempt budgets, a missing process count in
@@ -255,18 +258,18 @@ struct TypedJobSpec {
                      std::vector<std::pair<MidK, MidV>>*)>
       combiner;
 
-  /// Optional durable "additional output" hooks for checkpointed
-  /// external jobs. A mapper that writes outside the emitted KV stream
-  /// (e.g. the BDM job's annotated partitions — Algorithm 3's extra DFS
-  /// files) must provide both, or a resumed job would skip the side
-  /// effect along with the task. `encode_side_output` is called after a
-  /// map task's successful attempt; its bytes are committed
-  /// (checksummed) with the task's spill file. `decode_side_output` is
-  /// called instead of re-execution when a completed task is restored
-  /// from a manifest; returning false (corrupt bytes) re-executes the
-  /// task. Jobs without map-side effects leave both unset. The factory
-  /// should also reset any side state for its task, keeping retried
-  /// attempts self-contained.
+  /// Optional durable "additional output" hooks for committing
+  /// (checkpointed or multi-process) jobs. A mapper that writes outside
+  /// the emitted KV stream (e.g. the BDM job's annotated partitions —
+  /// Algorithm 3's extra DFS files) must provide both, or a resumed job
+  /// would skip the side effect along with the task. `encode_side_output`
+  /// is called after a map task's successful attempt; its bytes are
+  /// committed (checksummed) with the task's spill file.
+  /// `decode_side_output` is called instead of re-execution when a
+  /// completed task is restored from its commit record; returning false
+  /// (corrupt bytes) re-executes the task. Jobs without map-side effects
+  /// leave both unset. The factory should also reset any side state for
+  /// its task, keeping retried attempts self-contained.
   std::function<std::string(uint32_t task_index)> encode_side_output;
   std::function<bool(uint32_t task_index, std::string_view bytes)>
       decode_side_output;
@@ -357,7 +360,8 @@ template <typename Attempt>
 [[nodiscard]] Status RunTaskWithRetry(const ExecutionOptions& options,
                                       TaskMetrics* metrics,
                                       Attempt&& attempt) {
-  const uint32_t max_attempts = std::max<uint32_t>(1, options.max_task_attempts);
+  const uint32_t max_attempts =
+      std::max<uint32_t>(1, options.max_task_attempts);
   uint64_t backoff_ms = options.retry_backoff_ms;
   Status last;
   for (uint32_t a = 1;; ++a) {
@@ -392,16 +396,13 @@ template <typename Attempt>
 /// Executes MR jobs on a worker pool.
 ///
 /// `num_workers` emulates the number of process slots available in the
-/// cluster. Each phase's tasks are driven by the scheduler selected in
-/// ExecutionOptions: work stealing by default (per-worker shards with
-/// atomic claim counters, mr/task_scheduler.h), or kFifo for the
-/// historical static order — tasks queued by index and handed to freed
-/// process slots like Hadoop's scheduler. Both produce byte-identical
-/// job output. By default one ThreadPool is constructed per Run() and
-/// reused across the map and reduce phases; a runner built over a shared
-/// pool (the dataflow-graph configuration, where one pool serves every
-/// job of a multi-job graph) submits to that pool instead of creating
-/// its own.
+/// cluster. Each phase's tasks run under the work-stealing scheduler
+/// (per-worker shards with atomic claim counters, mr/task_scheduler.h);
+/// outputs are stored per task index, so the schedule never affects job
+/// bytes. By default one ThreadPool is constructed per Run() and reused
+/// across the map and reduce phases; a runner built over a shared pool
+/// (the dataflow-graph configuration, where one pool serves every job of
+/// a multi-job graph) submits to that pool instead of creating its own.
 class JobRunner {
  public:
   /// \param num_workers worker threads (process slots), >= 1.
@@ -491,7 +492,8 @@ class JobRunner {
 
     if (options_.mode == ExecutionMode::kMultiProcess) {
       if constexpr (kMultiProcessJob) {
-        return RunMultiProcess<Spec>(spec, input_partitions);
+        return RunJob<Spec, /*kSpill=*/true, /*kProcs=*/true>(
+            spec, input_partitions);
       } else {
         ERLB_CHECK(kMultiProcessJob)
             << "ExecutionMode::kMultiProcess requires SpillCodec "
@@ -501,9 +503,13 @@ class JobRunner {
       }
     }
     if constexpr (kSpillableJob) {
-      if (external) return RunExternal<Spec>(spec, input_partitions);
+      if (external) {
+        return RunJob<Spec, /*kSpill=*/true, /*kProcs=*/false>(
+            spec, input_partitions);
+      }
     }
-    return RunInMemory<Spec>(spec, input_partitions);
+    return RunJob<Spec, /*kSpill=*/false, /*kProcs=*/false>(
+        spec, input_partitions);
   }
 
  private:
@@ -511,12 +517,12 @@ class JobRunner {
   using SpecInput = std::vector<std::vector<
       std::pair<typename Spec::InKey, typename Spec::InValue>>>;
 
-  /// The full pending list of a phase: task indices 0..n-1.
-  static std::vector<uint32_t> AllTasks(uint32_t n) {
-    std::vector<uint32_t> tasks(n);
-    for (uint32_t t = 0; t < n; ++t) tasks[t] = t;
-    return tasks;
-  }
+  /// In-memory shuffle state: [map task][reduce task] -> run of
+  /// intermediate pairs, sorted by comp within the run (as Hadoop sorts
+  /// each spill).
+  template <typename Spec>
+  using Buckets = std::vector<std::vector<std::vector<
+      std::pair<typename Spec::MidKey, typename Spec::MidValue>>>>;
 
   /// True iff `f` is an unset std::function; plain functors are always
   /// considered set.
@@ -549,498 +555,319 @@ class JobRunner {
     return total;
   }
 
-  // ---- In-memory path ---------------------------------------------------
-
-  template <typename Spec>
-  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunInMemory(
-      const Spec& spec, const SpecInput<Spec>& input_partitions) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-
-    const uint32_t m = static_cast<uint32_t>(input_partitions.size());
-    const uint32_t r = spec.num_reduce_tasks;
-
-    JobResult<OutK, OutV> result;
-    result.metrics.map_tasks.resize(m);
-    result.metrics.reduce_tasks.resize(r);
-    result.outputs_per_reduce_task.resize(r);
-
-    Stopwatch job_watch;
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool& pool = shared_pool_ != nullptr
-                           ? *shared_pool_
-                           : owned_pool.emplace(num_workers_);
-
-    // ---- Map phase ------------------------------------------------------
-    // buckets[map_task][reduce_task] -> run of intermediate pairs, sorted
-    // by comp within the run (as Hadoop sorts each spill).
-    std::vector<std::vector<std::vector<std::pair<MidK, MidV>>>> buckets(
-        m, std::vector<std::vector<std::pair<MidK, MidV>>>(r));
-
-    std::vector<Status> map_status(m);
-    Stopwatch map_watch;
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, AllTasks(m),
-                 [&](uint32_t t) {
-                   map_status[t] = internal::RunTaskWithRetry(
-                       options_, &result.metrics.map_tasks[t], [&, t] {
-                         return RunMapTask(spec, input_partitions[t], m, r,
-                                           t, &buckets[t],
-                                           &result.metrics.map_tasks[t]);
-                       });
-                 });
-    result.metrics.map_phase_nanos = map_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < m; ++t) {
-      if (!map_status[t].ok()) {
-        result.status = map_status[t];
-        return result;
-      }
-    }
-
-    // ---- Reduce phase ---------------------------------------------------
-    // Each reduce task owns (and consumes) its column of runs, so the
-    // mutable access to `buckets` is race-free.
-    std::vector<Status> reduce_status(r);
-    Stopwatch reduce_watch;
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, AllTasks(r),
-                 [&](uint32_t t) {
-                   reduce_status[t] = RunReduceTaskWithRetry(
-                       spec, &buckets, m, r, t,
-                       &result.outputs_per_reduce_task[t],
-                       &result.metrics.reduce_tasks[t]);
-                 });
-    result.metrics.reduce_phase_nanos = reduce_watch.ElapsedNanos();
-    result.metrics.total_duration_nanos = job_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < r; ++t) {
-      if (!reduce_status[t].ok()) {
-        result.status = reduce_status[t];
-        return result;
-      }
-    }
-
-    MergeTaskCounters(&result.metrics);
-    return result;
-  }
-
-  // ---- External (out-of-core) path --------------------------------------
-
-  template <typename Spec>
-  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunExternal(
-      const Spec& spec, const SpecInput<Spec>& input_partitions) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
-
-    const uint32_t m = static_cast<uint32_t>(input_partitions.size());
-    const uint32_t r = spec.num_reduce_tasks;
-
-    JobResult<OutK, OutV> result;
-    result.metrics.external = true;
-    result.metrics.map_tasks.resize(m);
-    result.metrics.reduce_tasks.resize(r);
-    result.outputs_per_reduce_task.resize(r);
-
-    // Without checkpointing the spill directory lives exactly as long as
-    // this Run: the scoped dir removes it (and every spill file) on
-    // success and error paths alike. With a checkpoint dir configured,
-    // spills are durable under <checkpoint.dir>/job-<seq> and survive the
-    // process — a restarted job with the same input resumes from them.
-    std::optional<ScopedTempDir> scoped_dir;
-    std::unique_ptr<JobCheckpoint> checkpoint;
-    std::string spill_dir;
-    if (!options_.checkpoint.dir.empty()) {
-      result.metrics.checkpointed = true;
-      const uint32_t seq =
-          checkpoint_seq_.fetch_add(1, std::memory_order_relaxed);
-      spill_dir = options_.checkpoint.dir + "/job-" + std::to_string(seq);
-      auto cp = JobCheckpoint::Open(
-          spill_dir,
-          ComputeInputSignature<Spec>(input_partitions, r,
-                                      options_.checkpoint.identity),
-          m, r, options_.checkpoint.resume);
-      if (!cp.ok()) {
-        result.status = cp.status();
-        return result;
-      }
-      checkpoint = std::move(*cp);
-    } else {
-      auto dir = ScopedTempDir::Make(options_.temp_dir, "erlb-spill");
-      if (!dir.ok()) {
-        result.status = dir.status();
-        return result;
-      }
-      scoped_dir.emplace(std::move(*dir));
-      spill_dir = scoped_dir->path();
-    }
-
-    Stopwatch job_watch;
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool& pool = shared_pool_ != nullptr
-                           ? *shared_pool_
-                           : owned_pool.emplace(num_workers_);
-
-    // ---- Map phase: sort, partition, spill ------------------------------
-    std::vector<SpillFile> spill_files(m);
-    std::vector<Status> map_status(m);
-    Stopwatch map_watch;
-    std::vector<uint32_t> pending_maps;
-    pending_maps.reserve(m);
-    for (uint32_t t = 0; t < m; ++t) {
-      if (checkpoint != nullptr && checkpoint->IsMapTaskDone(t)) {
-        // Committed by a previous process: restore the extents, the
-        // task's recorded metrics (counters included), and any durable
-        // side output instead of re-executing — this is what keeps a
-        // resumed job's aggregate counters and side effects
-        // byte-identical to an uninterrupted run. A task whose side
-        // bytes are missing or corrupt falls through and re-executes.
-        bool restored = true;
-        if (spec.decode_side_output) {
-          auto side_bytes = checkpoint->CompletedSideOutput(t);
-          restored = side_bytes.ok() &&
-                     spec.decode_side_output(t, *side_bytes);
-        }
-        if (restored) {
-          spill_files[t] = checkpoint->CompletedSpill(t);
-          result.metrics.map_tasks[t] = checkpoint->CompletedMetrics(t);
-          ++result.metrics.map_tasks_resumed;
-          continue;
-        }
-      }
-      pending_maps.push_back(t);
-    }
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, pending_maps,
-                 [&](uint32_t t) {
-                   map_status[t] = internal::RunTaskWithRetry(
-                       options_, &result.metrics.map_tasks[t], [&, t] {
-                         return RunMapTaskExternal(
-                             spec, input_partitions[t], m, r, t, spill_dir,
-                             checkpoint.get(), &spill_files[t],
-                             &result.metrics.map_tasks[t]);
-                       });
-                 });
-    result.metrics.map_phase_nanos = map_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < m; ++t) {
-      if (!map_status[t].ok()) {
-        result.status = map_status[t];
-        return result;
-      }
-      result.metrics.spill_bytes_written +=
-          result.metrics.map_tasks[t].spill_bytes;
-    }
-
-    // ---- Reduce phase: stream the k-way merge over file cursors ---------
-    std::vector<Status> reduce_status(r);
-    Stopwatch reduce_watch;
-    RunTaskPhase(options_.scheduler, &pool, num_workers_, AllTasks(r),
-                 [&](uint32_t t) {
-                   reduce_status[t] = internal::RunTaskWithRetry(
-                       options_, &result.metrics.reduce_tasks[t], [&, t] {
-                         return RunReduceTaskExternal(
-                             spec, spill_files, m, r, t,
-                             &result.outputs_per_reduce_task[t],
-                             &result.metrics.reduce_tasks[t]);
-                       });
-                 });
-    result.metrics.reduce_phase_nanos = reduce_watch.ElapsedNanos();
-    result.metrics.total_duration_nanos = job_watch.ElapsedNanos();
-    for (uint32_t t = 0; t < r; ++t) {
-      if (!reduce_status[t].ok()) {
-        result.status = reduce_status[t];
-        return result;
-      }
-    }
-
-    MergeTaskCounters(&result.metrics);
-    return result;
-  }
-
-  // ---- Multi-process (shared-nothing) path ------------------------------
+  // ---- The job driver ---------------------------------------------------
   //
-  // The same two phases as RunExternal, but sharded across forked worker
-  // processes by a proc::Coordinator instead of pool threads. All data
-  // crosses the process boundary through the shared job directory:
+  // One map -> shuffle -> reduce skeleton behind every execution mode,
+  // parameterized on where runs live (`kSpill`: in-memory buckets, or
+  // spill files in a job directory) and who runs a task (`kProcs`: pool
+  // threads under the work-stealing scheduler, or forked workers under a
+  // proc::Coordinator). Each phase is a proc::TaskPhase whose `run`
+  // executes one task under the retry policy and whose `try_collect`
+  // restores a task committed by another process from its commit record.
+  //
+  // Tasks commit (mr/task_commit.h) whenever another process may read
+  // their output — a durable checkpoint directory or a worker pool:
   //
   //   map task t    -> spill-<t>.run (+ side-<t>.dat) + map-<t>.done
-  //   reduce task t -> out-<t>.run               + reduce-<t>.done
+  //   reduce task t -> out-<t>.run                     + reduce-<t>.done
   //
-  // Workers inherit the job spec and input copy-on-write at fork time;
-  // the only parent state created *after* the fork that workers need —
-  // the map phase's spill extents — travels in the reduce ASSIGN payload.
-  // The parent trusts nothing a worker says: DONE merely prompts it to
-  // read the task's commit record back from disk (signature + per-run
-  // checksum validation), which is also exactly how it adopts work left
-  // behind by a worker that died after committing.
-
-  template <typename Spec>
-  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunMultiProcess(
-      const Spec& spec, const SpecInput<Spec>& input_partitions) const {
+  // A scoped single-process spill directory dies with the job and
+  // commits nothing. Workers inherit the spec and input copy-on-write at
+  // fork time; the only parent state created after the fork that they
+  // need — the map phase's spill extents — travels in the reduce ASSIGN
+  // payload. The parent trusts nothing a worker says: DONE merely prompts
+  // it to collect the task's record from disk, which is also how it
+  // adopts work left behind by a dead worker, and how a restarted job
+  // resumes.
+  template <typename Spec, bool kSpill, bool kProcs>
+  JobResult<typename Spec::OutKey, typename Spec::OutValue> RunJob(
+      const Spec& spec, const SpecInput<Spec>& input) const {
+    static_assert(kSpill || !kProcs, "workers shuffle through spill files");
     using OutK = typename Spec::OutKey;
     using OutV = typename Spec::OutValue;
+    // Reduce outputs are committed (and restorable) only when they have
+    // a spill codec; the multi-process path requires it.
+    constexpr bool kCommitReduce = Spillable<OutK> && Spillable<OutV>;
 
-    const uint32_t m = static_cast<uint32_t>(input_partitions.size());
+    const uint32_t m = static_cast<uint32_t>(input.size());
     const uint32_t r = spec.num_reduce_tasks;
 
     JobResult<OutK, OutV> result;
-    result.metrics.external = true;
-    result.metrics.multi_process = true;
-    result.metrics.map_tasks.resize(m);
-    result.metrics.reduce_tasks.resize(r);
+    JobMetrics& metrics = result.metrics;
+    metrics.external = kSpill;
+    metrics.multi_process = kProcs;
+    metrics.map_tasks.resize(m);
+    metrics.reduce_tasks.resize(r);
     result.outputs_per_reduce_task.resize(r);
 
-    const bool durable = !options_.checkpoint.dir.empty();
+    // The job directory: durable under <checkpoint.dir>/job-<seq>, where
+    // it survives the process and a restarted job with the same input
+    // resumes from it, or a scoped temp dir removed (with every spill
+    // file) on success and error paths alike.
+    const bool durable = kSpill && !options_.checkpoint.dir.empty();
+    const bool commit = durable || kProcs;
+    const bool resume = durable && options_.checkpoint.resume;
     std::optional<ScopedTempDir> scoped_dir;
-    std::string job_dir;
-    if (durable) {
-      // Same per-runner job-<seq> scheme as RunExternal, but committed
-      // state lives in per-task .done sidecars instead of one manifest —
-      // worker processes cannot share a rewritten manifest without races.
-      result.metrics.checkpointed = true;
-      const uint32_t seq =
-          checkpoint_seq_.fetch_add(1, std::memory_order_relaxed);
-      job_dir = options_.checkpoint.dir + "/job-" + std::to_string(seq);
-      Status made = internal::EnsureDirectory(job_dir);
-      if (!made.ok()) {
-        result.status = made;
+    std::string dir;
+    if constexpr (kSpill) {
+      Status opened;
+      if (durable) {
+        metrics.checkpointed = true;
+        dir = options_.checkpoint.dir + "/job-" +
+              std::to_string(
+                  checkpoint_seq_.fetch_add(1, std::memory_order_relaxed));
+        opened = internal::EnsureDirectory(dir);
+      } else {
+        auto made = ScopedTempDir::Make(options_.temp_dir, "erlb-spill");
+        if (made.ok()) {
+          scoped_dir.emplace(std::move(*made));
+          dir = scoped_dir->path();
+          // The parent's claim keeps a concurrent SweepStaleTempDirs from
+          // reaping a worker pool's dir; each worker adds its own per-pid
+          // claim on first task so the protection also covers
+          // parent-death windows.
+          if constexpr (kProcs) static_cast<void>(ClaimTempDirForPid(dir));
+        } else {
+          opened = made.status();
+        }
+      }
+      if (!opened.ok()) {
+        result.status = std::move(opened);
         return result;
       }
-    } else {
-      auto dir = ScopedTempDir::Make(options_.temp_dir, "erlb-spill");
-      if (!dir.ok()) {
-        result.status = dir.status();
-        return result;
-      }
-      scoped_dir.emplace(std::move(*dir));
-      job_dir = scoped_dir->path();
-      // The parent's claim keeps a concurrent SweepStaleTempDirs from
-      // reaping the dir; each worker adds its own per-pid claim on first
-      // task so the protection also covers parent-death windows.
-      static_cast<void>(ClaimTempDirForPid(job_dir));
     }
+    const uint64_t signature =
+        commit ? ComputeInputSignature<Spec>(input, r,
+                                             options_.checkpoint.identity)
+               : 0;
+    const auto claim_in_worker = [&] {
+      if (kProcs && !durable) static_cast<void>(ClaimTempDirForPid(dir));
+    };
 
-    const uint64_t signature = ComputeInputSignature<Spec>(
-        input_partitions, r, options_.checkpoint.identity);
-
-    // Parent-side shuffle state, filled by map-phase try_collect. The
-    // coordinator event loop is single-threaded, so the closures below
-    // mutate `result` and `spill_files` without locking.
-    std::vector<SpillFile> spill_files(m);
+    // Shuffle state: in-memory runs, or one spill file of r runs per map
+    // task. Each task writes only its own index, so pool threads never
+    // race; in a worker process every write below lands in the worker's
+    // copy-on-write image, and the parent collects from disk instead.
+    Buckets<Spec> buckets(kSpill ? 0 : m,
+                          typename Buckets<Spec>::value_type(r));
+    std::vector<SpillFile> spill_files(kSpill ? m : 0);
 
     std::vector<proc::TaskPhase> phases(2);
-
     proc::TaskPhase& map_phase = phases[0];
     map_phase.name = "map";
     map_phase.num_tasks = m;
     map_phase.run = [&](uint32_t t, const std::string&) -> Status {
-      if (!durable) static_cast<void>(ClaimTempDirForPid(job_dir));
-      return RunMapTaskMultiProcess(spec, input_partitions[t], m, r, t,
-                                    job_dir, signature, durable);
-    };
-    map_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
-      auto record = ReadTaskCommitRecord(job_dir, "map", t, signature,
-                                         /*expected_runs=*/r,
-                                         options_.io_buffer_bytes);
-      if (!record.ok()) return false;
-      if (spec.decode_side_output) {
-        // Resuming a committed task must also replay its side output; a
-        // record without (valid) side bytes is treated as uncommitted.
-        if (record->side.path.empty()) return false;
-        auto side_bytes = ReadSideOutputFile(record->side);
-        if (!side_bytes.ok() || !spec.decode_side_output(t, *side_bytes)) {
-          return false;
+      claim_in_worker();
+      TaskMetrics* tm = &metrics.map_tasks[t];
+      return internal::RunTaskWithRetry(options_, tm, [&, t]() -> Status {
+        if constexpr (kSpill) {
+          return RunMapTaskSpill(spec, input[t], m, r, t, dir, signature,
+                                 commit, durable, &spill_files[t], tm);
+        } else {
+          return RunMapTask(spec, input[t], m, r, t, &buckets[t], tm);
         }
-      }
-      spill_files[t] = record->file;
-      result.metrics.map_tasks[t] = record->metrics;
-      if (adopted) {
-        result.metrics.map_tasks[t].resumed = true;
-        ++result.metrics.map_tasks_resumed;
-      }
-      return true;
+      });
     };
 
     proc::TaskPhase& reduce_phase = phases[1];
     reduce_phase.name = "reduce";
     reduce_phase.num_tasks = r;
-    // Workers were forked before the map phase ran, so their images
-    // predate `spill_files`; each reduce assignment carries the extent
-    // of its run in every map task's spill file.
-    reduce_phase.assignment_payload = [&](uint32_t t) -> std::string {
-      std::string payload;
-      proc::PutU32(m, &payload);
-      for (uint32_t mt = 0; mt < m; ++mt) {
-        const RunExtent& extent = spill_files[mt].runs[t];
-        proc::PutU64(extent.offset, &payload);
-        proc::PutU64(extent.bytes, &payload);
-        proc::PutU64(extent.records, &payload);
+    reduce_phase.run = [&](uint32_t t, const std::string& payload) -> Status {
+      TaskMetrics* tm = &metrics.reduce_tasks[t];
+      auto* output = &result.outputs_per_reduce_task[t];
+      if constexpr (!kSpill) {
+        return RunReduceTaskWithRetry(spec, &buckets, m, r, t, output, tm);
+      } else {
+        claim_in_worker();
+        if constexpr (kProcs) {
+          ERLB_RETURN_NOT_OK(
+              DecodeReduceAssignment(payload, dir, m, r, t, &spill_files));
+        }
+        ERLB_RETURN_NOT_OK(
+            internal::RunTaskWithRetry(options_, tm, [&, t]() -> Status {
+              ERLB_RETURN_NOT_OK(RunReduceTaskExternal(spec, spill_files, m,
+                                                       r, t, output, tm));
+              if constexpr (kCommitReduce) {
+                if (commit) {
+                  return CommitReduceTask(dir, t, signature, durable,
+                                          *output, *tm);
+                }
+              }
+              return Status::OK();
+            }));
+        if constexpr (kProcs) {
+          // A worker's output reaches the parent through out-<t>.run.
+          std::vector<std::pair<OutK, OutV>>().swap(*output);
+        }
+        return Status::OK();
       }
-      return payload;
-    };
-    reduce_phase.run = [&](uint32_t t,
-                           const std::string& payload) -> Status {
-      if (!durable) static_cast<void>(ClaimTempDirForPid(job_dir));
-      return RunReduceTaskMultiProcess(spec, job_dir, signature, durable, m,
-                                       r, t, payload);
-    };
-    reduce_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
-      auto record = ReadTaskCommitRecord(job_dir, "reduce", t, signature,
-                                         /*expected_runs=*/1,
-                                         options_.io_buffer_bytes);
-      if (!record.ok()) return false;
-      const RunExtent& extent = record->file.runs[0];
-      std::vector<std::pair<OutK, OutV>> output;
-      output.reserve(static_cast<size_t>(extent.records));
-      RunCursor<OutK, OutV> cursor;
-      size_t buffer = static_cast<size_t>(std::min<uint64_t>(
-          std::max<uint64_t>(extent.bytes, 1), options_.io_buffer_bytes));
-      if (!cursor.Open(record->file.path, extent, buffer).ok()) {
-        return false;
-      }
-      while (!cursor.exhausted()) output.push_back(cursor.Pop());
-      if (!cursor.status().ok()) return false;
-      result.outputs_per_reduce_task[t] = std::move(output);
-      result.metrics.reduce_tasks[t] = record->metrics;
-      if (adopted) {
-        result.metrics.reduce_tasks[t].resumed = true;
-        ++result.metrics.reduce_tasks_resumed;
-      }
-      return true;
     };
 
-    proc::CoordinatorOptions coord_options;
-    coord_options.num_workers = std::max<uint32_t>(
-        1, options_.num_worker_processes > 0
-               ? options_.num_worker_processes
-               : static_cast<uint32_t>(num_workers_));
-    coord_options.collect_existing = durable && options_.checkpoint.resume;
-    coord_options.max_task_failovers =
-        std::max<uint32_t>(1, options_.max_task_attempts) + 2;
+    if constexpr (kSpill) {
+      map_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
+        auto record = ReadTaskCommitRecord(dir, "map", t, signature,
+                                           /*expected_runs=*/r,
+                                           options_.io_buffer_bytes);
+        if (!record.ok()) return false;
+        if (spec.decode_side_output) {
+          // Restoring a task must also replay its side output; a record
+          // without (valid) side bytes is treated as uncommitted.
+          if (record->side.path.empty()) return false;
+          auto side_bytes = ReadSideOutputFile(record->side);
+          if (!side_bytes.ok() || !spec.decode_side_output(t, *side_bytes)) {
+            return false;
+          }
+        }
+        spill_files[t] = std::move(record->file);
+        CollectMetrics(std::move(record->metrics), adopted,
+                       &metrics.map_tasks[t], &metrics.map_tasks_resumed);
+        return true;
+      };
+    }
+    if constexpr (kSpill && kCommitReduce) {
+      reduce_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
+        auto record = ReadTaskCommitRecord(dir, "reduce", t, signature,
+                                           /*expected_runs=*/1,
+                                           options_.io_buffer_bytes);
+        if (!record.ok()) return false;
+        const RunExtent& extent = record->file.runs[0];
+        std::vector<std::pair<OutK, OutV>> output;
+        // Every record takes at least one of the run's bytes, which the
+        // footer check bounded by the file size: a damaged record count
+        // cannot force a huge allocation.
+        output.reserve(
+            static_cast<size_t>(std::min(extent.records, extent.bytes)));
+        RunCursor<OutK, OutV> cursor;
+        size_t buffer = static_cast<size_t>(std::min<uint64_t>(
+            std::max<uint64_t>(extent.bytes, 1), options_.io_buffer_bytes));
+        if (!cursor.Open(record->file.path, extent, buffer).ok()) {
+          return false;
+        }
+        while (!cursor.exhausted()) output.push_back(cursor.Pop());
+        if (!cursor.status().ok()) return false;
+        result.outputs_per_reduce_task[t] = std::move(output);
+        CollectMetrics(std::move(record->metrics), adopted,
+                       &metrics.reduce_tasks[t],
+                       &metrics.reduce_tasks_resumed);
+        return true;
+      };
+    }
 
     Stopwatch job_watch;
-    proc::Coordinator coordinator(coord_options);
-    Status run_status = coordinator.Run(phases);
-    result.metrics.total_duration_nanos = job_watch.ElapsedNanos();
-
-    const proc::CoordinatorStats coord_stats = coordinator.stats();
-    result.metrics.worker_processes = coord_stats.workers_spawned;
-    result.metrics.worker_deaths = coord_stats.worker_deaths;
-    if (coord_stats.phases.size() == 2) {
-      result.metrics.map_phase_nanos = coord_stats.phases[0].duration_nanos;
-      result.metrics.reduce_phase_nanos =
-          coord_stats.phases[1].duration_nanos;
+    Status status;
+    if constexpr (kProcs) {
+      // Workers were forked before the map phase ran, so their images
+      // predate `spill_files`; each reduce assignment carries the extent
+      // of its run in every map task's spill file. The coordinator's
+      // event loop is single-threaded, so the parent-side closures
+      // mutate `result` and `spill_files` without locking.
+      reduce_phase.assignment_payload = [&](uint32_t t) -> std::string {
+        std::string payload;
+        proc::PutU32(m, &payload);
+        for (uint32_t mt = 0; mt < m; ++mt) {
+          const RunExtent& extent = spill_files[mt].runs[t];
+          proc::PutU64(extent.offset, &payload);
+          proc::PutU64(extent.bytes, &payload);
+          proc::PutU64(extent.records, &payload);
+        }
+        return payload;
+      };
+      proc::CoordinatorOptions coord_options;
+      coord_options.num_workers = std::max<uint32_t>(
+          1, options_.num_worker_processes > 0
+                 ? options_.num_worker_processes
+                 : static_cast<uint32_t>(num_workers_));
+      coord_options.collect_existing = resume;
+      coord_options.max_task_failovers =
+          std::max<uint32_t>(1, options_.max_task_attempts) + 2;
+      proc::Coordinator coordinator(coord_options);
+      status = coordinator.Run(phases);
+      const proc::CoordinatorStats coord_stats = coordinator.stats();
+      metrics.worker_processes = coord_stats.workers_spawned;
+      metrics.worker_deaths = coord_stats.worker_deaths;
+      if (coord_stats.phases.size() == 2) {
+        metrics.map_phase_nanos = coord_stats.phases[0].duration_nanos;
+        metrics.reduce_phase_nanos = coord_stats.phases[1].duration_nanos;
+      }
+    } else {
+      std::optional<ThreadPool> owned_pool;
+      ThreadPool& pool = shared_pool_ != nullptr
+                             ? *shared_pool_
+                             : owned_pool.emplace(num_workers_);
+      status = RunPhaseOnPool(map_phase, resume, &pool,
+                              &metrics.map_phase_nanos);
+      if (status.ok()) {
+        status = RunPhaseOnPool(reduce_phase, resume, &pool,
+                                &metrics.reduce_phase_nanos);
+      }
     }
-    if (!run_status.ok()) {
-      result.status = run_status;
+    metrics.total_duration_nanos = job_watch.ElapsedNanos();
+    if (!status.ok()) {
+      result.status = std::move(status);
       return result;
     }
-    for (uint32_t t = 0; t < m; ++t) {
-      result.metrics.spill_bytes_written +=
-          result.metrics.map_tasks[t].spill_bytes;
+    for (const TaskMetrics& tm : metrics.map_tasks) {
+      metrics.spill_bytes_written += tm.spill_bytes;
     }
-    MergeTaskCounters(&result.metrics);
+    MergeTaskCounters(&metrics);
     return result;
   }
 
-  /// Worker-side map task: RunMapTaskExternal's sort/partition/spill
-  /// with the manifest checkpoint replaced by a per-task commit record.
-  /// Retries happen inside the worker (same policy as the threaded
-  /// paths); the commit record is the last write of a successful attempt.
-  template <typename Spec>
-  [[nodiscard]] Status RunMapTaskMultiProcess(
-      const Spec& spec,
-      const std::vector<std::pair<typename Spec::InKey,
-                                  typename Spec::InValue>>& partition,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      const std::string& job_dir, uint64_t signature, bool durable) const {
-    using MidK = typename Spec::MidKey;
-    using MidV = typename Spec::MidValue;
-    TaskMetrics metrics;
-    return internal::RunTaskWithRetry(options_, &metrics, [&]() -> Status {
-      ERLB_RETURN_NOT_OK(internal::MapTaskFaultPoint());
-      Stopwatch watch;
-      auto final_out =
-          MapSortCombine(spec, partition, m, r, task_index, &metrics);
-
-      std::vector<uint32_t> dest;
-      std::vector<size_t> run_offsets;
-      PartitionRecords(spec, final_out, r, &dest, &run_offsets);
-      const size_t n_out = final_out.size();
-      std::vector<size_t> order(n_out);
-      std::vector<size_t> fill(run_offsets.begin(), run_offsets.end() - 1);
-      for (size_t i = 0; i < n_out; ++i) {
-        order[fill[dest[i]]++] = i;
+  /// Runs one phase on the pool: when resuming, a pass first collects
+  /// every task a previous process committed; the rest run under the
+  /// work-stealing scheduler. Returns the first failed task's status.
+  [[nodiscard]] Status RunPhaseOnPool(const proc::TaskPhase& phase,
+                                      bool resume, ThreadPool* pool,
+                                      int64_t* phase_nanos) const {
+    Stopwatch watch;
+    std::vector<uint32_t> pending;
+    pending.reserve(phase.num_tasks);
+    for (uint32_t t = 0; t < phase.num_tasks; ++t) {
+      if (!resume || !phase.try_collect ||
+          !phase.try_collect(t, /*adopted=*/true)) {
+        pending.push_back(t);
       }
-
-      // Data files are always staged under a pid temp name and renamed:
-      // the .done record is the commit point, and it must never name a
-      // half-written file.
-      const std::string final_path = SpillFilePath(job_dir, task_index);
-      const std::string write_path = internal::PidTempPath(final_path);
-      SpillFileWriter<MidK, MidV> writer;
-      ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes,
-                                     options_.fail_writer_after_bytes));
-      for (uint32_t p = 0; p < r; ++p) {
-        ERLB_RETURN_NOT_OK(writer.BeginRun());
-        for (size_t i = run_offsets[p]; i < run_offsets[p + 1]; ++i) {
-          const auto& rec = final_out[order[i]];
-          ERLB_RETURN_NOT_OK(writer.Append(rec.first, rec.second));
-        }
-      }
-      TaskCommitRecord record;
-      ERLB_ASSIGN_OR_RETURN(record.file, writer.Finish(/*sync=*/durable));
-      record.file.path = final_path;
-      ERLB_RETURN_NOT_OK(internal::PublishFile(write_path, final_path));
-
-      if (spec.encode_side_output) {
-        std::string side_bytes = spec.encode_side_output(task_index);
-        record.side.path =
-            job_dir + "/side-" + std::to_string(task_index) + ".dat";
-        record.side.bytes = side_bytes.size();
-        record.side.checksum =
-            Fnv1aHash(side_bytes.data(), side_bytes.size());
-        const std::string side_tmp = internal::PidTempPath(record.side.path);
-        BufferedFileWriter side_writer;
-        ERLB_RETURN_NOT_OK(
-            side_writer.Open(side_tmp, options_.io_buffer_bytes));
-        ERLB_RETURN_NOT_OK(
-            side_writer.Append(side_bytes.data(), side_bytes.size()));
-        if (durable) ERLB_RETURN_NOT_OK(side_writer.Sync());
-        ERLB_RETURN_NOT_OK(side_writer.Close());
-        ERLB_RETURN_NOT_OK(
-            internal::PublishFile(side_tmp, record.side.path));
-      }
-
-      metrics.task_index = task_index;
-      metrics.spill_bytes = static_cast<int64_t>(record.file.TotalBytes());
-      metrics.duration_nanos = watch.ElapsedNanos();
-      record.metrics = metrics;
-      return WriteTaskCommitRecord(job_dir, "map", task_index, signature,
-                                   record, durable);
-    });
+    }
+    std::vector<Status> status(phase.num_tasks);
+    const std::string no_payload;
+    const auto run = [&](uint32_t t) { status[t] = phase.run(t, no_payload); };
+    WorkStealingScheduler(std::move(pending), num_workers_).Run(pool, run);
+    *phase_nanos = watch.ElapsedNanos();
+    for (Status& s : status) {
+      if (!s.ok()) return std::move(s);
+    }
+    return Status::OK();
   }
 
-  /// Worker-side reduce task: decode the extent table shipped in the
-  /// ASSIGN payload, stream the loser-tree merge over every map task's
-  /// run (RunReduceTaskExternal, unchanged), then publish the output as
-  /// a single-run spill file + commit record.
-  template <typename Spec>
-  [[nodiscard]] Status RunReduceTaskMultiProcess(
-      const Spec& spec, const std::string& job_dir, uint64_t signature,
-      bool durable, uint32_t m, uint32_t r, uint32_t task_index,
-      const std::string& payload) const {
-    using OutK = typename Spec::OutKey;
-    using OutV = typename Spec::OutValue;
+  /// Installs the committed metrics of a collected task. `adopted` (the
+  /// task did not run in this job: restored on resume, or committed by a
+  /// worker that died before reporting) marks it resumed.
+  static void CollectMetrics(TaskMetrics committed, bool adopted,
+                             TaskMetrics* slot, int64_t* resumed_count) {
+    *slot = std::move(committed);
+    if (adopted) {
+      slot->resumed = true;
+      ++*resumed_count;
+    }
+  }
 
+  /// Worker side: patches the worker's image of `spill_files` with the
+  /// extents of reduce task `task`'s run in every map task's spill file,
+  /// as shipped in the ASSIGN payload.
+  [[nodiscard]] static Status DecodeReduceAssignment(
+      const std::string& payload, const std::string& dir, uint32_t m,
+      uint32_t r, uint32_t task, std::vector<SpillFile>* spill_files) {
     proc::PayloadReader reader(payload);
     uint32_t payload_m = 0;
     if (!reader.GetU32(&payload_m) || payload_m != m) {
       return Status::Internal("reduce assignment payload does not match "
                               "the job shape");
     }
-    std::vector<SpillFile> spill_files(m);
     for (uint32_t mt = 0; mt < m; ++mt) {
-      spill_files[mt].path = SpillFilePath(job_dir, mt);
-      spill_files[mt].runs.resize(r);
-      RunExtent& extent = spill_files[mt].runs[task_index];
+      SpillFile& file = (*spill_files)[mt];
+      file.path = SpillFilePath(dir, mt);
+      file.runs.resize(r);
+      RunExtent& extent = file.runs[task];
       if (!reader.GetU64(&extent.offset) || !reader.GetU64(&extent.bytes) ||
           !reader.GetU64(&extent.records)) {
         return Status::Internal("truncated reduce assignment payload");
@@ -1049,31 +876,32 @@ class JobRunner {
     if (!reader.AtEnd()) {
       return Status::Internal("oversized reduce assignment payload");
     }
+    return Status::OK();
+  }
 
-    TaskMetrics metrics;
-    return internal::RunTaskWithRetry(options_, &metrics, [&]() -> Status {
-      std::vector<std::pair<OutK, OutV>> output;
-      ERLB_RETURN_NOT_OK(RunReduceTaskExternal(spec, spill_files, m, r,
-                                               task_index, &output,
-                                               &metrics));
-      const std::string final_path =
-          job_dir + "/out-" + std::to_string(task_index) + ".run";
-      const std::string write_path = internal::PidTempPath(final_path);
-      SpillFileWriter<OutK, OutV> writer;
-      ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes));
-      ERLB_RETURN_NOT_OK(writer.BeginRun());
-      for (const auto& [key, value] : output) {
-        ERLB_RETURN_NOT_OK(writer.Append(key, value));
-      }
-      TaskCommitRecord record;
-      ERLB_ASSIGN_OR_RETURN(record.file, writer.Finish(/*sync=*/durable));
-      record.file.path = final_path;
-      ERLB_RETURN_NOT_OK(internal::PublishFile(write_path, final_path));
-      record.metrics = metrics;
-      record.metrics.task_index = task_index;
-      return WriteTaskCommitRecord(job_dir, "reduce", task_index, signature,
-                                   record, durable);
-    });
+  /// Publishes a reduce task's output as a single-run spill file,
+  /// out-<t>.run (pid temp + rename), then its reduce-<t>.done record.
+  template <typename OutK, typename OutV>
+  [[nodiscard]] Status CommitReduceTask(
+      const std::string& dir, uint32_t task_index, uint64_t signature,
+      bool durable, const std::vector<std::pair<OutK, OutV>>& output,
+      const TaskMetrics& metrics) const {
+    const std::string final_path =
+        dir + "/out-" + std::to_string(task_index) + ".run";
+    const std::string write_path = internal::PidTempPath(final_path);
+    SpillFileWriter<OutK, OutV> writer;
+    ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes));
+    ERLB_RETURN_NOT_OK(writer.BeginRun());
+    for (const auto& [key, value] : output) {
+      ERLB_RETURN_NOT_OK(writer.Append(key, value));
+    }
+    TaskCommitRecord record;
+    ERLB_ASSIGN_OR_RETURN(record.file, writer.Finish(/*sync=*/durable));
+    record.file.path = final_path;
+    ERLB_RETURN_NOT_OK(internal::PublishFile(write_path, final_path));
+    record.metrics = metrics;
+    return WriteTaskCommitRecord(dir, "reduce", task_index, signature,
+                                 record, durable);
   }
 
   static void MergeTaskCounters(JobMetrics* metrics) {
@@ -1087,7 +915,7 @@ class JobRunner {
     }
   }
 
-  /// Cheap input-identity fingerprint for the checkpoint manifest: job
+  /// Cheap input-identity fingerprint for the commit records: job
   /// shape (m, r), the caller-supplied identity string, every partition's
   /// record count, and — when the input types are spillable — the encoded
   /// first and last record of each partition. Collisions only matter if
@@ -1241,19 +1069,21 @@ class JobRunner {
     return Status::OK();
   }
 
-  /// External map task: after sort/combine, writes the r runs to the
+  /// Spilling map task: after sort/combine, writes the r runs to the
   /// task's spill file (in reduce-task order, preserving emission order
-  /// within each run) instead of materializing them. With a checkpoint
-  /// the bytes go to `<file>.tmp`, are fsynced by Finish, and are
-  /// atomically published (rename + durable manifest) by CommitMapTask.
+  /// within each run) instead of materializing them. With `commit` the
+  /// file is staged under a pid temp name and published by rename, then
+  /// the side output, and last the task's .done record — the commit
+  /// point, which must never name a half-written file. `durable` fsyncs
+  /// each of them.
   template <typename Spec>
-  [[nodiscard]] Status RunMapTaskExternal(
+  [[nodiscard]] Status RunMapTaskSpill(
       const Spec& spec,
       const std::vector<std::pair<typename Spec::InKey,
                                   typename Spec::InValue>>& partition,
-      uint32_t m, uint32_t r, uint32_t task_index,
-      const std::string& spill_dir, JobCheckpoint* checkpoint,
-      SpillFile* out_file, TaskMetrics* metrics) const {
+      uint32_t m, uint32_t r, uint32_t task_index, const std::string& dir,
+      uint64_t signature, bool commit, bool durable, SpillFile* out_file,
+      TaskMetrics* metrics) const {
     using MidK = typename Spec::MidKey;
     using MidV = typename Spec::MidValue;
     ERLB_RETURN_NOT_OK(internal::MapTaskFaultPoint());
@@ -1274,9 +1104,9 @@ class JobRunner {
       order[fill[dest[i]]++] = i;
     }
 
-    const std::string final_path = SpillFilePath(spill_dir, task_index);
+    const std::string final_path = SpillFilePath(dir, task_index);
     const std::string write_path =
-        checkpoint != nullptr ? final_path + ".tmp" : final_path;
+        commit ? internal::PidTempPath(final_path) : final_path;
     SpillFileWriter<MidK, MidV> writer;
     ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes,
                                    options_.fail_writer_after_bytes));
@@ -1287,36 +1117,36 @@ class JobRunner {
         ERLB_RETURN_NOT_OK(writer.Append(rec.first, rec.second));
       }
     }
-    ERLB_ASSIGN_OR_RETURN(*out_file,
-                          writer.Finish(/*sync=*/checkpoint != nullptr));
+    ERLB_ASSIGN_OR_RETURN(*out_file, writer.Finish(/*sync=*/durable));
+    out_file->path = final_path;
     metrics->spill_bytes = static_cast<int64_t>(out_file->TotalBytes());
     metrics->duration_nanos = watch.ElapsedNanos();
-    if (checkpoint != nullptr) {
+    if (!commit) return Status::OK();
+
+    ERLB_RETURN_NOT_OK(internal::PublishFile(write_path, final_path));
+    TaskCommitRecord record;
+    record.file = *out_file;
+    record.metrics = *metrics;
+    if (spec.encode_side_output) {
       // Side output ("additional output" written outside the KV stream)
-      // is committed alongside the spill file so a resumed job can
-      // replay the side effect without re-executing the task.
-      std::string side_tmp;
-      SideOutputFile side;
-      if (spec.encode_side_output) {
-        std::string side_bytes = spec.encode_side_output(task_index);
-        side.path = spill_dir + "/side-" + std::to_string(task_index) +
-                    ".dat";
-        side.bytes = side_bytes.size();
-        side.checksum = Fnv1aHash(side_bytes.data(), side_bytes.size());
-        side_tmp = side.path + ".tmp";
-        BufferedFileWriter side_writer;
-        ERLB_RETURN_NOT_OK(
-            side_writer.Open(side_tmp, options_.io_buffer_bytes));
-        ERLB_RETURN_NOT_OK(
-            side_writer.Append(side_bytes.data(), side_bytes.size()));
-        ERLB_RETURN_NOT_OK(side_writer.Sync());
-        ERLB_RETURN_NOT_OK(side_writer.Close());
-      }
-      out_file->path = final_path;
-      ERLB_RETURN_NOT_OK(checkpoint->CommitMapTask(
-          task_index, write_path, *out_file, *metrics, side_tmp, side));
+      // is committed with the spill file so a collected task replays the
+      // side effect without re-executing.
+      const std::string side_bytes = spec.encode_side_output(task_index);
+      record.side.path =
+          dir + "/side-" + std::to_string(task_index) + ".dat";
+      record.side.bytes = side_bytes.size();
+      record.side.checksum = Fnv1aHash(side_bytes.data(), side_bytes.size());
+      const std::string side_tmp = internal::PidTempPath(record.side.path);
+      BufferedFileWriter side_writer;
+      ERLB_RETURN_NOT_OK(side_writer.Open(side_tmp, options_.io_buffer_bytes));
+      ERLB_RETURN_NOT_OK(
+          side_writer.Append(side_bytes.data(), side_bytes.size()));
+      if (durable) ERLB_RETURN_NOT_OK(side_writer.Sync());
+      ERLB_RETURN_NOT_OK(side_writer.Close());
+      ERLB_RETURN_NOT_OK(internal::PublishFile(side_tmp, record.side.path));
     }
-    return Status::OK();
+    return WriteTaskCommitRecord(dir, "map", task_index, signature, record,
+                                 durable);
   }
 
   /// In-memory reduce task under the retry policy. The task's column of
@@ -1340,8 +1170,8 @@ class JobRunner {
     for (uint32_t mt = 0; mt < m; ++mt) {
       runs.push_back(std::move((*buckets)[mt][task_index]));
     }
-    const bool single_shot =
-        options_.max_task_attempts <= 1 && options_.task_attempt_timeout_ms == 0;
+    const bool single_shot = options_.max_task_attempts <= 1 &&
+                             options_.task_attempt_timeout_ms == 0;
     return internal::RunTaskWithRetry(options_, metrics, [&]() -> Status {
       ERLB_RETURN_NOT_OK(internal::ReduceTaskFaultPoint());
       RunReduceTask(spec, single_shot ? std::move(runs) : runs, m, r,
@@ -1495,7 +1325,7 @@ class JobRunner {
   /// Sequence number of checkpointed Run()s through this runner: job k
   /// checkpoints under `<checkpoint.dir>/job-<k>`. Jobs run sequentially
   /// in deterministic order, so a restarted process assigns the same
-  /// directory to the same job and finds its own manifest.
+  /// directory to the same job and finds its own commit records.
   mutable std::atomic<uint32_t> checkpoint_seq_{0};
 };
 

@@ -27,8 +27,9 @@ struct TaskMetrics {
   /// Execution attempts consumed (1 = first try succeeded; >1 means the
   /// task was retried after a retryable failure or blown deadline).
   int64_t attempts = 1;
-  /// True iff the task was not executed at all: its spill output was
-  /// restored from a durable checkpoint of a previous process.
+  /// True iff the task was not executed by this job: its committed
+  /// output was restored from a commit record (a previous process's
+  /// checkpoint, or a worker that died after committing).
   bool resumed = false;
   /// Task-local user counters.
   Counters counters;
@@ -49,12 +50,12 @@ struct JobMetrics {
   int64_t spill_bytes_written = 0;
   /// Total extra attempts across all tasks (sum of attempts - 1).
   int64_t task_retries = 0;
-  /// Map tasks skipped because a checkpoint manifest (or per-task commit
-  /// record) already held their committed spill output — including tasks
-  /// adopted from a dead worker process that committed before dying.
+  /// Map tasks skipped because a commit record already held their
+  /// committed spill output — including tasks adopted from a dead worker
+  /// process that committed before dying.
   int64_t map_tasks_resumed = 0;
   /// Reduce tasks restored from committed output runs the same way
-  /// (multi-process mode only; single-process reduce never checkpoints).
+  /// (jobs whose output types are spillable).
   int64_t reduce_tasks_resumed = 0;
   /// True iff the job ran with a durable checkpoint directory.
   bool checkpointed = false;

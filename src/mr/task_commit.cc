@@ -8,13 +8,15 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fault.h"
 #include "common/hash.h"
 #include "common/io_buffer.h"
+#include "common/json.h"
 
 namespace erlb {
 namespace mr {
 
-namespace internal {
+namespace {
 
 void SyncDir(const std::string& dir) {
   // rename() persistence requires an fsync of the containing directory;
@@ -58,6 +60,10 @@ bool GetUint(const Json& obj, std::string_view key, uint64_t* out) {
   return true;
 }
 
+}  // namespace
+
+namespace internal {
+
 Status EnsureDirectory(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -94,6 +100,32 @@ std::string RelativeTo(const std::string& dir, const std::string& path) {
   return path;
 }
 
+// Verifies that every run recorded in `file` sits inside the on-disk
+// file with an intact footer (magic, record count, and offset layout) —
+// the cheap structural check made before trusting a committed spill
+// file. Does not decode records.
+Status VerifySpillFileFooters(const SpillFile& file, size_t io_buffer_bytes) {
+  BufferedFileReader reader;
+  ERLB_RETURN_NOT_OK(reader.Open(file.path, io_buffer_bytes));
+  uint64_t expected_offset = 0;
+  for (const RunExtent& run : file.runs) {
+    if (run.offset != expected_offset) {
+      return Status::IOError("committed run layout mismatch in " +
+                             file.path);
+    }
+    ERLB_RETURN_NOT_OK(reader.Seek(run.offset + run.bytes));
+    char buf[kRunFooterBytes];
+    ERLB_RETURN_NOT_OK(reader.ReadExact(buf, sizeof(buf)));
+    RunFooter footer;
+    if (!DecodeRunFooter(buf, &footer) || footer.records != run.records) {
+      return Status::IOError("committed run footer mismatch in " +
+                             file.path);
+    }
+    expected_offset = run.offset + run.bytes + kRunFooterBytes;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string TaskCommitRecordPath(const std::string& dir,
@@ -110,8 +142,8 @@ Status WriteTaskCommitRecord(const std::string& dir, std::string_view kind,
   root.Add("signature", Json(signature));
   root.Add("kind", Json(std::string(kind)));
   root.Add("task", Json(task));
-  // Paths are stored relative to the job dir, like the manifest, so a
-  // checkpoint directory stays relocatable.
+  // Paths are stored relative to the job dir so a checkpoint directory
+  // stays relocatable.
   root.Add("path", Json(RelativeTo(dir, record.file.path)));
   root.Add("input_records", Json(record.metrics.input_records));
   root.Add("output_records", Json(record.metrics.output_records));
@@ -119,7 +151,7 @@ Status WriteTaskCommitRecord(const std::string& dir, std::string_view kind,
   root.Add("duration_nanos", Json(record.metrics.duration_nanos));
   root.Add("spill_bytes", Json(record.metrics.spill_bytes));
   root.Add("attempts", Json(record.metrics.attempts));
-  root.Add("counters", internal::CountersToJson(record.metrics.counters));
+  root.Add("counters", CountersToJson(record.metrics.counters));
   if (!record.side.path.empty()) {
     root.Add("side_path", Json(RelativeTo(dir, record.side.path)));
     root.Add("side_bytes", Json(record.side.bytes));
@@ -141,7 +173,10 @@ Status WriteTaskCommitRecord(const std::string& dir, std::string_view kind,
   if (durable) ERLB_RETURN_NOT_OK(writer.Sync());
   ERLB_RETURN_NOT_OK(writer.Close());
   ERLB_RETURN_NOT_OK(internal::PublishFile(tmp_path, final_path));
-  if (durable) internal::SyncDir(dir);
+  if (durable) SyncDir(dir);
+  // Past the rename the task is committed, so `kill@N` here leaves at
+  // least N committed tasks behind regardless of scheduling.
+  ERLB_FAULT_POINT("checkpoint.commit");
   return Status::OK();
 }
 
@@ -151,6 +186,7 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
                                               uint64_t signature,
                                               uint32_t expected_runs,
                                               size_t io_buffer_bytes) {
+  ERLB_FAULT_POINT("checkpoint.load");
   const std::string path = TaskCommitRecordPath(dir, kind, task);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -168,12 +204,11 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
   uint64_t recorded_signature = 0;
   int64_t recorded_task = -1;
   const Json* recorded_kind = root.Find("kind");
-  if (!internal::GetInt(root, "version", &version) ||
-      version != kRecordVersion ||
-      !internal::GetUint(root, "signature", &recorded_signature) ||
+  if (!GetInt(root, "version", &version) || version != kRecordVersion ||
+      !GetUint(root, "signature", &recorded_signature) ||
       recorded_signature != signature || recorded_kind == nullptr ||
       !recorded_kind->is_string() || recorded_kind->AsString() != kind ||
-      !internal::GetInt(root, "task", &recorded_task) ||
+      !GetInt(root, "task", &recorded_task) ||
       recorded_task != static_cast<int64_t>(task)) {
     return Status::IOError("commit record " + path +
                            " belongs to a different job or task");
@@ -201,21 +236,20 @@ Result<TaskCommitRecord> ReadTaskCommitRecord(const std::string& dir,
   TaskMetrics& tm = record.metrics;
   tm.task_index = task;
   const Json* counters = root.Find("counters");
-  if (!internal::GetInt(root, "input_records", &tm.input_records) ||
-      !internal::GetInt(root, "output_records", &tm.output_records) ||
-      !internal::GetInt(root, "groups", &tm.groups) ||
-      !internal::GetInt(root, "duration_nanos", &tm.duration_nanos) ||
-      !internal::GetInt(root, "spill_bytes", &tm.spill_bytes) ||
-      !internal::GetInt(root, "attempts", &tm.attempts) ||
-      counters == nullptr ||
-      !internal::CountersFromJson(*counters, &tm.counters)) {
+  if (!GetInt(root, "input_records", &tm.input_records) ||
+      !GetInt(root, "output_records", &tm.output_records) ||
+      !GetInt(root, "groups", &tm.groups) ||
+      !GetInt(root, "duration_nanos", &tm.duration_nanos) ||
+      !GetInt(root, "spill_bytes", &tm.spill_bytes) ||
+      !GetInt(root, "attempts", &tm.attempts) || counters == nullptr ||
+      !CountersFromJson(*counters, &tm.counters)) {
     return Status::IOError("commit record " + path + " is malformed");
   }
   const Json* side_path = root.Find("side_path");
   if (side_path != nullptr) {
     if (!side_path->is_string() ||
-        !internal::GetUint(root, "side_bytes", &record.side.bytes) ||
-        !internal::GetUint(root, "side_checksum", &record.side.checksum)) {
+        !GetUint(root, "side_bytes", &record.side.bytes) ||
+        !GetUint(root, "side_checksum", &record.side.checksum)) {
       return Status::IOError("commit record " + path + " is malformed");
     }
     record.side.path = dir + "/" + side_path->AsString();

@@ -1,8 +1,9 @@
-// Per-task commit records for the multi-process execution mode.
+// Per-task commit records: the one durable format of the MR runtime.
 //
-// Worker processes cannot share the single rewritten manifest.json of
-// JobCheckpoint without cross-process write races, so the multi-process
-// path commits each task independently:
+// Whenever a job's spill directory may be read by another process — a
+// durable checkpoint directory (ExecutionOptions::checkpoint.dir) that a
+// restarted job resumes from, or the shared job directory of the
+// multi-process mode — every task commits independently:
 //
 //   <dir>/spill-<t>.run    map task t's spill file    (tmp.<pid> + rename)
 //   <dir>/side-<t>.dat     task t's side output, when the spec has one
@@ -10,15 +11,17 @@
 //   <dir>/out-<t>.run      reduce task t's output run
 //   <dir>/reduce-<t>.done  its commit record
 //
-// A `.done` sidecar is the same atomic tmp+rename protocol as the
-// manifest, scoped to one task: it exists iff the task's data files were
-// fully published first, and it carries the job's input signature, the
-// run extents, and the task metrics. The coordinator treats "the record
-// parses, the signature matches, and every recorded run has an intact
-// footer on disk" as the definition of a committed task — both when a
-// live worker reports DONE and when adopting work from a dead one. The
-// same records double as the durable resume state when the job directory
-// is a checkpoint dir (they are fsynced only in that case).
+// A `.done` record is published by an atomic tmp+rename after the task's
+// data files were fully published, so it exists iff the task committed;
+// it carries the job's input signature, the run extents, and the task
+// metrics (user counters included — what keeps a resumed job's counters
+// byte-identical to an uninterrupted run). "The record parses, the
+// signature and run count match, and every recorded run has an intact
+// footer on disk" is the definition of a committed task — for the
+// single-process resume pass, for a live worker's DONE report, and for
+// adopting work from a dead worker alike. Any damage or mismatch
+// degrades to re-executing the task, never to corrupt output. Records
+// and data files are fsynced only in a durable directory.
 #ifndef ERLB_MR_TASK_COMMIT_H_
 #define ERLB_MR_TASK_COMMIT_H_
 
@@ -26,20 +29,49 @@
 #include <string>
 #include <string_view>
 
-#include "common/json.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "mr/checkpoint.h"
 #include "mr/metrics.h"
 #include "mr/spill.h"
 
 namespace erlb {
 namespace mr {
 
-/// Everything a `.done` sidecar records about one committed task.
+/// Checkpoint knobs of a spilling job (ExecutionOptions.checkpoint).
+struct CheckpointOptions {
+  /// Root directory for durable spill files + commit records; empty
+  /// disables checkpointing (the default: spills live in a scoped temp
+  /// dir).
+  std::string dir;
+  /// Validate and reuse commit records left by a previous process. When
+  /// false every task re-executes (overwriting its records as it goes).
+  bool resume = true;
+  /// Opaque input-identity string mixed into the records' signature
+  /// (e.g. the serialized BdmFingerprint of the plan driving the job),
+  /// guarding against resuming onto different input.
+  std::string identity;
+  /// Dataflow-level runs only: retain the checkpoint directory after a
+  /// fully successful run instead of retiring it. Useful for debugging
+  /// the records; a retained checkpoint is revalidated (and reused or
+  /// overwritten) by the next run.
+  bool keep_on_success = false;
+};
+
+/// A map task's durable side-output file ("additional output" beyond
+/// the spill stream, e.g. the BDM job's annotated partition). Empty
+/// path means the task committed no side output.
+struct SideOutputFile {
+  std::string path;
+  uint64_t bytes = 0;
+  /// FNV-1a over the file contents, verified before a resumed job
+  /// trusts the bytes.
+  uint64_t checksum = 0;
+};
+
+/// Everything a `.done` record holds about one committed task.
 struct TaskCommitRecord {
   SpillFile file;       ///< published data file + run extents
-  TaskMetrics metrics;  ///< as measured by the committing worker
+  TaskMetrics metrics;  ///< as measured by the committing process
   SideOutputFile side;  ///< empty path = the task has no side output
 };
 
@@ -60,8 +92,9 @@ struct TaskCommitRecord {
 
 /// Loads and validates task `task`'s commit record: the JSON must parse,
 /// the signature and run count must match, and every recorded run must
-/// pass VerifySpillFileFooters. NotFound when no record exists; any
-/// damage or mismatch is an error the caller treats as "not committed".
+/// sit inside the on-disk file with an intact footer. NotFound when no
+/// record exists; any damage or mismatch is an error the caller treats
+/// as "not committed".
 [[nodiscard]] Result<TaskCommitRecord> ReadTaskCommitRecord(
     const std::string& dir, std::string_view kind, uint32_t task,
     uint64_t signature, uint32_t expected_runs, size_t io_buffer_bytes);
@@ -72,20 +105,8 @@ struct TaskCommitRecord {
 
 namespace internal {
 
-// JSON plumbing shared between the manifest (checkpoint.cc) and the
-// per-task records, so both serialize tasks the same way.
-[[nodiscard]] Json CountersToJson(const Counters& counters);
-[[nodiscard]] bool CountersFromJson(const Json& json, Counters* counters);
-[[nodiscard]] bool GetInt(const Json& obj, std::string_view key,
-                          int64_t* out);
-[[nodiscard]] bool GetUint(const Json& obj, std::string_view key,
-                           uint64_t* out);
-
-// Best-effort fsync of a directory, for rename durability.
-void SyncDir(const std::string& dir);
-
-// Filesystem plumbing for the multi-process job driver (job.h is a
-// header; these keep <filesystem> out of every consumer).
+// Filesystem plumbing for the job driver (job.h is a header; these keep
+// <filesystem> out of every consumer).
 [[nodiscard]] Status EnsureDirectory(const std::string& dir);
 /// `<final_path>.tmp.<pid>` — per-process temp names let a re-run of a
 /// task race a stale worker's in-flight write; the last rename wins.

@@ -30,22 +30,6 @@
 namespace erlb {
 namespace mr {
 
-/// Intra-process task→thread scheduling policy for the threaded
-/// execution paths (in-memory and external; the multi-process path
-/// schedules across workers via proc::Coordinator instead).
-enum class TaskSchedulerKind {
-  /// Per-worker shards with atomic claim counters and stealing.
-  kWorkStealing,
-  /// The historical static order: tasks submitted FIFO to the pool.
-  kFifo,
-};
-
-/// Returns "work_stealing" or "fifo".
-inline const char* TaskSchedulerKindName(TaskSchedulerKind kind) {
-  return kind == TaskSchedulerKind::kWorkStealing ? "work_stealing"
-                                                  : "fifo";
-}
-
 /// Runs one batch of tasks over a ThreadPool with work stealing.
 ///
 /// Single-shot: construct with the task indices of the phase, call Run()
@@ -152,25 +136,6 @@ class WorkStealingScheduler {
   CondVar all_exited_;
   size_t exited_workers_ ERLB_GUARDED_BY(mu_) = 0;
 };
-
-/// Phase driver shared by the threaded JobRunner paths: runs `fn` once
-/// per index in `pending` over `pool`, using work stealing or the
-/// historical FIFO submission order depending on `kind`. Outputs are
-/// per-index either way, so both schedules produce byte-identical jobs.
-inline void RunTaskPhase(TaskSchedulerKind kind, ThreadPool* pool,
-                         size_t num_workers,
-                         const std::vector<uint32_t>& pending,
-                         const std::function<void(uint32_t)>& fn) {
-  if (kind == TaskSchedulerKind::kFifo) {
-    for (uint32_t t : pending) {
-      pool->Submit([&fn, t] { fn(t); });
-    }
-    pool->Wait();
-    return;
-  }
-  WorkStealingScheduler scheduler(pending, num_workers);
-  scheduler.Run(pool, fn);
-}
 
 }  // namespace mr
 }  // namespace erlb

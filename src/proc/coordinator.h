@@ -51,7 +51,8 @@ namespace proc {
 /// One phase of independent tasks; phases run strictly in order with a
 /// barrier between them (reduce never starts before every map task is
 /// collected). `assignment_payload` and `try_collect` run in the parent,
-/// `run` in the workers.
+/// `run` in the workers. (mr::JobRunner drives the same description on
+/// its thread pool when it runs in a single process.)
 struct TaskPhase {
   std::string name;
   uint32_t num_tasks = 0;

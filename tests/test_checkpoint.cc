@@ -1,24 +1,24 @@
-// Durable map-phase checkpoints (mr/checkpoint.h): atomic commit +
-// manifest round-trip, resume validation (signature / shape / damage
-// all degrade to re-execution, never to corrupt output), side-output
-// durability, and the end-to-end contract that a job restarted over a
-// partial checkpoint produces byte-identical results while skipping the
-// committed tasks.
+// Durable checkpoints through per-task commit records (mr/task_commit.h),
+// driven end to end through JobRunner: a job restarted over a partial
+// checkpoint produces byte-identical results while skipping committed
+// map and reduce tasks, and every kind of mismatch or damage — input
+// signature, job shape, resume disabled, truncated spill, corrupt run
+// footer, garbage commit record, corrupt side output — degrades to
+// re-executing the affected tasks, never to corrupt output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
-#include "common/hash.h"
 #include "common/io_buffer.h"
 #include "common/status.h"
-#include "mr/checkpoint.h"
 #include "mr/job.h"
 #include "mr/spill.h"
 
@@ -27,162 +27,344 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// ---- JobCheckpoint unit tests -------------------------------------------
+// ---- Resume validation: damage between runs degrades to re-execution --
 
-class CheckpointTest : public ::testing::Test {
+using SumInput = std::vector<std::vector<std::pair<int, int64_t>>>;
+
+class SumMapper : public mr::Mapper<int, int64_t, std::string, int64_t> {
+ public:
+  void Map(const int& key, const int64_t& v,
+           mr::MapContext<std::string, int64_t>* ctx) override {
+    ctx->counters()->Increment("mapped", 1);
+    // Appending to an lvalue sidesteps GCC 12's -Wrestrict false
+    // positive on `"lit" + std::to_string(x)`.
+    std::string k = "k";
+    k += std::to_string(key % 11);
+    ctx->Emit(std::move(k), v);
+  }
+};
+
+class SumReducer
+    : public mr::Reducer<std::string, int64_t, std::string, int64_t> {
+ public:
+  void Reduce(std::span<const std::pair<std::string, int64_t>> group,
+              mr::ReduceContext<std::string, int64_t>* ctx) override {
+    int64_t sum = 0;
+    for (const auto& [k, v] : group) sum += v;
+    ctx->counters()->Increment("groups", 1);
+    ctx->Emit(group.front().first, sum);
+  }
+};
+
+// Spillable output types, so reduce tasks commit (and resume) too.
+using SumSpec = mr::JobSpec<int, int64_t, std::string, int64_t, std::string,
+                            int64_t>;
+
+SumSpec MakeSumSpec(uint32_t r) {
+  SumSpec spec;
+  spec.num_reduce_tasks = r;
+  spec.mapper_factory = [](const mr::TaskContext&) {
+    return std::make_unique<SumMapper>();
+  };
+  spec.reducer_factory = [](const mr::TaskContext&) {
+    return std::make_unique<SumReducer>();
+  };
+  spec.partitioner = [](const std::string& k, uint32_t r_) {
+    return static_cast<uint32_t>(static_cast<unsigned char>(k.back())) % r_;
+  };
+  spec.key_less = [](const std::string& a, const std::string& b) {
+    return a < b;
+  };
+  spec.group_equal = [](const std::string& a, const std::string& b) {
+    return a == b;
+  };
+  return spec;
+}
+
+SumInput MakeSumInput(int partitions = 4) {
+  SumInput input(static_cast<size_t>(partitions));
+  for (int i = 0; i < 120; ++i) {
+    input[static_cast<size_t>(i % partitions)].push_back({i, i * 7 + 1});
+  }
+  return input;
+}
+
+class CommitResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto base = ScopedTempDir::Make();
     ASSERT_TRUE(base.ok());
     base_.emplace(std::move(*base));
-    dir_ = base_->path() + "/ck";
+    ck_dir_ = base_->path() + "/ck";
   }
 
   void TearDown() override { FaultInjector::Global().Reset(); }
 
-  // Writes a committable spill file (valid footers) to `final_path`.tmp
-  // and returns its extents with `path` already pointing at the final
-  // name, mirroring what RunMapTaskExternal hands to CommitMapTask.
-  mr::SpillFile WriteSpill(const std::string& final_path, uint32_t runs,
-                           uint32_t records_per_run) {
-    mr::SpillFileWriter<std::string, int64_t> writer;
-    EXPECT_TRUE(writer.Open(final_path + ".tmp", 256).ok());
-    int64_t v = 0;
-    for (uint32_t run = 0; run < runs; ++run) {
-      EXPECT_TRUE(writer.BeginRun().ok());
-      for (uint32_t i = 0; i < records_per_run; ++i) {
-        EXPECT_TRUE(writer.Append("key" + std::to_string(i), v++).ok());
-      }
+  mr::ExecutionOptions Options(bool resume = true) const {
+    mr::ExecutionOptions opts;
+    opts.mode = mr::ExecutionMode::kExternal;
+    opts.io_buffer_bytes = 256;
+    opts.checkpoint.dir = ck_dir_;
+    opts.checkpoint.resume = resume;
+    return opts;
+  }
+
+  // The directory of the first checkpointed job of a fresh runner.
+  std::string JobDir() const { return ck_dir_ + "/job-0"; }
+
+  template <typename Spec, typename Input>
+  static auto RunJob(const Spec& spec, const Input& input,
+                     const mr::ExecutionOptions& opts) {
+    return mr::JobRunner(2, opts).Run(spec, input);
+  }
+
+  // Runs the job over the checkpoint (clean, then after `damage`) and
+  // checks the rerun against an in-memory reference: byte-identical
+  // outputs and counters, with `expected_map_resumed` map tasks restored.
+  template <typename Damage>
+  void ExpectDamageReexecutes(const Damage& damage,
+                              int64_t expected_map_resumed,
+                              int64_t expected_reduce_resumed) {
+    const auto spec = MakeSumSpec(3);
+    const auto input = MakeSumInput();
+    const auto reference = mr::JobRunner(1).Run(spec, input);
+    ASSERT_TRUE(reference.status.ok());
+
+    fs::remove_all(ck_dir_);
+    const auto first = RunJob(spec, input, Options());
+    ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+    EXPECT_EQ(first.metrics.map_tasks_resumed, 0);
+    EXPECT_EQ(first.metrics.reduce_tasks_resumed, 0);
+
+    damage();
+    const auto rerun = RunJob(spec, input, Options());
+    ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
+    EXPECT_EQ(rerun.metrics.map_tasks_resumed, expected_map_resumed);
+    EXPECT_EQ(rerun.metrics.reduce_tasks_resumed, expected_reduce_resumed);
+    EXPECT_EQ(rerun.outputs_per_reduce_task,
+              reference.outputs_per_reduce_task);
+    EXPECT_EQ(rerun.metrics.counters.values(),
+              reference.metrics.counters.values());
+  }
+
+  // Removes every reduce commit record so a rerun must re-merge the map
+  // spill files (exercising the map-side damage for real).
+  void DropReduceRecords(uint32_t r) const {
+    for (uint32_t t = 0; t < r; ++t) {
+      fs::remove(mr::TaskCommitRecordPath(JobDir(), "reduce", t));
     }
-    auto file = writer.Finish(/*sync=*/true);
-    EXPECT_TRUE(file.ok());
-    file->path = final_path;
-    return std::move(*file);
-  }
-
-  std::unique_ptr<mr::JobCheckpoint> Open(uint64_t signature = 42,
-                                          uint32_t m = 2, uint32_t r = 3,
-                                          bool resume = true) {
-    auto cp = mr::JobCheckpoint::Open(dir_, signature, m, r, resume);
-    EXPECT_TRUE(cp.ok()) << cp.status().ToString();
-    return std::move(*cp);
-  }
-
-  // Commits task 0 with one counter so metrics restoration is visible.
-  void CommitTaskZero(mr::JobCheckpoint* cp) {
-    mr::SpillFile file = WriteSpill(dir_ + "/spill-0.run", 3, 5);
-    mr::TaskMetrics metrics;
-    metrics.input_records = 5;
-    metrics.output_records = 15;
-    metrics.counters.Increment("test.counter", 7);
-    ASSERT_TRUE(
-        cp->CommitMapTask(0, file.path + ".tmp", file, metrics).ok());
   }
 
   std::optional<ScopedTempDir> base_;
-  std::string dir_;
+  std::string ck_dir_;
 };
 
-TEST_F(CheckpointTest, CommitAndReopenRestoresTask) {
-  auto cp = Open();
-  EXPECT_FALSE(cp->IsMapTaskDone(0));
-  CommitTaskZero(cp.get());
-  EXPECT_TRUE(cp->IsMapTaskDone(0));
-  EXPECT_FALSE(cp->IsMapTaskDone(1));
-  // The tmp file was renamed into place.
-  EXPECT_TRUE(fs::exists(dir_ + "/spill-0.run"));
-  EXPECT_FALSE(fs::exists(dir_ + "/spill-0.run.tmp"));
-
-  // A fresh process (new JobCheckpoint) sees the committed task.
-  auto cp2 = Open();
-  ASSERT_TRUE(cp2->IsMapTaskDone(0));
-  mr::SpillFile restored = cp2->CompletedSpill(0);
-  EXPECT_EQ(restored.path, dir_ + "/spill-0.run");
-  ASSERT_EQ(restored.runs.size(), 3u);
-  EXPECT_EQ(restored.runs[0].records, 5u);
-  EXPECT_EQ(fs::file_size(restored.path), restored.TotalBytes());
-  mr::TaskMetrics metrics = cp2->CompletedMetrics(0);
-  EXPECT_EQ(metrics.input_records, 5);
-  EXPECT_EQ(metrics.output_records, 15);
-  EXPECT_EQ(metrics.counters.Get("test.counter"), 7);
-  // No side output was committed.
-  EXPECT_TRUE(cp2->CompletedSideOutput(0).status().IsNotFound());
+TEST_F(CommitResumeTest, CleanRerunRestoresEveryTask) {
+  ExpectDamageReexecutes([] {}, /*expected_map_resumed=*/4,
+                         /*expected_reduce_resumed=*/3);
 }
 
-TEST_F(CheckpointTest, SignatureMismatchStartsFresh) {
-  CommitTaskZero(Open().get());
-  EXPECT_FALSE(Open(/*signature=*/43)->IsMapTaskDone(0));
+TEST_F(CommitResumeTest, RestoredTasksAreMarkedResumed) {
+  const auto spec = MakeSumSpec(3);
+  const auto input = MakeSumInput();
+  ASSERT_TRUE(RunJob(spec, input, Options()).status.ok());
+  fs::remove(mr::TaskCommitRecordPath(JobDir(), "map", 1));
+  fs::remove(mr::TaskCommitRecordPath(JobDir(), "reduce", 2));
+  const auto rerun = RunJob(spec, input, Options());
+  ASSERT_TRUE(rerun.status.ok());
+  for (uint32_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(rerun.metrics.map_tasks[t].resumed, t != 1) << "map " << t;
+  }
+  for (uint32_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(rerun.metrics.reduce_tasks[t].resumed, t != 2)
+        << "reduce " << t;
+  }
 }
 
-TEST_F(CheckpointTest, ShapeMismatchStartsFresh) {
-  CommitTaskZero(Open().get());
-  EXPECT_FALSE(Open(42, /*m=*/5, /*r=*/3)->IsMapTaskDone(0));
-  EXPECT_FALSE(Open(42, /*m=*/2, /*r=*/4)->IsMapTaskDone(0));
+TEST_F(CommitResumeTest, SignatureMismatchStartsFresh) {
+  const auto spec = MakeSumSpec(3);
+  const auto input = MakeSumInput();
+  mr::ExecutionOptions opts = Options();
+  opts.checkpoint.identity = "plan-a";
+  ASSERT_TRUE(RunJob(spec, input, opts).status.ok());
+  opts.checkpoint.identity = "plan-b";
+  const auto rerun = RunJob(spec, input, opts);
+  ASSERT_TRUE(rerun.status.ok());
+  EXPECT_EQ(rerun.metrics.map_tasks_resumed, 0);
+  EXPECT_EQ(rerun.metrics.reduce_tasks_resumed, 0);
+  EXPECT_EQ(rerun.outputs_per_reduce_task,
+            mr::JobRunner(1).Run(spec, input).outputs_per_reduce_task);
 }
 
-TEST_F(CheckpointTest, ResumeDisabledStartsFresh) {
-  CommitTaskZero(Open().get());
-  EXPECT_FALSE(Open(42, 2, 3, /*resume=*/false)->IsMapTaskDone(0));
+TEST_F(CommitResumeTest, ShapeMismatchStartsFresh) {
+  const auto input = MakeSumInput(4);
+  ASSERT_TRUE(RunJob(MakeSumSpec(3), input, Options()).status.ok());
+
+  // Same records, different reduce-task count.
+  const auto wider = RunJob(MakeSumSpec(4), input, Options());
+  ASSERT_TRUE(wider.status.ok());
+  EXPECT_EQ(wider.metrics.map_tasks_resumed, 0);
+  EXPECT_EQ(wider.metrics.reduce_tasks_resumed, 0);
+  EXPECT_EQ(wider.outputs_per_reduce_task,
+            mr::JobRunner(1).Run(MakeSumSpec(4), input)
+                .outputs_per_reduce_task);
+
+  // Same records, different map-task count.
+  const auto resplit_input = MakeSumInput(5);
+  const auto resplit = RunJob(MakeSumSpec(4), resplit_input, Options());
+  ASSERT_TRUE(resplit.status.ok());
+  EXPECT_EQ(resplit.metrics.map_tasks_resumed, 0);
+  EXPECT_EQ(resplit.metrics.reduce_tasks_resumed, 0);
+  EXPECT_EQ(resplit.outputs_per_reduce_task,
+            mr::JobRunner(1).Run(MakeSumSpec(4), resplit_input)
+                .outputs_per_reduce_task);
 }
 
-TEST_F(CheckpointTest, TruncatedSpillFileDegradesToReexecution) {
-  CommitTaskZero(Open().get());
-  const std::string path = dir_ + "/spill-0.run";
-  fs::resize_file(path, fs::file_size(path) - 1);
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
+TEST_F(CommitResumeTest, ResumeDisabledReexecutesEverything) {
+  const auto spec = MakeSumSpec(3);
+  const auto input = MakeSumInput();
+  ASSERT_TRUE(RunJob(spec, input, Options()).status.ok());
+  const auto rerun = RunJob(spec, input, Options(/*resume=*/false));
+  ASSERT_TRUE(rerun.status.ok());
+  EXPECT_EQ(rerun.metrics.map_tasks_resumed, 0);
+  EXPECT_EQ(rerun.metrics.reduce_tasks_resumed, 0);
+  EXPECT_EQ(rerun.outputs_per_reduce_task,
+            mr::JobRunner(1).Run(spec, input).outputs_per_reduce_task);
 }
 
-TEST_F(CheckpointTest, CorruptFooterDegradesToReexecution) {
-  CommitTaskZero(Open().get());
-  const std::string path = dir_ + "/spill-0.run";
-  // Flip a bit in the final run's footer magic.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good());
-  f.seekp(static_cast<std::streamoff>(fs::file_size(path)) -
-          static_cast<std::streamoff>(mr::kRunFooterBytes));
-  char byte = 0;
-  f.read(&byte, 1);
-  byte ^= 0x40;
-  f.seekp(-1, std::ios::cur);
-  f.write(&byte, 1);
-  f.close();
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
+TEST_F(CommitResumeTest, TruncatedSpillDegradesToReexecution) {
+  ExpectDamageReexecutes(
+      [this] {
+        DropReduceRecords(3);
+        const std::string path = mr::SpillFilePath(JobDir(), 0);
+        fs::resize_file(path, fs::file_size(path) - 1);
+      },
+      /*expected_map_resumed=*/3, /*expected_reduce_resumed=*/0);
 }
 
-TEST_F(CheckpointTest, GarbageManifestDegradesToEmpty) {
-  CommitTaskZero(Open().get());
-  std::ofstream(dir_ + "/manifest.json") << "{not json";
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
-  std::ofstream(dir_ + "/manifest.json") << "";
-  EXPECT_FALSE(Open()->IsMapTaskDone(0));
+TEST_F(CommitResumeTest, CorruptFooterDegradesToReexecution) {
+  ExpectDamageReexecutes(
+      [this] {
+        DropReduceRecords(3);
+        // Flip a bit in the final run's footer magic.
+        const std::string path = mr::SpillFilePath(JobDir(), 0);
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.good());
+        f.seekp(static_cast<std::streamoff>(fs::file_size(path)) -
+                static_cast<std::streamoff>(mr::kRunFooterBytes));
+        char byte = 0;
+        f.read(&byte, 1);
+        byte ^= 0x40;
+        f.seekp(-1, std::ios::cur);
+        f.write(&byte, 1);
+      },
+      /*expected_map_resumed=*/3, /*expected_reduce_resumed=*/0);
 }
 
-TEST_F(CheckpointTest, SideOutputRoundTripAndCorruption) {
-  auto cp = Open();
-  mr::SpillFile file = WriteSpill(dir_ + "/spill-0.run", 3, 2);
-  const std::string side_bytes = "annotated partition payload \x01\x02";
-  mr::SideOutputFile side;
-  side.path = dir_ + "/side-0.dat";
-  side.bytes = side_bytes.size();
-  side.checksum = Fnv1aHash(side_bytes.data(), side_bytes.size());
-  std::ofstream(side.path + ".tmp", std::ios::binary) << side_bytes;
-  mr::TaskMetrics metrics;
-  ASSERT_TRUE(cp->CommitMapTask(0, file.path + ".tmp", file, metrics,
-                                side.path + ".tmp", side)
+TEST_F(CommitResumeTest, GarbageRecordsDegradeToReexecution) {
+  ExpectDamageReexecutes(
+      [this] {
+        DropReduceRecords(3);
+        std::ofstream(mr::TaskCommitRecordPath(JobDir(), "map", 0))
+            << "{not json";
+        std::ofstream(mr::TaskCommitRecordPath(JobDir(), "map", 2)) << "";
+      },
+      /*expected_map_resumed=*/2, /*expected_reduce_resumed=*/0);
+  // A damaged reduce record re-runs just that reduce task.
+  ExpectDamageReexecutes(
+      [this] {
+        std::ofstream(mr::TaskCommitRecordPath(JobDir(), "reduce", 1))
+            << "{\"version\": 1}";
+      },
+      /*expected_map_resumed=*/4, /*expected_reduce_resumed=*/2);
+}
+
+// A job with map-side "additional output": each map task records its
+// input sum in a side table that the job only sees through the
+// encode/decode hooks when the task is restored instead of run.
+TEST_F(CommitResumeTest, SideOutputReplayAndCorruption) {
+  const auto input = MakeSumInput();
+  // One slot per map task: concurrent tasks write disjoint slots.
+  auto side = std::make_shared<std::vector<std::string>>(4);
+  auto decoded = std::make_shared<int>(0);
+  auto spec = MakeSumSpec(3);
+  const auto inner = spec.mapper_factory;
+  spec.mapper_factory = [=, &input](const mr::TaskContext& ctx) {
+    int64_t sum = 0;
+    for (const auto& [k, v] : input[ctx.task_index]) sum += v;
+    std::string bytes = "sum=";
+    bytes += std::to_string(sum);
+    (*side)[ctx.task_index] = std::move(bytes);
+    return inner(ctx);
+  };
+  spec.encode_side_output = [side](uint32_t t) { return (*side)[t]; };
+  spec.decode_side_output = [=](uint32_t t, std::string_view bytes) {
+    (*side)[t] = std::string(bytes);
+    ++*decoded;
+    return true;
+  };
+
+  ASSERT_TRUE(RunJob(spec, input, Options()).status.ok());
+  const auto expected_side = *side;
+  ASSERT_EQ(expected_side.size(), 4u);
+  EXPECT_EQ(*decoded, 0);
+
+  // Round trip: every task restores and replays its committed bytes.
+  side->assign(4, "");
+  const auto restored = RunJob(spec, input, Options());
+  ASSERT_TRUE(restored.status.ok());
+  EXPECT_EQ(restored.metrics.map_tasks_resumed, 4);
+  EXPECT_EQ(*decoded, 4);
+  EXPECT_EQ(*side, expected_side);
+
+  // Damage one side file: its checksum no longer matches, so the task
+  // re-executes (regenerating the side state) instead of replaying.
+  std::ofstream(JobDir() + "/side-2.dat", std::ios::binary) << "sum=XX";
+  side->assign(4, "");
+  *decoded = 0;
+  const auto rerun = RunJob(spec, input, Options());
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
+  EXPECT_EQ(rerun.metrics.map_tasks_resumed, 3);
+  EXPECT_FALSE(rerun.metrics.map_tasks[2].resumed);
+  EXPECT_EQ(*decoded, 3);
+  EXPECT_EQ(*side, expected_side);
+  EXPECT_EQ(rerun.outputs_per_reduce_task,
+            mr::JobRunner(1).Run(spec, input).outputs_per_reduce_task);
+}
+
+// A single-process job killed mid-reduce resumes its committed reduce
+// tasks instead of re-running them.
+TEST_F(CommitResumeTest, KilledMidReduceRestoresCommittedReduceTasks) {
+  const auto spec = MakeSumSpec(4);
+  const auto input = MakeSumInput();
+  const auto reference = mr::JobRunner(1).Run(spec, input);
+  ASSERT_TRUE(reference.status.ok());
+
+  // One thread, attempt budget 1: reduce tasks 0 and 1 commit, the third
+  // reduce attempt fails and takes the job down.
+  ASSERT_TRUE(FaultInjector::Global()
+                  .ConfigureFromString("task.reduce=error-repeat@3")
                   .ok());
-  EXPECT_FALSE(fs::exists(side.path + ".tmp"));
+  const auto crashed = mr::JobRunner(1, Options()).Run(spec, input);
+  FaultInjector::Global().Reset();
+  ASSERT_FALSE(crashed.status.ok());
 
-  auto cp2 = Open();
-  ASSERT_TRUE(cp2->IsMapTaskDone(0));
-  auto restored = cp2->CompletedSideOutput(0);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(*restored, side_bytes);
-
-  // Damage the side file: checksum verification must reject it.
-  std::ofstream(side.path, std::ios::binary) << "annotated partition payXoad";
-  auto cp3 = Open();
-  ASSERT_TRUE(cp3->IsMapTaskDone(0));  // spill itself is still intact
-  EXPECT_FALSE(cp3->CompletedSideOutput(0).ok());
+  const auto resumed = mr::JobRunner(1, Options()).Run(spec, input);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(resumed.metrics.map_tasks_resumed, 4);
+  EXPECT_EQ(resumed.metrics.reduce_tasks_resumed, 2);
+  EXPECT_TRUE(resumed.metrics.reduce_tasks[0].resumed);
+  EXPECT_TRUE(resumed.metrics.reduce_tasks[1].resumed);
+  EXPECT_FALSE(resumed.metrics.reduce_tasks[2].resumed);
+  EXPECT_EQ(resumed.outputs_per_reduce_task,
+            reference.outputs_per_reduce_task);
+  EXPECT_EQ(resumed.metrics.counters.values(),
+            reference.metrics.counters.values());
+  for (size_t t = 0; t < resumed.metrics.reduce_tasks.size(); ++t) {
+    EXPECT_EQ(resumed.metrics.reduce_tasks[t].groups,
+              reference.metrics.reduce_tasks[t].groups)
+        << "reduce task " << t;
+  }
 }
 
 // ---- End-to-end: restart over a partial checkpoint ----------------------

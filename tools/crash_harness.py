@@ -3,21 +3,27 @@
 
 Drives the csv_dedup example as a child process, SIGKILLs it mid-job via
 the ERLB_FAULT environment variable (fault kind `kill` fires an
-uncatchable signal at the N-th hit of a task-lifecycle site), then
-reruns the identical command over the same checkpoint directory and
-asserts the resumed run is indistinguishable from an uninterrupted one:
+uncatchable signal at the N-th hit of a site), then reruns the identical
+command over the same checkpoint directory and asserts the resumed run
+is indistinguishable from an uninterrupted one:
 
   * the matches CSV is byte-identical,
   * the serialized match plan is byte-identical,
   * the dataflow report JSON is identical after stripping wall-clock
-    timings and the resume counter itself,
-  * the resumed run actually skipped committed map tasks
-    (map_tasks_resumed > 0), and
+    timings and the resume counters themselves,
+  * the resumed run actually skipped committed tasks
+    (map_tasks_resumed > 0, and reduce_tasks_resumed > 0 after a
+    mid-reduce kill), and
   * stale spill temp dirs planted before the resume are swept.
 
-Both crash points are exercised — mid-map (some map tasks committed,
-some not) and mid-reduce (all map tasks committed) — for all three load
-balancing strategies. Stdlib only, like bench_compare.py.
+The kill is anchored to commit events, not task starts: the
+`checkpoint.commit` site fires right after a task's commit record is
+renamed into place, so `kill@N` leaves at least N committed tasks behind
+however many tasks the pool runs concurrently. Both crash points are
+exercised — mid-map (some map tasks of the first job committed, some
+not) and mid-reduce (every map task and the first reduce task
+committed) — for all three load balancing strategies. Stdlib only, like
+bench_compare.py.
 
 A second leg covers the shared-nothing multi-process mode: the
 coordinator survives a SIGKILLed *worker* (ERLB_FAULT
@@ -44,8 +50,9 @@ import sys
 STRATEGIES = ("Basic", "BlockSplit", "PairRange")
 
 # Keys whose values legitimately differ between an uninterrupted run and
-# a crash-resumed one: wall-clock noise and the resume counter itself.
-VOLATILE_REPORT_KEYS = {"seconds", "total_seconds", "map_tasks_resumed"}
+# a crash-resumed one: wall-clock noise and the resume counters.
+VOLATILE_REPORT_KEYS = {"seconds", "total_seconds", "map_tasks_resumed",
+                        "reduce_tasks_resumed"}
 
 # Keys only multi-process runs emit; stripped when diffing a report
 # across execution modes (single-process reports never carry them).
@@ -115,8 +122,8 @@ def sum_job_key(report, key):
     return total
 
 
-def sum_resumed(report):
-    return sum_job_key(report, "map_tasks_resumed")
+def sum_resumed(report, kind="map"):
+    return sum_job_key(report, f"{kind}_tasks_resumed")
 
 
 class HarnessError(Exception):
@@ -128,10 +135,13 @@ def check(cond, msg):
         raise HarnessError(msg)
 
 
-def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit):
-    """One crash point: reference run, killed run, resumed run, diff."""
-    label = f"{strategy}/{crash_site}@{trigger_hit}"
-    case_dir = os.path.join(work, f"{strategy}-{crash_site.split('.')[1]}")
+def run_case(exe, work, input_csv, strategy, case, trigger_hit):
+    """One crash point: reference run, killed run, resumed run, diff.
+    `case` is "mid-map" or "mid-reduce"; the kill fires at the
+    `trigger_hit`-th task commit."""
+    crash_site = "checkpoint.commit"
+    label = f"{strategy}/{case}/{crash_site}@{trigger_hit}"
+    case_dir = os.path.join(work, f"{strategy}-{case}")
     os.makedirs(case_dir, exist_ok=True)
     temp_dir = os.path.join(case_dir, "tmp")
     os.makedirs(temp_dir, exist_ok=True)
@@ -199,6 +209,9 @@ def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit):
     check(sum_resumed(res_report) > 0,
           f"{label}: the resumed run re-executed everything — nothing "
           "was restored from the checkpoint")
+    if case == "mid-reduce":
+        check(sum_resumed(res_report, "reduce") > 0,
+              f"{label}: no committed reduce task was restored")
 
     check(not os.path.isdir(planted),
           f"{label}: stale temp dir was not swept on resume")
@@ -211,7 +224,8 @@ def run_case(exe, work, input_csv, strategy, crash_site, trigger_hit):
     check(not os.path.exists(ck),
           f"{label}: checkpoint directory not retired after success")
 
-    log(f"{label}: OK (resumed {sum_resumed(res_report)} map tasks)")
+    log(f"{label}: OK (resumed {sum_resumed(res_report)} map, "
+        f"{sum_resumed(res_report, 'reduce')} reduce tasks)")
 
 
 def run_multiprocess_case(exe, work, input_csv, strategy):
@@ -315,17 +329,21 @@ def main():
     os.makedirs(work)
     input_csv = os.path.join(work, "input.csv")
     write_input_csv(input_csv, args.rows)
-    log(f"input: {args.rows} rows, "
-        f"{(args.rows + SPLIT_RECORDS - 1) // SPLIT_RECORDS} map splits")
+    num_splits = (args.rows + SPLIT_RECORDS - 1) // SPLIT_RECORDS
+    log(f"input: {args.rows} rows, {num_splits} map splits")
 
     failures = []
     for strategy in args.strategies.split(","):
         strategy = strategy.strip()
-        # Mid-map: the third map-task attempt dies with tasks 1-2
-        # committed. Mid-reduce: all maps committed, second reduce dies.
-        for site, hit in (("task.map", 3), ("task.reduce", 2)):
+        # The first MR job of every strategy runs one map task per split,
+        # and its reduce phase starts only after every map task has
+        # committed. Mid-map: die right after the commit of a map task
+        # below the map-task count. Mid-reduce: die right after the first
+        # reduce commit, which follows all num_splits map commits.
+        for case, hit in (("mid-map", num_splits - 2),
+                          ("mid-reduce", num_splits + 1)):
             try:
-                run_case(args.exe, work, input_csv, strategy, site, hit)
+                run_case(args.exe, work, input_csv, strategy, case, hit)
             except HarnessError as e:
                 failures.append(str(e))
                 log(f"FAIL: {e}")
