@@ -1,5 +1,5 @@
 // Micro-benchmarks for the similarity kernels, with explicit before/after
-// comparisons for the PR-2 set -> sorted-vector rewrite:
+// comparisons for the kernel rewrites:
 //
 //  * jaccard: the former per-call std::set<std::string> kernel (rebuilt
 //    here as the baseline) vs. er::JaccardTokenSimilarity's thread-local
@@ -7,8 +7,13 @@
 //  * ngram: same comparison for trigram similarity.
 //  * edit: full Levenshtein vs. the banded threshold kernel the matcher
 //    uses (no old/new pair — both are current kernels).
+//  * jaro_winkler: the former scalar Jaro kernel (two std::vector<bool>
+//    per call, a character-by-character window scan; rebuilt here as the
+//    baseline) vs. er::JaroWinklerSimilarity's bit-parallel kernel, over
+//    similar and dissimilar title pairs.
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -75,6 +80,52 @@ double OldNgramSimilarity(std::string_view a, std::string_view b, size_t n) {
   return OldJaccardOfSets({ga.begin(), ga.end()}, {gb.begin(), gb.end()});
 }
 
+// The Jaro kernel as it was before the bit-parallel rewrite.
+double OldJaroSimilarity(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const size_t la = a.size(), lb = b.size();
+  const size_t window =
+      std::max<size_t>(la, lb) / 2 == 0 ? 0 : std::max(la, lb) / 2 - 1;
+
+  std::vector<bool> a_matched(la, false), b_matched(lb, false);
+  size_t matches = 0;
+  for (size_t i = 0; i < la; ++i) {
+    size_t lo = i > window ? i - window : 0;
+    size_t hi = std::min(lb, i + window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (!b_matched[j] && a[i] == b[j]) {
+        a_matched[i] = true;
+        b_matched[j] = true;
+        ++matches;
+        break;
+      }
+    }
+  }
+  if (matches == 0) return 0.0;
+
+  size_t transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < la; ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = static_cast<double>(matches);
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+double OldJaroWinklerSimilarity(std::string_view a, std::string_view b) {
+  double jaro = OldJaroSimilarity(a, b);
+  size_t prefix = 0;
+  for (size_t i = 0; i < std::min({a.size(), b.size(), size_t{4}}); ++i) {
+    if (a[i] != b[i]) break;
+    ++prefix;
+  }
+  return std::min(jaro + prefix * 0.1 * (1.0 - jaro), 1.0);
+}
+
 void BenchJaccard(erlb::bench::MicroBench* mb) {
   auto pairs = MakeTitlePairs(256, true);
   size_t i = 0;
@@ -119,9 +170,30 @@ void BenchEdit(erlb::bench::MicroBench* mb) {
     i = 0;
     mb->Run("edit/banded_threshold_" + tag, [&] {
       const auto& [a, b] = pairs[i++ & 255];
-      g_sink = g_sink + (erlb::er::EditSimilarityAtLeast(a, b, 0.8) ? 1.0 : 0.0);
+      g_sink =
+          g_sink + (erlb::er::EditSimilarityAtLeast(a, b, 0.8) ? 1.0 : 0.0);
     });
   }
+}
+
+void BenchJaroWinkler(erlb::bench::MicroBench* mb) {
+  // Half similar, half dissimilar pairs, so both the long match runs of
+  // near-duplicates and the early misses of unrelated titles count.
+  auto pairs = MakeTitlePairs(128, true);
+  auto dissimilar = MakeTitlePairs(128, false);
+  pairs.insert(pairs.end(), dissimilar.begin(), dissimilar.end());
+  size_t i = 0;
+  mb->Run("jaro_winkler/scalar_reference", [&] {
+    const auto& [a, b] = pairs[i++ & 255];
+    g_sink = g_sink + OldJaroWinklerSimilarity(a, b);
+  });
+  i = 0;
+  mb->Run("jaro_winkler/bit_parallel", [&] {
+    const auto& [a, b] = pairs[i++ & 255];
+    g_sink = g_sink + erlb::er::JaroWinklerSimilarity(a, b);
+  });
+  mb->Speedup("jaro_winkler/speedup", "jaro_winkler/scalar_reference",
+              "jaro_winkler/bit_parallel");
 }
 
 }  // namespace
@@ -132,5 +204,6 @@ int main(int argc, char** argv) {
   BenchJaccard(&mb);
   BenchNgram(&mb);
   BenchEdit(&mb);
+  BenchJaroWinkler(&mb);
   return mb.Finish();
 }

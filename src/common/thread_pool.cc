@@ -11,6 +11,12 @@ ThreadPool::ThreadPool(size_t num_threads) {
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  // Return only once every worker is inside WorkerLoop. A thread still
+  // starting up may hold a libc or sanitizer allocator lock, and a caller
+  // that forks right after (multi-process jobs) would hand that lock,
+  // held forever, to the child.
+  MutexLock lock(&mu_);
+  while (started_ < num_threads) all_started_.Wait(&mu_);
 }
 
 ThreadPool::~ThreadPool() {
@@ -38,6 +44,11 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
+  {
+    MutexLock lock(&mu_);
+    ++started_;
+  }
+  all_started_.NotifyOne();
   for (;;) {
     std::function<void()> task;
     {

@@ -21,7 +21,9 @@ namespace erlb {
 /// all running tasks have finished.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1).
+  /// Spawns `num_threads` workers (>= 1) and returns once all of them
+  /// have started, so a fork() after construction never copies a worker
+  /// mid-startup.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
@@ -42,8 +44,10 @@ class ThreadPool {
   Mutex mu_;
   CondVar task_available_;
   CondVar all_done_;
+  CondVar all_started_;
   std::deque<std::function<void()>> queue_ ERLB_GUARDED_BY(mu_);
   size_t in_flight_ ERLB_GUARDED_BY(mu_) = 0;
+  size_t started_ ERLB_GUARDED_BY(mu_) = 0;  // workers inside WorkerLoop
   bool shutdown_ ERLB_GUARDED_BY(mu_) = false;
   // Written only by the constructor and joined by the destructor; no
   // worker touches it, so it needs no guard.

@@ -1,7 +1,9 @@
 #include "er/similarity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -225,38 +227,93 @@ double NgramSimilarity(std::string_view a, std::string_view b, size_t n) {
   return SortedJaccard(&sa.views, &sb.views);
 }
 
+namespace {
+
+/// Per-thread bitmaps for JaroSimilarity. `rows` holds 256 occurrence
+/// bitmaps of `b` (row c, word w at c * words + w); it is all zero
+/// between calls, so a call only sets and clears the words its `b`
+/// touches and the row stride may change from call to call.
+struct JaroScratch {
+  std::vector<uint64_t> rows;
+  std::vector<uint64_t> b_free;     // bit j: b[j] not yet matched
+  std::vector<uint64_t> a_matched;  // bit i: a[i] matched
+};
+
+JaroScratch& TlsJaroScratch() {
+  thread_local JaroScratch s;
+  return s;
+}
+
+/// Fields longer than this release the scratch after the call, so one
+/// long field does not pin 256 rows of its length per thread.
+constexpr size_t kJaroPinnedChars = 4096;
+
+}  // namespace
+
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   const size_t la = a.size(), lb = b.size();
   const size_t window =
       std::max<size_t>(la, lb) / 2 == 0 ? 0 : std::max(la, lb) / 2 - 1;
+  const size_t words = (lb + 63) / 64;
 
-  std::vector<bool> a_matched(la, false), b_matched(lb, false);
+  JaroScratch& s = TlsJaroScratch();
+  if (s.rows.size() < 256 * words) s.rows.resize(256 * words);
+  s.b_free.assign(words, ~uint64_t{0});
+  s.a_matched.assign((la + 63) / 64, 0);
+  uint64_t* rows = s.rows.data();
+  uint64_t* b_free = s.b_free.data();
+  uint64_t* a_matched = s.a_matched.data();
+  for (size_t j = 0; j < lb; ++j) {
+    rows[static_cast<unsigned char>(b[j]) * words + (j >> 6)] |=
+        uint64_t{1} << (j & 63);
+  }
+
+  // Greedy matching, as the scalar scan does it: a[i] takes the first
+  // unmatched equal character of b in its window [lo, hi).
   size_t matches = 0;
   for (size_t i = 0; i < la; ++i) {
-    size_t lo = i > window ? i - window : 0;
-    size_t hi = std::min(lb, i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (!b_matched[j] && a[i] == b[j]) {
-        a_matched[i] = true;
-        b_matched[j] = true;
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(lb, i + window + 1);
+    if (lo >= hi) continue;
+    const uint64_t* row = rows + static_cast<unsigned char>(a[i]) * words;
+    const size_t lo_w = lo >> 6, hi_w = (hi - 1) >> 6;
+    for (size_t w = lo_w; w <= hi_w; ++w) {
+      uint64_t bits = row[w] & b_free[w];
+      if (w == lo_w) bits &= ~uint64_t{0} << (lo & 63);
+      if (w == hi_w) bits &= ~uint64_t{0} >> (63 - ((hi - 1) & 63));
+      if (bits != 0) {
+        b_free[w] ^= bits & (~bits + 1);  // lowest set bit
+        a_matched[i >> 6] |= uint64_t{1} << (i & 63);
         ++matches;
         break;
       }
     }
   }
-  if (matches == 0) return 0.0;
 
-  // Transpositions: matched characters out of order, halved.
+  // Transpositions: matched characters out of order, halved. The matched
+  // bits of a and of b are walked in step; bits of b_free past lb are
+  // never cleared, so ~b_free holds exactly the matched positions of b.
   size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < la; ++i) {
-    if (!a_matched[i]) continue;
-    while (!b_matched[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
+  size_t bw = 0;
+  uint64_t b_bits = ~b_free[0];
+  for (size_t aw = 0; aw < s.a_matched.size(); ++aw) {
+    for (uint64_t a_bits = a_matched[aw]; a_bits != 0; a_bits &= a_bits - 1) {
+      while (b_bits == 0) b_bits = ~b_free[++bw];
+      const size_t i = (aw << 6) + std::countr_zero(a_bits);
+      const size_t j = (bw << 6) + std::countr_zero(b_bits);
+      b_bits &= b_bits - 1;
+      if (a[i] != b[j]) ++transpositions;
+    }
   }
+
+  for (size_t j = 0; j < lb; ++j) {
+    rows[static_cast<unsigned char>(b[j]) * words + (j >> 6)] = 0;
+  }
+  if (std::max(la, lb) > kJaroPinnedChars) s = JaroScratch();
+
+  if (matches == 0) return 0.0;
   const double m = static_cast<double>(matches);
   return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
 }

@@ -66,7 +66,13 @@ void AppendCharNgramViews(std::string_view s, size_t n, std::string* buf,
 double NgramSimilarity(std::string_view a, std::string_view b, size_t n);
 
 /// Jaro similarity in [0,1]: the classic record-linkage measure based on
-/// matching characters within a window and transpositions.
+/// matching characters within a window and transpositions. Each a[i]
+/// matches the first not-yet-matched equal character of `b` in its
+/// window (the greedy textbook scan), found bit-parallel over per-byte
+/// occurrence bitmaps of `b`: O(|b| + |a|·⌈window/64⌉) time, where
+/// window = max(|a|,|b|)/2 - 1. The bitmaps live in thread-local
+/// scratch, so there is no heap allocation in steady state; a call with a
+/// string longer than 4096 bytes releases the scratch afterwards.
 double JaroSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler: Jaro boosted by a common-prefix bonus

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -9,6 +12,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "er/entity.h"
+#include "er/matcher.h"
+#include "gen/skew_gen.h"
 
 namespace erlb {
 namespace er {
@@ -288,6 +294,275 @@ TEST(SimilarityViewApiTest, NgramViewsMatchCharNgrams) {
   EXPECT_EQ(views[0], "ab");
   AppendCharNgramViews("abc", 0, &buf, &views);
   EXPECT_TRUE(views.empty());
+}
+
+// ---------------------------------------------------------------------
+// Differential oracle for the bit-parallel Jaro kernel: the former
+// scalar kernel, kept verbatim. The bit-parallel kernel must return the
+// same double, bit for bit, on every input.
+// ---------------------------------------------------------------------
+
+double ScalarJaroOracle(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const size_t la = a.size(), lb = b.size();
+  const size_t window =
+      std::max<size_t>(la, lb) / 2 == 0 ? 0 : std::max(la, lb) / 2 - 1;
+
+  std::vector<bool> a_matched(la, false), b_matched(lb, false);
+  size_t matches = 0;
+  for (size_t i = 0; i < la; ++i) {
+    size_t lo = i > window ? i - window : 0;
+    size_t hi = std::min(lb, i + window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (!b_matched[j] && a[i] == b[j]) {
+        a_matched[i] = true;
+        b_matched[j] = true;
+        ++matches;
+        break;
+      }
+    }
+  }
+  if (matches == 0) return 0.0;
+
+  // Transpositions: matched characters out of order, halved.
+  size_t transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < la; ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = static_cast<double>(matches);
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+/// JaroWinklerSimilarity's prefix boost applied to a given Jaro value.
+double WinklerBoost(double jaro, std::string_view a, std::string_view b,
+                    double prefix_scale = 0.1) {
+  size_t prefix = 0;
+  for (size_t i = 0; i < std::min({a.size(), b.size(), size_t{4}}); ++i) {
+    if (a[i] != b[i]) break;
+    ++prefix;
+  }
+  double jw = jaro + prefix * prefix_scale * (1.0 - jaro);
+  return std::min(jw, 1.0);
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+std::string Printable(std::string_view s) {
+  std::string out;
+  for (unsigned char c : s) {
+    if (c >= 0x20 && c < 0x7f) {
+      out += static_cast<char>(c);
+    } else {
+      static const char kHex[] = "0123456789abcdef";
+      out += "\\x";
+      out += kHex[c >> 4];
+      out += kHex[c & 15];
+    }
+  }
+  return out;
+}
+
+/// Compares both kernels with the oracle in both argument orders;
+/// returns the number of differing values and reports the first few.
+size_t CountJaroMismatches(std::string_view a, std::string_view b) {
+  size_t mismatches = 0;
+  for (int order = 0; order < 2; ++order) {
+    std::string_view x = order == 0 ? a : b;
+    std::string_view y = order == 0 ? b : a;
+    const double jaro = JaroSimilarity(x, y);
+    const double jaro_oracle = ScalarJaroOracle(x, y);
+    const double jw = JaroWinklerSimilarity(x, y);
+    const double jw_oracle = WinklerBoost(jaro_oracle, x, y);
+    if (!SameBits(jaro, jaro_oracle) || !SameBits(jw, jw_oracle)) {
+      ++mismatches;
+      ADD_FAILURE() << "a=\"" << Printable(x) << "\" b=\"" << Printable(y)
+                    << "\" jaro=" << jaro << " oracle=" << jaro_oracle
+                    << " jw=" << jw << " oracle=" << jw_oracle;
+    }
+  }
+  return mismatches;
+}
+
+std::string RandomBytes(Pcg32* rng, size_t len,
+                        const std::vector<char>& alphabet) {
+  std::string s(len, '\0');
+  for (auto& c : s) {
+    c = alphabet[rng->NextBounded(static_cast<uint32_t>(alphabet.size()))];
+  }
+  return s;
+}
+
+/// `size` distinct byte values drawn from all 256, so large alphabets
+/// include '\0' and bytes >= 0x80.
+std::vector<char> RandomAlphabet(Pcg32* rng, size_t size) {
+  std::vector<char> all(256);
+  for (size_t c = 0; c < 256; ++c) all[c] = static_cast<char>(c);
+  for (size_t i = 0; i < size; ++i) {
+    size_t k = i + rng->NextBounded(static_cast<uint32_t>(256 - i));
+    std::swap(all[i], all[k]);
+  }
+  all.resize(size);
+  return all;
+}
+
+TEST(JaroOracleTest, PinnedValues) {
+  EXPECT_DOUBLE_EQ(JaroSimilarity("", ""), 1.0);
+  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", ""), 0.0);
+  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "xyz"), 0.0);
+  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "abc"), 1.0);
+  // Classic textbook pairs.
+  EXPECT_NEAR(JaroSimilarity("MARTHA", "MARHTA"), 0.944444, 1e-6);
+  EXPECT_NEAR(JaroSimilarity("DIXON", "DICKSONX"), 0.766667, 1e-6);
+  EXPECT_NEAR(JaroWinklerSimilarity("MARTHA", "MARHTA"), 0.961111, 1e-6);
+  EXPECT_EQ(CountJaroMismatches("MARTHA", "MARHTA"), 0u);
+  EXPECT_EQ(CountJaroMismatches("DIXON", "DICKSONX"), 0u);
+  EXPECT_EQ(CountJaroMismatches("CRATE", "TRACE"), 0u);
+}
+
+TEST(JaroOracleTest, SkewedSameBlockTitles) {
+  gen::SkewConfig cfg;
+  cfg.num_entities = 2000;
+  cfg.num_blocks = 100;
+  cfg.skew = 1.0;
+  cfg.seed = 1;
+  auto entities = gen::GenerateSkewed(cfg);
+  ASSERT_TRUE(entities.ok());
+  std::map<std::string, std::vector<const Entity*>> blocks;
+  for (const auto& e : *entities) {
+    blocks[e.fields[gen::kSkewBlockField]].push_back(&e);
+  }
+  const JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
+  size_t pairs = 0, mismatches = 0, decisions = 0;
+  // Every same-block pair, in both argument orders.
+  for (const auto& [key, members] : blocks) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = i + 1; j < members.size(); ++j) {
+        ++pairs;
+        for (int order = 0; order < 2; ++order) {
+          const Entity& x = *members[order == 0 ? i : j];
+          const Entity& y = *members[order == 0 ? j : i];
+          const std::string& tx = x.fields[gen::kSkewTitleField];
+          const std::string& ty = y.fields[gen::kSkewTitleField];
+          const double oracle = ScalarJaroOracle(tx, ty);
+          const double jw_oracle = WinklerBoost(oracle, tx, ty);
+          if (!SameBits(JaroSimilarity(tx, ty), oracle) ||
+              !SameBits(JaroWinklerSimilarity(tx, ty), jw_oracle)) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << "a=\"" << tx << "\" b=\"" << ty << "\"";
+            }
+          }
+          if (matcher.Match(x, y) != (jw_oracle >= 0.85)) ++decisions;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 500000u);  // block 0 alone holds ~63% of 2000
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(decisions, 0u);
+}
+
+TEST(JaroOracleTest, LengthsAroundWordBoundaries) {
+  Pcg32 rng(71);
+  std::vector<size_t> lengths = {1, 2, 3};
+  for (size_t edge : {32u, 64u, 96u, 128u, 192u, 256u}) {
+    lengths.insert(lengths.end(), {edge - 1, edge, edge + 1});
+  }
+  size_t mismatches = 0;
+  for (size_t alphabet_size : {2u, 4u, 26u, 256u}) {
+    for (size_t la : lengths) {
+      for (size_t lb : lengths) {
+        for (int rep = 0; rep < 3 && mismatches < 10; ++rep) {
+          auto alphabet = RandomAlphabet(&rng, alphabet_size);
+          std::string a = RandomBytes(&rng, la, alphabet);
+          std::string b = RandomBytes(&rng, lb, alphabet);
+          mismatches += CountJaroMismatches(a, b);
+          // Near-duplicates exercise long match runs and transpositions.
+          std::string c = a;
+          for (size_t k = 0; k + 1 < c.size(); k += 7) {
+            std::swap(c[k], c[k + 1]);
+          }
+          mismatches += CountJaroMismatches(a, c);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JaroOracleTest, AlphabetsFromTwoTo256Bytes) {
+  Pcg32 rng(73);
+  size_t mismatches = 0;
+  for (size_t alphabet_size = 2; alphabet_size <= 256 && mismatches < 10;
+       ++alphabet_size) {
+    auto alphabet = RandomAlphabet(&rng, alphabet_size);
+    for (int rep = 0; rep < 40; ++rep) {
+      std::string a = RandomBytes(&rng, rng.NextBounded(301), alphabet);
+      std::string b = RandomBytes(&rng, rng.NextBounded(301), alphabet);
+      mismatches += CountJaroMismatches(a, b);
+    }
+  }
+  // Every byte value, '\0' and bytes >= 0x80 included, on both sides.
+  std::string all(256, '\0');
+  for (size_t c = 0; c < 256; ++c) all[c] = static_cast<char>(c);
+  std::string reversed(all.rbegin(), all.rend());
+  mismatches += CountJaroMismatches(all, reversed);
+  mismatches += CountJaroMismatches(all, all.substr(128) + all.substr(0, 128));
+  mismatches += CountJaroMismatches(std::string(5, '\0'), std::string(3, '\0'));
+  mismatches += CountJaroMismatches(std::string{'\x80', '\xff', '\0', 'a'},
+                                    std::string{'\xff', '\x80', 'a', '\0'});
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JaroOracleTest, ShortStringsWithZeroWindow) {
+  // Lengths 1-3 give a match window of 0: only aligned characters match.
+  const std::vector<char> alphabet = {'a', 'b', 'c', '\0'};
+  std::vector<std::string> all;
+  all.emplace_back();
+  for (size_t len = 1; len <= 3; ++len) {
+    size_t count = 1;
+    for (size_t k = 0; k < len; ++k) count *= alphabet.size();
+    for (size_t code = 0; code < count; ++code) {
+      std::string s;
+      for (size_t k = 0, c = code; k < len; ++k, c /= alphabet.size()) {
+        s += alphabet[c % alphabet.size()];
+      }
+      all.push_back(s);
+    }
+  }
+  size_t mismatches = 0;
+  for (const auto& a : all) {
+    for (const auto& b : all) {
+      if (mismatches < 10) mismatches += CountJaroMismatches(a, b);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JaroOracleTest, VeryUnequalLengths) {
+  Pcg32 rng(79);
+  size_t mismatches = 0;
+  for (size_t alphabet_size : {2u, 8u, 64u, 256u}) {
+    auto alphabet = RandomAlphabet(&rng, alphabet_size);
+    for (size_t short_len : {1u, 2u, 5u, 40u}) {
+      // Past 4096 characters the kernel releases its scratch; the next
+      // (short) call must still be exact.
+      for (size_t long_len : {200u, 1000u, 5000u}) {
+        std::string a = RandomBytes(&rng, short_len, alphabet);
+        std::string b = RandomBytes(&rng, long_len, alphabet);
+        mismatches += CountJaroMismatches(a, b);
+        mismatches += CountJaroMismatches(b.substr(long_len / 2), b);
+        mismatches += CountJaroMismatches(a, a + b.substr(0, 3));
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace
