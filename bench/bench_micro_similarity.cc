@@ -11,9 +11,14 @@
 //    per call, a character-by-character window scan; rebuilt here as the
 //    baseline) vs. er::JaroWinklerSimilarity's bit-parallel kernel, over
 //    similar and dissimilar title pairs.
+//  * jaro_winkler/at_least: the threshold decision er::JaroWinklerAtLeast
+//    makes at t = 0.85 (a byte-count upper bound rejects most pairs
+//    before the kernel) vs. the bit-parallel similarity over the same
+//    pairs; the share of pairs the bound lets through is printed.
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <utility>
@@ -194,6 +199,19 @@ void BenchJaroWinkler(erlb::bench::MicroBench* mb) {
   });
   mb->Speedup("jaro_winkler/speedup", "jaro_winkler/scalar_reference",
               "jaro_winkler/bit_parallel");
+  i = 0;
+  mb->Run("jaro_winkler/at_least", [&] {
+    const auto& [a, b] = pairs[i++ & 255];
+    g_sink = g_sink + (erlb::er::JaroWinklerAtLeast(a, b, 0.85) ? 1.0 : 0.0);
+  });
+  mb->Speedup("jaro_winkler/at_least_speedup", "jaro_winkler/bit_parallel",
+              "jaro_winkler/at_least");
+  size_t survivors = 0;
+  for (const auto& [a, b] : pairs) {
+    if (erlb::er::JaroWinklerUpperBound(a, b) >= 0.85 - 1e-9) ++survivors;
+  }
+  std::printf("jaro_winkler/at_least: %zu of %zu pairs pass the bound\n",
+              survivors, pairs.size());
 }
 
 }  // namespace

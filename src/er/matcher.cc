@@ -71,7 +71,8 @@ JaroWinklerMatcher::JaroWinklerMatcher(double threshold, size_t field,
     : threshold_(threshold), field_(field), prefix_scale_(prefix_scale) {}
 
 bool JaroWinklerMatcher::Match(const Entity& a, const Entity& b) const {
-  return Similarity(a, b) >= threshold_;
+  return JaroWinklerAtLeast(FieldOrEmpty(a, field_), FieldOrEmpty(b, field_),
+                            threshold_, prefix_scale_);
 }
 
 double JaroWinklerMatcher::Similarity(const Entity& a,

@@ -1,6 +1,7 @@
 #include "er/similarity.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -318,16 +319,86 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
 }
 
-double JaroWinklerSimilarity(std::string_view a, std::string_view b,
-                             double prefix_scale) {
-  double jaro = JaroSimilarity(a, b);
+namespace {
+
+/// Length of the common prefix of `a` and `b`, capped at 4.
+size_t WinklerPrefix(std::string_view a, std::string_view b) {
   size_t prefix = 0;
   for (size_t i = 0; i < std::min({a.size(), b.size(), size_t{4}}); ++i) {
     if (a[i] != b[i]) break;
     ++prefix;
   }
+  return prefix;
+}
+
+double WinklerBoost(double jaro, size_t prefix, double prefix_scale) {
   double jw = jaro + prefix * prefix_scale * (1.0 - jaro);
   return std::min(jw, 1.0);
+}
+
+/// Byte -> one of 64 count buckets for the Jaro-Winkler upper bound.
+/// a-z and 0-9 get a bucket each (36 in all); every other byte folds
+/// into the remaining 28. Sharing a bucket only loosens the bound.
+constexpr std::array<uint8_t, 256> MakeJaroBuckets() {
+  std::array<uint8_t, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    if (c >= 'a' && c <= 'z') {
+      t[c] = static_cast<uint8_t>(c - 'a');
+    } else if (c >= '0' && c <= '9') {
+      t[c] = static_cast<uint8_t>(26 + (c - '0'));
+    } else {
+      t[c] = static_cast<uint8_t>(36 + c % 28);
+    }
+  }
+  return t;
+}
+
+constexpr std::array<uint8_t, 256> kJaroBuckets = MakeJaroBuckets();
+
+/// Strings shorter than this cannot overflow a uint8 bucket count.
+constexpr size_t kJaroBoundMaxLen = 256;
+
+}  // namespace
+
+double JaroWinklerSimilarity(std::string_view a, std::string_view b,
+                             double prefix_scale) {
+  return WinklerBoost(JaroSimilarity(a, b), WinklerPrefix(a, b),
+                      prefix_scale);
+}
+
+double JaroWinklerUpperBound(std::string_view a, std::string_view b,
+                             double prefix_scale) {
+  // Written with ! so that a NaN prefix_scale also steps aside.
+  if (a.empty() || b.empty() || a.size() >= kJaroBoundMaxLen ||
+      b.size() >= kJaroBoundMaxLen || !(prefix_scale >= 0.0) ||
+      !(prefix_scale <= 0.25)) {
+    return 1.0;
+  }
+  // The Jaro match count m is at most the multiset overlap of the two
+  // strings' bytes, counted here per bucket: a's bytes go in, and each
+  // byte of b takes one out of its bucket if any is left.
+  uint8_t counts[64] = {};
+  for (char c : a) ++counts[kJaroBuckets[static_cast<unsigned char>(c)]];
+  size_t overlap = 0;
+  for (char c : b) {
+    uint8_t& n = counts[kJaroBuckets[static_cast<unsigned char>(c)]];
+    const uint8_t hit = n != 0;
+    n -= hit;
+    overlap += hit;
+  }
+  // With m <= overlap, Jaro <= (overlap/|a| + overlap/|b| + 1) / 3, and
+  // JW is nondecreasing in Jaro for prefix_scale in [0, 0.25].
+  const double m = static_cast<double>(overlap);
+  const double jaro = (m / a.size() + m / b.size() + 1.0) / 3.0;
+  return WinklerBoost(jaro, WinklerPrefix(a, b), prefix_scale);
+}
+
+bool JaroWinklerAtLeast(std::string_view a, std::string_view b,
+                        double threshold, double prefix_scale) {
+  if (JaroWinklerUpperBound(a, b, prefix_scale) < threshold - 1e-9) {
+    return false;
+  }
+  return JaroWinklerSimilarity(a, b, prefix_scale) >= threshold;
 }
 
 }  // namespace er

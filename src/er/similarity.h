@@ -77,9 +77,29 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler: Jaro boosted by a common-prefix bonus
 /// (`prefix_scale` per shared leading character, up to 4; standard value
-/// 0.1). Result stays in [0,1].
+/// 0.1). For `prefix_scale` in [0, 0.25] the result lies in [0,1] and is
+/// nondecreasing in the Jaro value; a negative scale can push it below 0.
 double JaroWinklerSimilarity(std::string_view a, std::string_view b,
                              double prefix_scale = 0.1);
+
+/// An upper bound on JaroWinklerSimilarity(a, b, prefix_scale) from byte
+/// counts alone: the Jaro match count is at most the multiset overlap of
+/// the two strings' bytes (counted in 64 buckets; a-z and 0-9 each have
+/// their own), and the exact common prefix gives the Winkler bonus. It
+/// returns 1.0 when the bound does not apply: either string is empty or
+/// 256 bytes or longer, or `prefix_scale` is outside [0, 0.25].
+/// O(|a| + |b|), no allocation.
+double JaroWinklerUpperBound(std::string_view a, std::string_view b,
+                             double prefix_scale = 0.1);
+
+/// True iff JaroWinklerSimilarity(a, b, prefix_scale) >= threshold; the
+/// decision is exact for every input. When both strings are non-empty and
+/// shorter than 256 bytes and `prefix_scale` is in [0, 0.25], a pair
+/// whose JaroWinklerUpperBound is below `threshold` (less 1e-9 of
+/// rounding slack) is rejected in O(|a| + |b|) without allocation. Every
+/// other pair runs the Jaro kernel.
+bool JaroWinklerAtLeast(std::string_view a, std::string_view b,
+                        double threshold, double prefix_scale = 0.1);
 
 }  // namespace er
 }  // namespace erlb

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -426,46 +428,213 @@ TEST(JaroOracleTest, PinnedValues) {
   EXPECT_EQ(CountJaroMismatches("CRATE", "TRACE"), 0u);
 }
 
-TEST(JaroOracleTest, SkewedSameBlockTitles) {
+/// The Fig-9 skew shape (2000 entities, 100 blocks, s = 1, seed 1) and
+/// every same-block pair of it, once.
+struct SkewedPairs {
+  std::vector<Entity> entities;
+  std::vector<std::pair<const Entity*, const Entity*>> pairs;
+};
+
+SkewedPairs SkewedSameBlockPairs() {
   gen::SkewConfig cfg;
   cfg.num_entities = 2000;
   cfg.num_blocks = 100;
   cfg.skew = 1.0;
   cfg.seed = 1;
   auto entities = gen::GenerateSkewed(cfg);
-  ASSERT_TRUE(entities.ok());
+  EXPECT_TRUE(entities.ok());
+  SkewedPairs out;
+  if (!entities.ok()) return out;
+  out.entities = std::move(*entities);
   std::map<std::string, std::vector<const Entity*>> blocks;
-  for (const auto& e : *entities) {
+  for (const auto& e : out.entities) {
     blocks[e.fields[gen::kSkewBlockField]].push_back(&e);
   }
-  const JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  size_t pairs = 0, mismatches = 0, decisions = 0;
-  // Every same-block pair, in both argument orders.
   for (const auto& [key, members] : blocks) {
     for (size_t i = 0; i < members.size(); ++i) {
       for (size_t j = i + 1; j < members.size(); ++j) {
-        ++pairs;
-        for (int order = 0; order < 2; ++order) {
-          const Entity& x = *members[order == 0 ? i : j];
-          const Entity& y = *members[order == 0 ? j : i];
-          const std::string& tx = x.fields[gen::kSkewTitleField];
-          const std::string& ty = y.fields[gen::kSkewTitleField];
-          const double oracle = ScalarJaroOracle(tx, ty);
-          const double jw_oracle = WinklerBoost(oracle, tx, ty);
-          if (!SameBits(JaroSimilarity(tx, ty), oracle) ||
-              !SameBits(JaroWinklerSimilarity(tx, ty), jw_oracle)) {
-            if (++mismatches <= 5) {
-              ADD_FAILURE() << "a=\"" << tx << "\" b=\"" << ty << "\"";
-            }
-          }
-          if (matcher.Match(x, y) != (jw_oracle >= 0.85)) ++decisions;
+        out.pairs.emplace_back(members[i], members[j]);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(JaroOracleTest, SkewedSameBlockTitles) {
+  const SkewedPairs skewed = SkewedSameBlockPairs();
+  const JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
+  size_t mismatches = 0, decisions = 0, unsound = 0;
+  // Every same-block pair, in both argument orders.
+  for (const auto& [first, second] : skewed.pairs) {
+    for (int order = 0; order < 2; ++order) {
+      const Entity& x = order == 0 ? *first : *second;
+      const Entity& y = order == 0 ? *second : *first;
+      const std::string& tx = x.fields[gen::kSkewTitleField];
+      const std::string& ty = y.fields[gen::kSkewTitleField];
+      const double oracle = ScalarJaroOracle(tx, ty);
+      const double jw_oracle = WinklerBoost(oracle, tx, ty);
+      const double jw = JaroWinklerSimilarity(tx, ty, 0.1);
+      if (!SameBits(JaroSimilarity(tx, ty), oracle) ||
+          !SameBits(jw, jw_oracle)) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "a=\"" << tx << "\" b=\"" << ty << "\"";
+        }
+      }
+      const bool match = matcher.Match(x, y);
+      if (match != (jw_oracle >= 0.85)) ++decisions;
+      if (match != (matcher.Similarity(x, y) >= 0.85)) ++decisions;
+      if (JaroWinklerAtLeast(tx, ty, 0.85, 0.1) != (jw >= 0.85)) ++decisions;
+      if (JaroWinklerUpperBound(tx, ty, 0.1) < jw - 1e-9) ++unsound;
+    }
+  }
+  EXPECT_GT(skewed.pairs.size(), 500000u);  // block 0 alone holds ~63%
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(decisions, 0u);
+  EXPECT_EQ(unsound, 0u);
+}
+
+/// Thresholds at which JaroWinklerAtLeast must agree with the exact
+/// similarity: fixed cut points, the pair's own value (the tightest
+/// accept) and the next double above it (the tightest reject).
+std::vector<double> DecisionThresholds(double jw) {
+  const double above = std::nextafter(jw, 2.0);
+  return {0.0, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0, jw, above};
+}
+
+std::string PairLabel(std::string_view a, std::string_view b) {
+  std::string out = "a=\"";
+  out += Printable(a);
+  out += "\" b=\"";
+  out += Printable(b);
+  out += '"';
+  return out;
+}
+
+/// Checks JaroWinklerAtLeast against JaroWinklerSimilarity >= t in both
+/// argument orders, for every prefix scale and threshold, and that the
+/// upper bound never falls below the similarity. Returns the number of
+/// wrong decisions and unsound bounds and reports each.
+size_t CountDecisionMismatches(std::string_view a, std::string_view b) {
+  size_t mismatches = 0;
+  for (int order = 0; order < 2; ++order) {
+    std::string_view x = order == 0 ? a : b;
+    std::string_view y = order == 0 ? b : a;
+    for (double scale : {0.0, 0.1, 0.25, 0.3}) {
+      const double jw = JaroWinklerSimilarity(x, y, scale);
+      const double bound = JaroWinklerUpperBound(x, y, scale);
+      if (bound < jw - 1e-9) {
+        ++mismatches;
+        ADD_FAILURE() << PairLabel(x, y) << " scale=" << scale << " jw=" << jw
+                      << " bound=" << bound;
+      }
+      for (double t : DecisionThresholds(jw)) {
+        if (JaroWinklerAtLeast(x, y, t, scale) != (jw >= t)) {
+          ++mismatches;
+          ADD_FAILURE() << PairLabel(x, y) << " scale=" << scale << " t=" << t
+                        << " jw=" << jw;
         }
       }
     }
   }
-  EXPECT_GT(pairs, 500000u);  // block 0 alone holds ~63% of 2000
+  return mismatches;
+}
+
+TEST(JaroOracleTest, ThresholdDecisionsOnSkewedPairs) {
+  const SkewedPairs skewed = SkewedSameBlockPairs();
+  size_t sampled = 0, mismatches = 0;
+  // A stride coprime to the block sizes spreads the sample over blocks.
+  for (size_t k = 0; k < skewed.pairs.size() && mismatches < 10; k += 89) {
+    ++sampled;
+    mismatches += CountDecisionMismatches(
+        skewed.pairs[k].first->fields[gen::kSkewTitleField],
+        skewed.pairs[k].second->fields[gen::kSkewTitleField]);
+  }
+  EXPECT_GT(sampled, 9000u);
   EXPECT_EQ(mismatches, 0u);
-  EXPECT_EQ(decisions, 0u);
+}
+
+TEST(JaroOracleTest, ThresholdDecisionEdgeCases) {
+  size_t mismatches = 0;
+  // Empty strings: the bound steps aside, the kernel decides.
+  mismatches += CountDecisionMismatches("", "");
+  mismatches += CountDecisionMismatches("", "abc");
+  EXPECT_TRUE(JaroWinklerAtLeast("", "", 1.0));
+  EXPECT_FALSE(JaroWinklerAtLeast("", "abc", 1e-12));
+
+  // The prefix bonus lifts this pair above its Jaro bound: JW 0.8286 vs
+  // Jaro 0.7143, so a bound without the prefix term would reject it.
+  mismatches += CountDecisionMismatches("abcdxyz", "abcdwvu");
+  EXPECT_TRUE(JaroWinklerAtLeast("abcdxyz", "abcdwvu", 0.8));
+
+  // Lengths around the uint8 bucket limit. 256 copies of one byte would
+  // wrap its bucket count to 0 if the bound were applied there.
+  Pcg32 rng(83);
+  for (size_t la : {254u, 255u, 256u, 257u}) {
+    for (size_t lb : {254u, 255u, 256u, 257u}) {
+      mismatches += CountDecisionMismatches(std::string(la, 'a'),
+                                            std::string(lb, 'a'));
+      for (size_t alphabet_size : {2u, 26u, 256u}) {
+        auto alphabet = RandomAlphabet(&rng, alphabet_size);
+        std::string a = RandomBytes(&rng, la, alphabet);
+        std::string b = RandomBytes(&rng, lb, alphabet);
+        mismatches += CountDecisionMismatches(a, b);
+        std::string c = a.substr(0, std::min(la, lb));
+        c[c.size() / 2] = b[0];
+        mismatches += CountDecisionMismatches(a, c);
+      }
+    }
+    const std::string same(la, 'a');
+    EXPECT_TRUE(JaroWinklerAtLeast(same, same, 1.0)) << la;
+  }
+
+  // '\0' and bytes >= 0x80 on both sides.
+  mismatches += CountDecisionMismatches(std::string(5, '\0'),
+                                        std::string(3, '\0'));
+  mismatches += CountDecisionMismatches(std::string{'\x80', '\xff', '\0', 'a'},
+                                        std::string{'\xff', '\x80', 'a', '\0'});
+  std::string all(255, '\0');
+  for (size_t c = 0; c < all.size(); ++c) all[c] = static_cast<char>(c + 1);
+  const std::string reversed(all.rbegin(), all.rend());
+  mismatches += CountDecisionMismatches(all, reversed);
+
+  // Bytes 28 apart outside a-z and 0-9 share a bucket, so these pairs
+  // overlap fully in the counts yet share no byte: the bound is loose
+  // (JW is 0) and the kernel must still decide.
+  std::string lo, hi;
+  for (int base : {0, 128}) {
+    for (int c = base; c < base + 28; ++c) {
+      if (c + 28 >= '0' && c + 28 <= '9') continue;
+      lo += static_cast<char>(c);
+      hi += static_cast<char>(c + 28);
+    }
+  }
+  ASSERT_EQ(lo.size(), 48u);
+  EXPECT_GE(JaroWinklerUpperBound(lo, hi), 1.0 - 1e-9);
+  EXPECT_EQ(JaroWinklerSimilarity(lo, hi), 0.0);
+  mismatches += CountDecisionMismatches(lo, hi);
+  mismatches += CountDecisionMismatches(" A", "<]");
+  mismatches += CountDecisionMismatches("AB-x", "A^Ix");
+
+  // Identical strings accept at t = 1.0.
+  for (const char* s : {"a", "MARTHA", "digital camera qzkfjw-1234"}) {
+    EXPECT_TRUE(JaroWinklerAtLeast(s, s, 1.0)) << s;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JaroOracleTest, UpperBoundStepsAside) {
+  const std::string s(256, 'a');
+  EXPECT_EQ(JaroWinklerUpperBound("", "abc"), 1.0);
+  EXPECT_EQ(JaroWinklerUpperBound("abc", ""), 1.0);
+  EXPECT_EQ(JaroWinklerUpperBound(s, "xyz"), 1.0);
+  EXPECT_EQ(JaroWinklerUpperBound("xyz", s), 1.0);
+  // Outside [0, 0.25] JW need not be nondecreasing in Jaro, so the bound
+  // steps aside there too.
+  EXPECT_EQ(JaroWinklerUpperBound("abc", "xyz", 0.3), 1.0);
+  EXPECT_EQ(JaroWinklerUpperBound("abc", "xyz", -0.1), 1.0);
+  // Inside it, disjoint strings get the bound's floor of 1/3.
+  EXPECT_NEAR(JaroWinklerUpperBound("abc", "xyz"), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(JaroWinklerUpperBound(s.substr(1), "xyz"), 1.0 / 3.0, 1e-12);
 }
 
 TEST(JaroOracleTest, LengthsAroundWordBoundaries) {
