@@ -5,7 +5,10 @@
 // BuildPlan + ExecutePlan on one runner, the pre-dataflow pipeline
 // body). The `overhead/direct_vs_adapter` ratio must stay ~1x; it is
 // gated by tools/bench_compare.py against the committed
-// BENCH_dataflow.json baseline.
+// BENCH_dataflow.json baseline. Two serial steps of the wide_external
+// shape are timed on their own as well, each with a gated ratio: CSV
+// ingest on one worker vs. four, and BDM assembly from the job's
+// reduce output vs. from shuffled triples.
 //
 //   $ ./bench_dataflow [--json <path>] [--reps N] [--min-rep-ms N]
 #include <string>
@@ -13,10 +16,15 @@
 
 #include "bdm/bdm_job.h"
 #include "bench_json.h"
+#include "common/io_buffer.h"
 #include "common/logging.h"
+#include "common/random.h"
+#include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "core/stages.h"
 #include "er/blocking.h"
+#include "er/entity_io.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
 #include "lb/strategy.h"
@@ -98,6 +106,94 @@ int main(int argc, char** argv) {
     ERLB_CHECK(bound.ok());
     ERLB_CHECK(df->Validate().ok());
   });
+
+  // CSV ingest alone: CsvSourceStage over a 200k-row file on one worker
+  // and on four. The stage parses its splits on the dataflow's pool, so
+  // the ratio is the parallel speedup of ingest (gated).
+  auto scratch = ScopedTempDir::Make("", "erlb-bench-dataflow");
+  ERLB_CHECK(scratch.ok());
+  const std::string csv_path = scratch->path() + "/input.csv";
+  {
+    gen::SkewConfig wide;
+    wide.num_entities = 200000;
+    wide.num_blocks = 50000;
+    wide.skew = 0;
+    wide.seed = 1;
+    auto rows = gen::GenerateSkewed(wide);
+    ERLB_CHECK(rows.ok());
+    ERLB_CHECK(er::SaveEntitiesToCsv(csv_path, *rows).ok());
+  }
+  er::CsvSchema schema;
+  schema.id_column = 0;
+  const uint32_t split_records = core::ErPipelineConfig{}.csv_split_records;
+  // Times the stage as the dataflow report does; freeing the 200k
+  // entities afterwards is not ingest.
+  auto ingest = [&](uint32_t num_workers) {
+    core::DataflowOptions options;
+    options.num_workers = num_workers;
+    core::Dataflow df(options);
+    df.Emplace<core::CsvSourceStage>("ingest", core::kDatasetPartitions,
+                                     csv_path, schema, split_records);
+    auto report = df.Run();
+    ERLB_CHECK(report.ok());
+    return static_cast<int64_t>(report->stages.at(0).seconds * 1e9);
+  };
+  harness.RunSelfTimed("ingest/csv_200k/workers1", [&] { return ingest(1); });
+  harness.RunSelfTimed("ingest/csv_200k/workers4", [&] { return ingest(4); });
+  harness.Speedup("ingest/csv_200k/parallel_speedup",
+                  "ingest/csv_200k/workers1", "ingest/csv_200k/workers4");
+
+  // BDM assembly over 50k blocks (~188k cells, m = 25 splits, r = 32):
+  // from Job 1's per-task sorted reduce output (the groups are merged,
+  // no cell is sorted) against FromTriples over the same triples
+  // shuffled (a full sort). Assembly consumes its input, so each call
+  // gets a fresh copy, made (and the result freed) outside the timing.
+  // Gated.
+  {
+    auto wide_rows = er::LoadEntitiesFromCsv(csv_path, schema);
+    ERLB_CHECK(wide_rows.ok());
+    const uint32_t splits = static_cast<uint32_t>(
+        (wide_rows->size() + split_records - 1) / split_records);
+    er::Partitions wide_parts = er::SplitIntoPartitions(*wide_rows, splits);
+    std::vector<std::vector<std::string>> keys(wide_parts.size());
+    for (size_t p = 0; p < wide_parts.size(); ++p) {
+      for (const auto& e : wide_parts[p]) keys[p].push_back(blocking.Key(*e));
+    }
+    auto reference = bdm::Bdm::FromKeys(keys);
+    ERLB_CHECK(reference.ok());
+    const std::vector<bdm::BdmTriple> sorted = reference->ToTriples();
+    constexpr uint32_t kReduceTasks = 32;
+    bdm::BdmReduceOutput job_output(kReduceTasks);
+    for (const auto& t : sorted) {
+      job_output[Fnv1a64(t.block_key) % kReduceTasks].emplace_back(0u, t);
+    }
+    std::vector<bdm::BdmTriple> shuffled = sorted;
+    Pcg32 rng(7);
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1],
+                shuffled[rng.NextBounded(static_cast<uint32_t>(i))]);
+    }
+    const uint64_t expected = reference->ContentHash();
+    harness.RunSelfTimed("bdm/assemble_50k/from_job_output", [&] {
+      bdm::BdmReduceOutput input = job_output;
+      Stopwatch watch;
+      auto bdm = bdm::AssembleBdm(std::move(input), splits, {});
+      const int64_t nanos = watch.ElapsedNanos();
+      ERLB_CHECK(bdm.ok() && bdm->ContentHash() == expected);
+      return nanos;
+    });
+    harness.RunSelfTimed("bdm/assemble_50k/from_shuffled_triples", [&] {
+      std::vector<bdm::BdmTriple> input = shuffled;
+      Stopwatch watch;
+      auto bdm = bdm::Bdm::FromTriples(std::move(input), splits);
+      const int64_t nanos = watch.ElapsedNanos();
+      ERLB_CHECK(bdm.ok() && bdm->ContentHash() == expected);
+      return nanos;
+    });
+    harness.Speedup("bdm/assemble_50k/ordered_groups_speedup",
+                    "bdm/assemble_50k/from_shuffled_triples",
+                    "bdm/assemble_50k/from_job_output");
+  }
 
   return harness.Finish();
 }

@@ -96,14 +96,32 @@ class MicroBench {
           static_cast<double>(iters);
       total_iters += iters;
     }
-    std::sort(nanos_per_op.begin(), nanos_per_op.end());
-    MicroResult res;
-    res.name = name;
-    res.nanos_per_op = nanos_per_op[nanos_per_op.size() / 2];
-    res.iterations = total_iters;
-    results_.push_back(res);
-    std::printf("%-40s %14.1f ns/op   (%lld iters)\n", name.c_str(),
-                res.nanos_per_op, static_cast<long long>(total_iters));
+    Record(name, std::move(nanos_per_op), total_iters);
+  }
+
+  /// Like Run, but `fn` returns the nanoseconds of the region it timed
+  /// itself (an int64_t), so the setup and teardown around that region —
+  /// copying a consumed input, freeing a large result — stay out of the
+  /// result. Repetitions still last at least `min_rep_millis` of wall
+  /// time.
+  template <typename Fn>
+  void RunSelfTimed(const std::string& name, Fn&& fn) {
+    fn();  // warm-up
+    std::vector<double> nanos_per_op(static_cast<size_t>(reps_));
+    int64_t total_iters = 0;
+    for (int rep = 0; rep < reps_; ++rep) {
+      int64_t iters = 0;
+      int64_t region_nanos = 0;
+      Stopwatch watch;
+      do {
+        region_nanos += fn();
+        ++iters;
+      } while (watch.ElapsedMillis() < min_rep_millis_);
+      nanos_per_op[static_cast<size_t>(rep)] =
+          static_cast<double>(region_nanos) / static_cast<double>(iters);
+      total_iters += iters;
+    }
+    Record(name, std::move(nanos_per_op), total_iters);
   }
 
   /// Records old/new for two results added earlier via Run.
@@ -167,6 +185,19 @@ class MicroBench {
   }
 
  private:
+  /// Adds the median repetition of `nanos_per_op` as result `name`.
+  void Record(const std::string& name, std::vector<double> nanos_per_op,
+              int64_t total_iters) {
+    std::sort(nanos_per_op.begin(), nanos_per_op.end());
+    MicroResult res;
+    res.name = name;
+    res.nanos_per_op = nanos_per_op[nanos_per_op.size() / 2];
+    res.iterations = total_iters;
+    results_.push_back(res);
+    std::printf("%-40s %14.1f ns/op   (%lld iters)\n", name.c_str(),
+                res.nanos_per_op, static_cast<long long>(total_iters));
+  }
+
   std::string bench_name_;
   std::string json_path_;
   int reps_ = 5;

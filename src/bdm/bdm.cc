@@ -1,6 +1,7 @@
 #include "bdm/bdm.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/hash.h"
@@ -9,62 +10,60 @@
 namespace erlb {
 namespace bdm {
 
-namespace {
-
-/// One aggregated (key, partition, count) entry during construction; the
-/// key borrows from the caller's triples/keys, so entries are cheap to
-/// sort even with millions of blocks.
-struct CellEntry {
-  std::string_view key;
-  uint32_t partition = 0;
-  uint64_t count = 0;
-};
-
-}  // namespace
-
-Result<Bdm> Bdm::FromTriples(const std::vector<BdmTriple>& triples,
+Result<Bdm> Bdm::FromTriples(std::vector<BdmTriple> triples,
                              uint32_t num_partitions) {
+  return Build(std::move(triples), num_partitions, {});
+}
+
+Result<Bdm> Bdm::Build(std::vector<BdmTriple> triples,
+                       uint32_t num_partitions,
+                       std::vector<er::Source> partition_sources) {
   if (num_partitions == 0) {
     return Status::InvalidArgument("num_partitions must be >= 1");
   }
-  std::vector<CellEntry> entries;
-  entries.reserve(triples.size());
   for (const auto& t : triples) {
     if (t.partition >= num_partitions) {
       return Status::OutOfRange("triple partition " +
                                 std::to_string(t.partition) +
                                 " >= m=" + std::to_string(num_partitions));
     }
-    entries.push_back(CellEntry{t.block_key, t.partition, t.count});
   }
-  // Sorting by (key, partition) yields the lexicographic block order the
-  // paper derives from Job 1's sorted reduce output, and makes duplicate
-  // (block, partition) triples adjacent.
-  std::sort(entries.begin(), entries.end(),
-            [](const CellEntry& a, const CellEntry& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.partition < b.partition;
-            });
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].key == entries[i - 1].key &&
-        entries[i].partition == entries[i - 1].partition) {
+  // (key, partition) order is the lexicographic block order the paper
+  // derives from Job 1's sorted reduce output, and makes duplicate
+  // (block, partition) triples adjacent. Job 1's output arrives in that
+  // order, so the sort is only a fix-up for other callers (FromKeys,
+  // bdm_io, two-source jobs whose S partitions precede R partitions).
+  const auto less = [](const BdmTriple& a, const BdmTriple& b) {
+    const int c = a.block_key.compare(b.block_key);
+    return c != 0 ? c < 0 : a.partition < b.partition;
+  };
+  if (!std::is_sorted(triples.begin(), triples.end(), less)) {
+    std::sort(triples.begin(), triples.end(), less);
+  }
+  size_t num_blocks = triples.empty() ? 0 : 1;
+  for (size_t i = 1; i < triples.size(); ++i) {
+    if (triples[i].block_key != triples[i - 1].block_key) {
+      ++num_blocks;
+    } else if (triples[i].partition == triples[i - 1].partition) {
       return Status::AlreadyExists("duplicate triple for block '" +
-                                   std::string(entries[i].key) +
-                                   "' partition " +
-                                   std::to_string(entries[i].partition));
+                                   triples[i].block_key + "' partition " +
+                                   std::to_string(triples[i].partition));
     }
   }
 
   Bdm bdm;
   bdm.num_partitions_ = num_partitions;
-  bdm.cells_.reserve(entries.size());
+  bdm.partition_sources_ = std::move(partition_sources);
+  bdm.block_keys_.reserve(num_blocks);
+  bdm.cell_offsets_.reserve(num_blocks + 1);
+  bdm.cells_.reserve(triples.size());
   bdm.cell_offsets_.push_back(0);
-  for (const auto& e : entries) {
-    if (bdm.block_keys_.empty() || bdm.block_keys_.back() != e.key) {
+  for (auto& t : triples) {
+    if (bdm.block_keys_.empty() || bdm.block_keys_.back() != t.block_key) {
       bdm.cell_offsets_.push_back(bdm.cells_.size());
-      bdm.block_keys_.emplace_back(e.key);
+      bdm.block_keys_.push_back(std::move(t.block_key));
     }
-    bdm.cells_.push_back(BdmCell{e.partition, e.count});
+    bdm.cells_.push_back(BdmCell{t.partition, t.count});
     bdm.cell_offsets_.back() = bdm.cells_.size();
   }
   bdm.BuildDerived();
@@ -72,7 +71,7 @@ Result<Bdm> Bdm::FromTriples(const std::vector<BdmTriple>& triples,
 }
 
 Result<Bdm> Bdm::FromTriplesTwoSource(
-    const std::vector<BdmTriple>& triples,
+    std::vector<BdmTriple> triples,
     const std::vector<er::Source>& partition_sources) {
   if (partition_sources.empty()) {
     return Status::InvalidArgument("partition_sources must be non-empty");
@@ -87,13 +86,9 @@ Result<Bdm> Bdm::FromTriplesTwoSource(
           t.block_key + "'");
     }
   }
-  ERLB_ASSIGN_OR_RETURN(
-      Bdm bdm,
-      FromTriples(triples,
-                  static_cast<uint32_t>(partition_sources.size())));
-  bdm.partition_sources_ = partition_sources;
-  bdm.BuildDerived();
-  return bdm;
+  return Build(std::move(triples),
+               static_cast<uint32_t>(partition_sources.size()),
+               partition_sources);
 }
 
 Result<Bdm> Bdm::FromKeys(
@@ -108,8 +103,8 @@ Result<Bdm> Bdm::FromKeys(
         "partition_sources size must equal number of partitions");
   }
   // Aggregate each partition by sorting its keys and run-length encoding;
-  // duplicates cannot arise by construction, so this feeds FromTriples'
-  // sort directly.
+  // duplicates cannot arise by construction. The triples come out in
+  // (partition, key) order, so FromTriples sorts them.
   std::vector<BdmTriple> triples;
   std::vector<std::string_view> sorted;
   for (uint32_t p = 0; p < keys_per_partition.size(); ++p) {
@@ -129,9 +124,9 @@ Result<Bdm> Bdm::FromKeys(
     }
   }
   if (partition_sources != nullptr) {
-    return FromTriplesTwoSource(triples, *partition_sources);
+    return FromTriplesTwoSource(std::move(triples), *partition_sources);
   }
-  return FromTriples(triples,
+  return FromTriples(std::move(triples),
                      static_cast<uint32_t>(keys_per_partition.size()));
 }
 
@@ -163,23 +158,37 @@ void Bdm::BuildDerived() {
   // end in BuildDerived, so the hash can never go stale. Keys are
   // length-prefixed and rows carry their cell count, so (key "ab", key
   // "c") cannot collide with (key "a", key "bc") by concatenation.
+  // The bytes are staged in a buffer and fed in large pieces: the digest
+  // does not depend on how the stream is cut, and feeding 8-byte values
+  // one at a time behind an odd-length key would take StreamChecksum's
+  // bytewise tail path for every value.
   StreamChecksum sum;
-  auto put_u64 = [&sum](uint64_t v) { sum.Update(&v, sizeof(v)); };
+  std::string buf;
+  buf.reserve(4096 + 64);
+  auto put = [&sum, &buf](const void* data, size_t len) {
+    buf.append(static_cast<const char*>(data), len);
+    if (buf.size() >= 4096) {
+      sum.Update(buf.data(), buf.size());
+      buf.clear();
+    }
+  };
+  auto put_u64 = [&put](uint64_t v) { put(&v, sizeof(v)); };
   put_u64(num_partitions_);
   put_u64(partition_sources_.size());
   for (er::Source s : partition_sources_) {
     const unsigned char tag = s == er::Source::kR ? 0 : 1;
-    sum.Update(&tag, 1);
+    put(&tag, 1);
   }
   for (uint32_t k = 0; k < b; ++k) {
     put_u64(block_keys_[k].size());
-    sum.Update(block_keys_[k].data(), block_keys_[k].size());
+    put(block_keys_[k].data(), block_keys_[k].size());
     put_u64(cell_offsets_[k + 1] - cell_offsets_[k]);
     for (size_t i = cell_offsets_[k]; i < cell_offsets_[k + 1]; ++i) {
       put_u64(cells_[i].partition);
       put_u64(cells_[i].count);
     }
   }
+  sum.Update(buf.data(), buf.size());
   const uint64_t h = sum.Digest();
   content_hash_ = h != 0 ? h : 1;  // 0 is reserved for "hash unknown"
 }
@@ -440,8 +449,8 @@ std::vector<BdmTriple> Bdm::ToTriples() const {
       t.block_key = block_keys_[k];
       t.partition = cells_[i].partition;
       t.count = cells_[i].count;
-      t.source =
-          two_source() ? partition_sources_[cells_[i].partition] : er::Source::kR;
+      t.source = two_source() ? partition_sources_[cells_[i].partition]
+                              : er::Source::kR;
       out.push_back(std::move(t));
     }
   }

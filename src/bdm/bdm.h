@@ -111,17 +111,23 @@ class Bdm {
   /// result before use.
   Bdm() = default;
 
-  /// Builds a one-source BDM from Job 1's output triples.
-  /// \param triples        reduce outputs (any order; keys may repeat per
-  ///                       partition only once)
+  /// Builds a one-source BDM from Job 1's output triples, taking their
+  /// keys (pass an rvalue to avoid copying them).
+  /// \param triples        reduce outputs, in any order; each (block key,
+  ///                       partition) pair may occur at most once, else
+  ///                       AlreadyExists
   /// \param num_partitions m, the number of input partitions
-  [[nodiscard]] static Result<Bdm> FromTriples(const std::vector<BdmTriple>& triples,
-                                 uint32_t num_partitions);
+  ///
+  /// Triples already sorted by (block key, partition) — what RunBdmJob
+  /// delivers — are checked in one pass and taken as they are; any other
+  /// order is sorted first.
+  [[nodiscard]] static Result<Bdm> FromTriples(
+      std::vector<BdmTriple> triples, uint32_t num_partitions);
 
   /// Builds a two-source BDM. `partition_sources[i]` tags input partition
   /// i with its source; triples must agree with the tags.
   [[nodiscard]] static Result<Bdm> FromTriplesTwoSource(
-      const std::vector<BdmTriple>& triples,
+      std::vector<BdmTriple> triples,
       const std::vector<er::Source>& partition_sources);
 
   /// Convenience: computes a BDM directly from partitions + blocking keys
@@ -233,6 +239,10 @@ class Bdm {
   std::vector<BdmTriple> ToTriples() const;
 
  private:
+  /// FromTriples with the partition source tags (empty = one source).
+  [[nodiscard]] static Result<Bdm> Build(
+      std::vector<BdmTriple> triples, uint32_t num_partitions,
+      std::vector<er::Source> partition_sources);
   void BuildDerived();
 
   uint32_t num_partitions_ = 0;

@@ -91,9 +91,9 @@ Result<Bdm> LoadBdmFromCsv(const std::string& path) {
     triples.push_back(std::move(t));
   }
   if (!tags.empty()) {
-    return Bdm::FromTriplesTwoSource(triples, tags);
+    return Bdm::FromTriplesTwoSource(std::move(triples), tags);
   }
-  return Bdm::FromTriples(triples, static_cast<uint32_t>(m));
+  return Bdm::FromTriples(std::move(triples), static_cast<uint32_t>(m));
 }
 
 }  // namespace bdm

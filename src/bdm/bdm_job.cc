@@ -1,5 +1,7 @@
 #include "bdm/bdm_job.h"
 
+#include <algorithm>
+#include <string_view>
 #include <tuple>
 
 #include "common/string_util.h"
@@ -27,6 +29,18 @@ bool BdmKeyLess(const BdmKey& a, const BdmKey& b) {
 bool BdmKeyEqual(const BdmKey& a, const BdmKey& b) {
   return std::tie(a.block_key, a.source, a.partition) ==
          std::tie(b.block_key, b.source, b.partition);
+}
+
+/// The first 8 bytes of `key`, big-endian and zero-padded: where two
+/// keys' prefixes differ, they order the keys as the keys themselves do.
+uint64_t KeyPrefix(std::string_view key) {
+  uint64_t prefix = 0;
+  const size_t n = std::min<size_t>(key.size(), 8);
+  for (size_t i = 0; i < n; ++i) {
+    prefix |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
+              << (56 - 8 * i);
+  }
+  return prefix;
 }
 
 // Skipped / missing-key tallies live in the task counters (not shared
@@ -143,6 +157,59 @@ struct SpillCodec<bdm::BdmTriple> {
 
 namespace bdm {
 
+Result<Bdm> AssembleBdm(BdmReduceOutput outputs, uint32_t num_partitions,
+                        const std::vector<er::Source>& partition_sources) {
+  // Each reduce task's output is sorted by key, and the partitioner keys
+  // on the block key alone, so a block's cells are one contiguous group
+  // of one task's output. Merging the tasks' groups by key — a heap of r
+  // task cursors, each reading its task's output front to back — puts
+  // the ≈b groups in block order without comparing the ≈cells.
+  size_t cells = 0;
+  for (const auto& part : outputs) cells += part.size();
+  std::vector<BdmTriple> triples;
+  triples.reserve(cells);
+  struct Cursor {
+    uint64_t prefix;  // KeyPrefix of the next group's key
+    uint32_t task;
+    size_t next;
+  };
+  const auto later = [&outputs](const Cursor& a, const Cursor& b) {
+    if (a.prefix != b.prefix) return a.prefix > b.prefix;
+    return outputs[a.task][a.next].second.block_key >
+           outputs[b.task][b.next].second.block_key;
+  };
+  std::vector<Cursor> heap;
+  for (uint32_t t = 0; t < outputs.size(); ++t) {
+    if (outputs[t].empty()) continue;
+    heap.push_back(Cursor{KeyPrefix(outputs[t][0].second.block_key), t, 0});
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& cursor = heap.back();
+    auto& part = outputs[cursor.task];
+    size_t end = cursor.next + 1;
+    while (end < part.size() && part[end].second.block_key ==
+                                    part[cursor.next].second.block_key) {
+      ++end;
+    }
+    for (size_t i = cursor.next; i < end; ++i) {
+      triples.push_back(std::move(part[i].second));
+    }
+    if (end == part.size()) {
+      heap.pop_back();
+      continue;
+    }
+    cursor.next = end;
+    cursor.prefix = KeyPrefix(part[end].second.block_key);
+    std::push_heap(heap.begin(), heap.end(), later);
+  }
+  if (!partition_sources.empty()) {
+    return Bdm::FromTriplesTwoSource(std::move(triples), partition_sources);
+  }
+  return Bdm::FromTriples(std::move(triples), num_partitions);
+}
+
 Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
                                const er::BlockingFunction& blocking,
                                const BdmJobOptions& options,
@@ -253,18 +320,10 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
         blocking.Describe() + ")");
   }
 
-  std::vector<BdmTriple> triples;
-  for (auto& [k, t] : job_result.MergedOutput()) {
-    triples.push_back(std::move(t));
-  }
-
   BdmJobOutput out;
-  if (two_source) {
-    ERLB_ASSIGN_OR_RETURN(out.bdm, Bdm::FromTriplesTwoSource(
-                                       triples, options.partition_sources));
-  } else {
-    ERLB_ASSIGN_OR_RETURN(out.bdm, Bdm::FromTriples(triples, m));
-  }
+  ERLB_ASSIGN_OR_RETURN(
+      out.bdm, AssembleBdm(std::move(job_result.outputs_per_reduce_task), m,
+                           options.partition_sources));
   out.annotated = std::move(side);
   out.metrics = std::move(job_result.metrics);
   out.skipped_entities = static_cast<uint64_t>(

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdm/bdm.h"
@@ -58,11 +59,25 @@ struct BdmJobOutput {
   uint64_t skipped_entities = 0;
 };
 
+/// Job 1's reduce output: one vector per reduce task, sorted by block
+/// key within each task (the value of each pair is the triple).
+using BdmReduceOutput =
+    std::vector<std::vector<std::pair<uint32_t, BdmTriple>>>;
+
+/// Builds the BDM from Job 1's reduce output, taking its triples. Needs
+/// each task's output sorted by key and each block's cells within one
+/// task — what a job that partitions by block key alone produces — to
+/// skip FromTriples' sort; any other input is still built correctly,
+/// just through that sort. Non-empty `partition_sources` builds the
+/// two-source BDM.
+[[nodiscard]] Result<Bdm> AssembleBdm(
+    BdmReduceOutput outputs, uint32_t num_partitions,
+    const std::vector<er::Source>& partition_sources);
+
 /// Runs Algorithm 3 over `input` (one map task per partition).
-[[nodiscard]] Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
-                               const er::BlockingFunction& blocking,
-                               const BdmJobOptions& options,
-                               const mr::JobRunner& runner);
+[[nodiscard]] Result<BdmJobOutput> RunBdmJob(
+    const er::Partitions& input, const er::BlockingFunction& blocking,
+    const BdmJobOptions& options, const mr::JobRunner& runner);
 
 }  // namespace bdm
 }  // namespace erlb

@@ -10,32 +10,52 @@ namespace erlb {
 
 std::vector<std::string> ParseCsvLine(std::string_view line, char delim) {
   std::vector<std::string> fields;
-  std::string cur;
+  AppendCsvFields(line, delim, &fields);
+  return fields;
+}
+
+void AppendCsvFields(std::string_view line, char delim,
+                     std::vector<std::string>* fields) {
+  std::string* cur = &fields->emplace_back();
   bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
+  size_t i = 0;
+  while (i < line.size()) {
+    const char c = line[i];
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur.push_back(c);
+      // Copy up to the next quote in one append; "" is a literal quote,
+      // any other quote closes the quoted section.
+      const size_t q = line.find('"', i);
+      if (q == std::string_view::npos) {
+        cur->append(line.substr(i));
+        break;
       }
-    } else if (c == '"' && cur.empty()) {
+      cur->append(line.substr(i, q - i));
+      if (q + 1 < line.size() && line[q + 1] == '"') {
+        cur->push_back('"');
+        i = q + 2;
+      } else {
+        in_quotes = false;
+        i = q + 1;
+      }
+    } else if (c == '"' && cur->empty()) {
       in_quotes = true;
+      ++i;
     } else if (c == delim) {
-      fields.push_back(std::move(cur));
-      cur.clear();
+      cur = &fields->emplace_back();
+      ++i;
     } else {
-      cur.push_back(c);
+      // Once a field holds a character, every quote up to the next
+      // delimiter is literal: copy the whole run.
+      size_t j = line.find(delim, i);
+      if (j == std::string_view::npos) j = line.size();
+      cur->append(line.substr(i, j - i));
+      i = j;
     }
   }
-  fields.push_back(std::move(cur));
-  return fields;
+}
+
+bool IsBlankCsvLine(std::string_view line) {
+  return line.empty() || line == "\"" || line == "\"\"";
 }
 
 std::string EscapeCsvField(std::string_view field, char delim) {
@@ -96,52 +116,58 @@ Result<CsvChunkReader> CsvChunkReader::Open(const std::string& path,
   return reader;
 }
 
-Result<bool> CsvChunkReader::NextLine() {
-  line_.clear();
-  bool saw_any = false;
-  while (true) {
-    if (block_pos_ >= block_len_) {
-      if (eof_) break;
+Result<size_t> CsvChunkReader::NextSplit(size_t max_lines,
+                                         std::string* bytes) {
+  bytes->clear();
+  if (done_) return 0;
+  ERLB_FAULT_POINT("csv.read_chunk");
+  size_t lines = 0;
+  while (lines < max_lines) {
+    if (block_pos_ >= block_len_ && !eof_) {
       ERLB_ASSIGN_OR_RETURN(size_t got,
                             reader_.Read(block_.data(), block_.size()));
       block_pos_ = 0;
       block_len_ = got;
       if (got < block_.size()) eof_ = true;
-      if (got == 0) break;
     }
-    saw_any = true;
+    if (block_pos_ >= block_len_) {
+      // End of input: an unterminated last line still counts. The reader
+      // is done only when this call ran out of lines — a split that ends
+      // exactly on the last line leaves the next call to report the end,
+      // as a line-at-a-time reader would.
+      if (!bytes->empty() && bytes->back() != '\n') ++lines;
+      if (lines < max_lines) done_ = true;
+      break;
+    }
     const char* start = block_.data() + block_pos_;
-    const char* nl = static_cast<const char*>(
-        std::memchr(start, '\n', block_len_ - block_pos_));
-    if (nl == nullptr) {
-      line_.append(start, block_len_ - block_pos_);
-      block_pos_ = block_len_;
-      continue;
+    const char* end = block_.data() + block_len_;
+    const char* p = start;
+    while (lines < max_lines) {
+      const void* nl = std::memchr(p, '\n', static_cast<size_t>(end - p));
+      if (nl == nullptr) {
+        p = end;
+        break;
+      }
+      p = static_cast<const char*>(nl) + 1;
+      ++lines;
     }
-    line_.append(start, static_cast<size_t>(nl - start));
-    block_pos_ += static_cast<size_t>(nl - start) + 1;
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    return true;
+    bytes->append(start, static_cast<size_t>(p - start));
+    block_pos_ += static_cast<size_t>(p - start);
   }
-  // Final line without trailing newline.
-  if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-  return saw_any || !line_.empty();
+  return lines;
 }
 
 Result<bool> CsvChunkReader::NextChunk(
     size_t max_rows, std::vector<std::vector<std::string>>* rows) {
   rows->clear();
-  if (done_) return false;
-  ERLB_FAULT_POINT("csv.read_chunk");
-  while (rows->size() < max_rows) {
-    ERLB_ASSIGN_OR_RETURN(bool more, NextLine());
-    if (!more) {
-      done_ = true;
-      break;
-    }
-    rows->push_back(ParseCsvLine(line_, delim_));
+  ERLB_ASSIGN_OR_RETURN(size_t lines, NextSplit(max_rows, &split_));
+  rows->reserve(lines);
+  std::string_view rest = split_;
+  std::string_view line;
+  while (NextCsvLine(&rest, &line)) {
+    rows->push_back(ParseCsvLine(line, delim_));
   }
-  return !rows->empty();
+  return lines > 0;
 }
 
 Status WriteCsvFile(const std::string& path,

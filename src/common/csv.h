@@ -19,6 +19,29 @@ namespace erlb {
 std::vector<std::string> ParseCsvLine(std::string_view line,
                                       char delim = ',');
 
+/// ParseCsvLine appending straight into `*fields` (which keeps its
+/// existing elements), so a caller can parse into its own storage.
+void AppendCsvFields(std::string_view line, char delim,
+                     std::vector<std::string>* fields);
+
+/// True iff ParseCsvLine(line) is one empty field — a blank record. Only
+/// "", "\"" and "\"\"" parse that way: any other character either ends
+/// a field (a delimiter) or lands in one.
+bool IsBlankCsvLine(std::string_view line);
+
+/// Pops the next line off `*bytes` (text cut by CsvChunkReader::NextSplit)
+/// into `*line`, without its '\n' and one trailing '\r'. A final line with
+/// no '\n' still counts. Returns false once `*bytes` is empty.
+inline bool NextCsvLine(std::string_view* bytes, std::string_view* line) {
+  if (bytes->empty()) return false;
+  const size_t nl = bytes->find('\n');
+  *line = bytes->substr(0, nl);
+  bytes->remove_prefix(nl == std::string_view::npos ? bytes->size()
+                                                    : nl + 1);
+  if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
+  return true;
+}
+
 /// Escapes a field for CSV output (quotes when needed).
 std::string EscapeCsvField(std::string_view field, char delim = ',');
 
@@ -31,11 +54,13 @@ std::string FormatCsvRow(const std::vector<std::string>& fields,
 Result<std::vector<std::vector<std::string>>> ReadCsvFile(
     const std::string& path, char delim = ',');
 
-/// Streams a CSV file in bounded-memory batches: rows are parsed
-/// incrementally from a fixed-size read buffer (common/io_buffer.h), so
-/// memory holds one batch of rows plus one I/O buffer — never the whole
-/// file. Line-based like ReadCsvFile: records are separated by '\n'
-/// (trailing '\r' stripped); quoted fields may not span lines.
+/// Streams a CSV file in bounded-memory batches read through a
+/// fixed-size buffer (common/io_buffer.h), so memory holds one batch plus
+/// one I/O buffer — never the whole file. Line-based like ReadCsvFile:
+/// records are separated by '\n' (trailing '\r' stripped); quoted fields
+/// may not span lines, so every batch boundary is a record boundary.
+/// A batch comes either parsed (NextChunk) or as raw text (NextSplit) for
+/// a caller that parses it elsewhere, e.g. on another thread.
 ///
 /// \code
 ///   ERLB_ASSIGN_OR_RETURN(CsvChunkReader reader, CsvChunkReader::Open(p));
@@ -48,14 +73,24 @@ Result<std::vector<std::vector<std::string>>> ReadCsvFile(
 /// \endcode
 class CsvChunkReader {
  public:
-  [[nodiscard]] static Result<CsvChunkReader> Open(const std::string& path,
-                                     char delim = ',',
-                                     size_t buffer_bytes = 1 << 16);
+  [[nodiscard]] static Result<CsvChunkReader> Open(
+      const std::string& path, char delim = ',',
+      size_t buffer_bytes = 1 << 16);
 
   /// Replaces `*rows` with up to `max_rows` parsed rows. Returns false
-  /// when the file was already exhausted (rows is then empty).
-  [[nodiscard]] Result<bool> NextChunk(size_t max_rows,
-                         std::vector<std::vector<std::string>>* rows);
+  /// when the file was already exhausted (rows is then empty). This is
+  /// NextSplit followed by parsing each of the split's lines.
+  [[nodiscard]] Result<bool> NextChunk(
+      size_t max_rows, std::vector<std::vector<std::string>>* rows);
+
+  /// Replaces `*bytes` with the raw text of the next up-to-`max_lines`
+  /// lines, '\n' terminators included (only the file's last line may
+  /// lack one), and returns how many lines it holds — 0 once the file is
+  /// exhausted. Nothing is parsed: walk the lines with NextCsvLine. Every
+  /// call on a reader that has not yet reported the end fires the
+  /// "csv.read_chunk" fault point, so it fires once per split.
+  [[nodiscard]] Result<size_t> NextSplit(size_t max_lines,
+                                         std::string* bytes);
 
   /// True once the file is fully consumed.
   bool done() const { return done_; }
@@ -64,23 +99,20 @@ class CsvChunkReader {
   CsvChunkReader(char delim, size_t buffer_bytes)
       : delim_(delim), block_(buffer_bytes) {}
 
-  /// Extracts the next line into line_; false at end of input.
-  [[nodiscard]] Result<bool> NextLine();
-
   BufferedFileReader reader_;
   char delim_;
   std::vector<char> block_;  // one read block
   size_t block_pos_ = 0;
   size_t block_len_ = 0;
-  std::string line_;
+  std::string split_;  // NextChunk's reusable split buffer
   bool eof_ = false;
   bool done_ = false;
 };
 
 /// Writes rows to `path`, overwriting. Returns IOError on failure.
-[[nodiscard]] Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    char delim = ',');
+[[nodiscard]] Status WriteCsvFile(
+    const std::string& path, const std::vector<std::vector<std::string>>& rows,
+    char delim = ',');
 
 }  // namespace erlb
 

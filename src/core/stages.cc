@@ -1,8 +1,10 @@
 #include "core/stages.h"
 
+#include <numeric>
 #include <utility>
 
 #include "lb/basic.h"
+#include "mr/task_scheduler.h"
 
 namespace erlb {
 namespace core {
@@ -24,23 +26,56 @@ Status CsvSourceStage::Run(DataflowContext* ctx) {
   if (split_records_ == 0) {
     return Status::InvalidArgument("csv_split_records must be >= 1");
   }
-  // Chunked ingest: each bounded batch of rows becomes one input split
-  // (map partition); neither the raw file nor all rows are ever resident
-  // at once.
+  // This thread only cuts the file into splits of split_records_ lines
+  // (each becomes one map partition); the pool parses them, a window of
+  // 2 x workers splits at a time. Results are taken in file order, so
+  // partitions, ids and the first bad row are those of a serial load.
+  ERLB_ASSIGN_OR_RETURN(er::CsvSplitReader reader,
+                        er::CsvSplitReader::Open(csv_path_, schema_));
+  struct Slot {
+    er::CsvSplit split;
+    std::vector<er::EntityRef> entities;
+    Status status;
+  };
+  const size_t workers = ctx->runner().num_workers();
+  std::vector<Slot> window(2 * workers);
+  const auto parse = [this, &window](uint32_t i) {
+    Slot& slot = window[i];
+    slot.entities.clear();
+    slot.entities.reserve(slot.split.lines);
+    slot.status = er::ParseCsvSplit(
+        slot.split, schema_, [&slot](er::Entity&& e) {
+          slot.entities.push_back(er::MakeEntityRef(std::move(e)));
+        });
+  };
   PartitionedEntities out;
-  ERLB_ASSIGN_OR_RETURN(
-      uint64_t total,
-      er::LoadEntitiesFromCsvChunked(
-          csv_path_, schema_, split_records_,
-          [&out](std::vector<er::Entity>&& batch) {
-            std::vector<er::EntityRef> split;
-            split.reserve(batch.size());
-            for (auto& e : batch) {
-              split.push_back(er::MakeEntityRef(std::move(e)));
-            }
-            out.partitions.push_back(std::move(split));
-            return Status::OK();
-          }));
+  uint64_t total = 0;
+  Status read_status;
+  for (bool more = true; more;) {
+    uint32_t filled = 0;
+    while (filled < window.size()) {
+      Result<bool> next = reader.Next(split_records_, &window[filled].split);
+      if (!next.ok()) read_status = next.status();
+      if (!next.ok() || !*next) {
+        more = false;
+        break;
+      }
+      ++filled;
+    }
+    std::vector<uint32_t> tasks(filled);
+    std::iota(tasks.begin(), tasks.end(), 0u);
+    mr::WorkStealingScheduler(std::move(tasks), workers)
+        .Run(ctx->runner().shared_pool(), parse);
+    for (uint32_t i = 0; i < filled; ++i) {
+      ERLB_RETURN_NOT_OK(window[i].status);
+      if (window[i].entities.empty()) continue;
+      total += window[i].entities.size();
+      out.partitions.push_back(std::move(window[i].entities));
+    }
+    // A read error ends the file after the splits before it, whose own
+    // errors come first in file order.
+    ERLB_RETURN_NOT_OK(read_status);
+  }
   if (total == 0) {
     return Status::InvalidArgument("input is empty: " + csv_path_);
   }

@@ -46,9 +46,20 @@ inline constexpr char kDatasetPlan[] = "plan";
 inline constexpr char kDatasetMatches[] = "matches";
 inline constexpr char kDatasetClusters[] = "clusters";
 
-/// Chunked, bounded-memory CSV ingest (er::LoadEntitiesFromCsvChunked):
-/// every `split_records` rows become one map partition, the HDFS
-/// fixed-size-split model. Produces a PartitionedEntities dataset.
+/// Chunked, bounded-memory CSV ingest: every `split_records` lines become
+/// one map partition, the HDFS fixed-size-split model. Produces a
+/// PartitionedEntities dataset.
+///
+/// The stage thread only cuts the file into splits (er::CsvSplitReader);
+/// the dataflow's pool parses them (er::ParseCsvSplit), at most
+/// 2 x workers splits of raw text in flight at a time. Splits are
+/// delivered in file order, and everything order-dependent is resolved
+/// in file order, so the result equals a serial load
+/// (er::LoadEntitiesFromCsvChunked with the same `split_records`): the
+/// same partitions, sequential ids that continue across splits when the
+/// schema has no id column, header and blank lines skipped, splits of
+/// only blank lines dropped, and — if several rows are bad, or a read
+/// fails after a bad row — the error of the first bad row in the file.
 class CsvSourceStage : public Stage {
  public:
   CsvSourceStage(std::string name, std::string out_partitions,
@@ -222,11 +233,11 @@ struct StandardGraphOptions {
 /// plan stage is skipped and a copy of the plan is bound as the plan
 /// dataset; the plan then decides the matching job's strategy. Basic
 /// without a pre-built plan composes as its single-job form.
-[[nodiscard]] Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
-                        const er::BlockingFunction* blocking,
-                        const er::Matcher* matcher,
-                        const std::string& dataset_prefix = "",
-                        const lb::MatchPlan* prebuilt_plan = nullptr);
+[[nodiscard]] Status AddStandardGraph(
+    Dataflow* df, const StandardGraphOptions& options,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher,
+    const std::string& dataset_prefix = "",
+    const lb::MatchPlan* prebuilt_plan = nullptr);
 
 /// Composes the serving subgraph — the per-request tail of the standard
 /// chain, for callers that hold a resident corpus (serve::ServeSession):
@@ -254,14 +265,13 @@ struct StandardGraphOptions {
 /// duplicate evaluations across all passes. A distinct `name_prefix`
 /// per call lets several multi-pass subgraphs coexist in one graph.
 /// `entities` and `passes` are not owned and must outlive Run().
-[[nodiscard]] Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
-                         uint32_t num_map_tasks,
-                         const std::vector<er::Entity>* entities,
-                         const std::vector<const er::BlockingFunction*>* passes,
-                         const er::Matcher* matcher,
-                         std::atomic<int64_t>* suppressed,
-                         const std::string& out_matches = kDatasetMatches,
-                         const std::string& name_prefix = "");
+[[nodiscard]] Status AddMultiPassGraph(
+    Dataflow* df, const StandardGraphOptions& options, uint32_t num_map_tasks,
+    const std::vector<er::Entity>* entities,
+    const std::vector<const er::BlockingFunction*>* passes,
+    const er::Matcher* matcher, std::atomic<int64_t>* suppressed,
+    const std::string& out_matches = kDatasetMatches,
+    const std::string& name_prefix = "");
 
 }  // namespace core
 }  // namespace erlb

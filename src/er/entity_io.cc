@@ -1,6 +1,8 @@
 #include "er/entity_io.h"
 
 #include <charconv>
+#include <cstddef>
+#include <string_view>
 
 #include "common/csv.h"
 
@@ -9,56 +11,117 @@ namespace er {
 
 namespace {
 
-Result<uint64_t> ParseId(const std::string& cell, size_t row) {
+Result<uint64_t> ParseId(std::string_view cell, size_t row) {
   uint64_t id = 0;
   auto [ptr, ec] =
       std::from_chars(cell.data(), cell.data() + cell.size(), id);
   if (ec != std::errc() || ptr != cell.data() + cell.size()) {
     return Status::InvalidArgument("row " + std::to_string(row) +
-                                   ": unparsable id '" + cell + "'");
+                                   ": unparsable id '" + std::string(cell) +
+                                   "'");
   }
   return id;
 }
 
-/// Converts one data row to an Entity. `row_index` is the absolute row
+/// Converts one data line to an Entity. `row_index` is the absolute row
 /// number (for error messages); `next_id` supplies sequential ids when
-/// the schema has no id column.
-Result<Entity> RowToEntity(const std::vector<std::string>& row,
-                           const CsvSchema& schema, size_t row_index,
-                           uint64_t* next_id) {
-  Entity e;
+/// the schema has no id column. Without a field_columns subset, cells
+/// parse straight into `e->fields` and the id cell is taken back out;
+/// a subset parses into the reusable `cells` and copies the chosen ones.
+Status RowToEntity(std::string_view line, const CsvSchema& schema,
+                   size_t row_index, uint64_t* next_id,
+                   std::vector<std::string>* cells, Entity* e) {
+  std::vector<std::string>* row = &e->fields;
+  if (!schema.field_columns.empty()) {
+    cells->clear();
+    row = cells;
+  }
+  AppendCsvFields(line, ',', row);
   if (schema.id_column >= 0) {
-    if (static_cast<size_t>(schema.id_column) >= row.size()) {
+    const size_t id_column = static_cast<size_t>(schema.id_column);
+    if (id_column >= row->size()) {
       return Status::InvalidArgument("row " + std::to_string(row_index) +
                                      ": missing id column");
     }
-    ERLB_ASSIGN_OR_RETURN(e.id, ParseId(row[schema.id_column], row_index));
-  } else {
-    e.id = (*next_id)++;
-  }
-  if (schema.field_columns.empty()) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (static_cast<int>(c) == schema.id_column) continue;
-      e.fields.push_back(row[c]);
+    ERLB_ASSIGN_OR_RETURN(e->id, ParseId((*row)[id_column], row_index));
+    if (row == &e->fields) {
+      e->fields.erase(e->fields.begin() +
+                      static_cast<std::ptrdiff_t>(id_column));
     }
   } else {
+    e->id = (*next_id)++;
+  }
+  if (row != &e->fields) {
+    e->fields.reserve(schema.field_columns.size());
     for (int c : schema.field_columns) {
-      if (c < 0 || static_cast<size_t>(c) >= row.size()) {
+      if (c < 0 || static_cast<size_t>(c) >= cells->size()) {
         return Status::InvalidArgument(
             "row " + std::to_string(row_index) + ": missing field column " +
             std::to_string(c));
       }
-      e.fields.push_back(row[c]);
+      e->fields.push_back((*cells)[static_cast<size_t>(c)]);
     }
   }
-  if (e.fields.empty()) {
+  if (e->fields.empty()) {
     return Status::InvalidArgument("row " + std::to_string(row_index) +
                                    ": no fields");
   }
-  return e;
+  return Status::OK();
 }
 
 }  // namespace
+
+Result<CsvSplitReader> CsvSplitReader::Open(const std::string& path,
+                                            const CsvSchema& schema) {
+  ERLB_ASSIGN_OR_RETURN(CsvChunkReader reader, CsvChunkReader::Open(path));
+  return CsvSplitReader(std::move(reader), schema);
+}
+
+Result<bool> CsvSplitReader::Next(size_t max_lines, CsvSplit* split) {
+  ERLB_ASSIGN_OR_RETURN(split->lines,
+                        reader_.NextSplit(max_lines, &split->bytes));
+  if (split->lines == 0) return false;
+  split->first_row = next_row_;
+  split->first_id = next_id_;
+  split->header = has_header_ && next_row_ == 0;
+  next_row_ += split->lines;
+  if (sequential_ids_) {
+    // Only this split's data-row count is needed for the next split's
+    // first id, and the blank-line test needs no parse.
+    std::string_view rest = split->bytes;
+    std::string_view line;
+    bool skip = split->header;
+    while (NextCsvLine(&rest, &line)) {
+      if (!skip && !IsBlankCsvLine(line)) ++next_id_;
+      skip = false;
+    }
+  }
+  return true;
+}
+
+Status ParseCsvSplit(const CsvSplit& split, const CsvSchema& schema,
+                     const std::function<void(Entity&&)>& emit) {
+  std::string_view rest = split.bytes;
+  std::string_view line;
+  size_t row_index = split.first_row;
+  uint64_t next_id = split.first_id;
+  bool skip = split.header;
+  std::vector<std::string> cells;
+  size_t width = 0;  // the previous row's cell count, to presize fields
+  for (; NextCsvLine(&rest, &line); ++row_index) {
+    if (skip || IsBlankCsvLine(line)) {
+      skip = false;
+      continue;
+    }
+    Entity e;
+    if (schema.field_columns.empty()) e.fields.reserve(width);
+    ERLB_RETURN_NOT_OK(
+        RowToEntity(line, schema, row_index, &next_id, &cells, &e));
+    width = e.fields.size() + (schema.id_column >= 0 ? 1 : 0);
+    emit(std::move(e));
+  }
+  return Status::OK();
+}
 
 Result<uint64_t> LoadEntitiesFromCsvChunked(
     const std::string& path, const CsvSchema& schema, size_t chunk_rows,
@@ -66,37 +129,22 @@ Result<uint64_t> LoadEntitiesFromCsvChunked(
   if (chunk_rows == 0) {
     return Status::InvalidArgument("chunk_rows must be >= 1");
   }
-  ERLB_ASSIGN_OR_RETURN(CsvChunkReader reader, CsvChunkReader::Open(path));
-  std::vector<std::vector<std::string>> rows;
+  ERLB_ASSIGN_OR_RETURN(CsvSplitReader reader,
+                        CsvSplitReader::Open(path, schema));
+  CsvSplit split;
   std::vector<Entity> batch;
   uint64_t total = 0;
-  uint64_t next_id = 1;
-  size_t row_index = 0;
-  bool skip_header = schema.has_header;
   while (true) {
-    ERLB_ASSIGN_OR_RETURN(bool more, reader.NextChunk(chunk_rows, &rows));
+    ERLB_ASSIGN_OR_RETURN(bool more, reader.Next(chunk_rows, &split));
     if (!more) break;
     batch.clear();
-    batch.reserve(rows.size());
-    for (const auto& row : rows) {
-      if (skip_header) {
-        skip_header = false;
-        ++row_index;
-        continue;
-      }
-      if (row.size() == 1 && row[0].empty()) {  // blank line
-        ++row_index;
-        continue;
-      }
-      ERLB_ASSIGN_OR_RETURN(Entity e,
-                            RowToEntity(row, schema, row_index, &next_id));
+    batch.reserve(split.lines);
+    ERLB_RETURN_NOT_OK(ParseCsvSplit(split, schema, [&batch](Entity&& e) {
       batch.push_back(std::move(e));
-      ++row_index;
-    }
+    }));
     if (batch.empty()) continue;
     total += batch.size();
     ERLB_RETURN_NOT_OK(sink(std::move(batch)));
-    batch.clear();
   }
   return total;
 }

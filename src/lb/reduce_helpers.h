@@ -3,6 +3,7 @@
 #define ERLB_LB_REDUCE_HELPERS_H_
 
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "er/entity.h"
@@ -27,10 +28,19 @@ using MatchReduceContext = mr::ReduceContext<MatchOutK, MatchOutV>;
 [[nodiscard]] inline Result<MatchJobOutput> CollectMatchOutput(
     mr::JobResult<MatchOutK, MatchOutV>&& job_result) {
   ERLB_RETURN_NOT_OK(job_result.status);
-  MatchJobOutput out;
-  for (auto& [pair, unused] : job_result.MergedOutput()) {
-    out.matches.Add(pair.first, pair.second);
+  size_t total = 0;
+  for (const auto& part : job_result.outputs_per_reduce_task) {
+    total += part.size();
   }
+  std::vector<er::MatchPair> pairs;
+  pairs.reserve(total);
+  for (const auto& part : job_result.outputs_per_reduce_task) {
+    for (const auto& [pair, unused] : part) {
+      pairs.emplace_back(pair.first, pair.second);
+    }
+  }
+  MatchJobOutput out;
+  out.matches = er::MatchResult(std::move(pairs));
   out.comparisons =
       job_result.metrics.counters.Get(mr::kCounterComparisons);
   out.metrics = std::move(job_result.metrics);
