@@ -73,7 +73,7 @@ void AppendixExample() {
         *bdm_out->annotated, bdm, all, options, runner);
     ERLB_CHECK(out.ok());
     std::printf("%s: comparisons=%lld matches=%zu map KV pairs=%lld\n",
-                lb::StrategyName(kind),
+                lb::StrategyKindToName(kind),
                 static_cast<long long>(out->comparisons),
                 out->matches.size(),
                 static_cast<long long>(
@@ -102,7 +102,7 @@ void SyntheticLinkage() {
   core::TextTable table;
   table.SetHeader({"strategy", "matches", "comparisons", "map KV pairs",
                    "wall s", "== reference"});
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     core::ErPipelineConfig cfg;
     cfg.strategy = kind;
     cfg.num_map_tasks = 6;
@@ -110,7 +110,7 @@ void SyntheticLinkage() {
     core::ErPipeline pipeline(cfg);
     auto result = pipeline.Link(*r_ents, *s_ents, blocking, matcher);
     ERLB_CHECK(result.ok());
-    table.AddRow({lb::StrategyName(kind),
+    table.AddRow({lb::StrategyKindToName(kind),
                   FormatWithCommas(result->matches.size()),
                   FormatWithCommas(result->comparisons),
                   FormatWithCommas(

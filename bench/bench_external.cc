@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,12 @@ class CountReducer
   }
 };
 
+struct ModPartitionFn {
+  uint32_t operator()(uint64_t k, uint32_t r) const {
+    return static_cast<uint32_t>(k % r);
+  }
+};
+
 /// Group-by-key over records with fat string values: the intermediate
 /// data is the workload. The in-memory shuffle materializes every run
 /// (peak ≈ input + all intermediate pairs); the external shuffle holds
@@ -144,8 +151,8 @@ CaseResult RunShuffleCase(const CaseConfig& config, Mode mode) {
     }
   }
 
-  mr::JobSpec<uint64_t, std::string, uint64_t, std::string, uint64_t,
-              uint64_t>
+  mr::TypedJobSpec<uint64_t, std::string, uint64_t, std::string, uint64_t,
+                   uint64_t, std::less<>, std::equal_to<>, ModPartitionFn>
       spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const mr::TaskContext&) {
@@ -153,13 +160,6 @@ CaseResult RunShuffleCase(const CaseConfig& config, Mode mode) {
   };
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<CountReducer>();
-  };
-  spec.partitioner = [](const uint64_t& k, uint32_t r_) {
-    return static_cast<uint32_t>(k % r_);
-  };
-  spec.key_less = [](const uint64_t& a, const uint64_t& b) { return a < b; };
-  spec.group_equal = [](const uint64_t& a, const uint64_t& b) {
-    return a == b;
   };
 
   mr::ExecutionOptions options;

@@ -42,7 +42,7 @@ int main() {
 
     double per_1e4[3] = {0, 0, 0};
     int i = 0;
-    for (auto kind : lb::AllStrategies()) {
+    for (auto kind : lb::AllStrategyKinds()) {
       auto res = bench::Simulate(kind, bdm, kReduceTasks, kNodes, cost);
       per_1e4[i++] = res.total_s * 1000.0 / (pairs / 1e4);
     }

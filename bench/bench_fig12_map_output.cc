@@ -28,7 +28,7 @@ int main() {
   for (uint32_t r = 20; r <= 640; r *= 2) {
     options.num_reduce_tasks = r;
     std::vector<std::string> row{std::to_string(r)};
-    for (auto kind : lb::AllStrategies()) {
+    for (auto kind : lb::AllStrategyKinds()) {
       auto plan = lb::MakeStrategy(kind)->Plan(bdm, options);
       if (!plan.ok()) {
         std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());

@@ -31,7 +31,7 @@ int main() {
     auto bdm = bench::BuildBdm(entities, blocking, 2 * n);
     double secs[3];
     int i = 0;
-    for (auto kind : lb::AllStrategies()) {
+    for (auto kind : lb::AllStrategyKinds()) {
       secs[i++] =
           bench::Simulate(kind, bdm, 10 * n, n, cost).total_s;
     }

@@ -3,11 +3,12 @@
 //
 //  * shuffle: the reduce-side shuffle kernel on m sorted runs — the old
 //    concatenate + stable_sort path (comparisons dispatched through
-//    std::function, as the old engine did) against the loser-tree k-way
-//    merge with an inlined comparator (what the engine runs now). The
-//    shuffle-dominated workload of the PR-2 acceptance gate.
-//  * engine: one full JobRunner::Run of a counting job, std::function
-//    JobSpec vs. TypedJobSpec (devirtualized comp/group/part).
+//    std::function, as the old engine did) against the in-memory
+//    shuffle's k-way merge with an inlined comparator (what the engine
+//    runs now).
+//  * engine: one full JobRunner::Run of a counting job, a TypedJobSpec
+//    naming std::function comp/group/part vs. one naming stateless
+//    functors (devirtualized).
 //  * pipeline: end-to-end BlockSplit deduplication on a small product
 //    dataset (real multi-threaded matching), for the trajectory.
 //
@@ -84,11 +85,11 @@ void BenchShuffle(bench::MicroBench* mb) {
     ERLB_CHECK(actual == expected) << "shuffle paths diverge";
   }
 
-  // The merge variants consume their input, so their timed closures must
-  // deep-copy `master` each iteration — a cost the engine's real reduce
-  // path never pays (it moves bucket columns). The copy-only entry makes
-  // the pure kernel cost derivable (merge - copy) from the JSON; the
-  // derived speedup is therefore conservative.
+  // The merge consumes its input, so its timed closure must deep-copy
+  // `master` each iteration — a cost the engine's real reduce path never
+  // pays (it moves bucket columns). The copy-only entry makes the pure
+  // kernel cost derivable (merge - copy) from the JSON; the derived
+  // speedup is therefore conservative.
   mb->Run("shuffle/copy_runs_only", [&] {
     auto runs = master;
     g_sink = g_sink + runs.size() + runs.front().front().second;
@@ -103,17 +104,12 @@ void BenchShuffle(bench::MicroBench* mb) {
     auto out = mr::MergeSortedRuns(std::span(runs), inline_less);
     g_sink = g_sink + out.size() + out.front().second;
   });
-  mb->Run("shuffle/loser_tree_merge", [&] {
-    auto runs = master;
-    auto out = mr::LoserTreeMerge(std::span(runs), inline_less);
-    g_sink = g_sink + out.size() + out.front().second;
-  });
   mb->Speedup("shuffle/speedup", "shuffle/old_concat_sort_fn",
               "shuffle/new_kway_merge");
 }
 
 // ---------------------------------------------------------------------
-// Whole-engine comparison: std::function spec vs. typed spec.
+// Whole-engine comparison: std::function comp/group/part vs. functors.
 // ---------------------------------------------------------------------
 
 class ModMapper : public mr::Mapper<int, int, int, int> {
@@ -143,6 +139,13 @@ struct IntModPartitionFn {
   }
 };
 
+/// The counting job with comp/group/part held as std::function — one
+/// indirect call per key comparison, the "before" side of engine/speedup.
+using IntPredicate = std::function<bool(const int&, const int&)>;
+using FunctionSpec =
+    mr::TypedJobSpec<int, int, int, int, int, int, IntPredicate, IntPredicate,
+                     std::function<uint32_t(const int&, uint32_t)>>;
+
 template <typename Spec>
 void FillEngineSpec(Spec* spec) {
   spec->num_reduce_tasks = 8;
@@ -165,7 +168,7 @@ void BenchEngine(bench::MicroBench* mb) {
   }
   mr::JobRunner runner(4);
 
-  mr::JobSpec<int, int, int, int, int, int> fn_spec;
+  FunctionSpec fn_spec;
   FillEngineSpec(&fn_spec);
   fn_spec.partitioner = [](const int& k, uint32_t r) {
     return static_cast<uint32_t>(k) % r;
@@ -216,7 +219,7 @@ void BenchSkewScheduler(bench::MicroBench* mb) {
     }
   }
 
-  mr::JobSpec<int, int, int, int, int, int> spec;
+  FunctionSpec spec;
   FillEngineSpec(&spec);
   spec.num_reduce_tasks = 4;
   spec.partitioner = [](const int& k, uint32_t r) {

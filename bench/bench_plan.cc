@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
   options.num_reduce_tasks = r;
 
   // ---- BuildPlan throughput per strategy -------------------------------
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     auto strategy = lb::MakeStrategy(kind);
-    harness.Run(std::string("build_plan/") + lb::StrategyName(kind),
+    harness.Run(std::string("build_plan/") + lb::StrategyKindToName(kind),
                 [&strategy, &bdm, &options] {
                   auto plan = strategy->BuildPlan(bdm, options);
                   ERLB_CHECK(plan.ok());
@@ -80,16 +80,16 @@ int main(int argc, char** argv) {
   }
 
   // ---- Plan cache path: JSON serialize / parse -------------------------
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     auto plan = lb::MakeStrategy(kind)->BuildPlan(bdm, options);
     ERLB_CHECK(plan.ok());
     const std::string json = lb::MatchPlanToJson(*plan);
-    harness.Run(std::string("plan_to_json/") + lb::StrategyName(kind),
+    harness.Run(std::string("plan_to_json/") + lb::StrategyKindToName(kind),
                 [&plan] {
                   std::string out = lb::MatchPlanToJson(*plan);
                   ERLB_CHECK(!out.empty());
                 });
-    harness.Run(std::string("plan_from_json/") + lb::StrategyName(kind),
+    harness.Run(std::string("plan_from_json/") + lb::StrategyKindToName(kind),
                 [&json] {
                   auto parsed = lb::MatchPlanFromJson(json);
                   ERLB_CHECK(parsed.ok());

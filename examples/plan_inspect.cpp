@@ -25,7 +25,7 @@
 using namespace erlb;
 
 int main(int argc, char** argv) {
-  // CLI parsing via StrategyKindFromName, the inverse of StrategyName.
+  // CLI parsing via StrategyKindFromName, the inverse of StrategyKindToName.
   lb::StrategyKind kind = lb::StrategyKind::kBlockSplit;
   if (argc > 1) {
     auto parsed = lb::StrategyKindFromName(argv[1]);
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   std::shared_ptr<const lb::MatchPlan> plan = report->Find("plan")->plan;
   const lb::PlanStats& stats = plan->stats();
   std::printf("%s plan over %u blocks, m=%u, r=%u:\n",
-              lb::StrategyName(kind), bdm->num_blocks(),
+              lb::StrategyKindToName(kind), bdm->num_blocks(),
               bdm->num_partitions(), r);
   std::printf("  total comparisons : %s\n",
               FormatWithCommas(stats.total_comparisons).c_str());

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                    "precision", "recall", "F1", "wall s"});
   er::MatchResult previous;
   bool first = true;
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     core::ErPipelineConfig cfg;
     cfg.strategy = kind;
     cfg.num_map_tasks = 8;
@@ -54,13 +54,13 @@ int main(int argc, char** argv) {
     core::ErPipeline pipeline(cfg);
     auto result = pipeline.Deduplicate(*entities, blocking, matcher);
     if (!result.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n", lb::StrategyName(kind),
+      std::fprintf(stderr, "%s failed: %s\n", lb::StrategyKindToName(kind),
                    result.status().ToString().c_str());
       return 1;
     }
     auto quality = er::EvaluateMatches(*entities, result->matches);
     table.AddRow(
-        {lb::StrategyName(kind), FormatWithCommas(result->matches.size()),
+        {lb::StrategyKindToName(kind), FormatWithCommas(result->matches.size()),
          FormatWithCommas(result->comparisons),
          FormatWithCommas(result->match_metrics.TotalMapOutputPairs()),
          FormatDouble(quality.Precision(), 3),

@@ -42,12 +42,11 @@ int main() {
   // 4. Configure the MR pipeline: m map tasks, r reduce tasks, and the
   //    BlockSplit load balancing strategy (PairRange and Basic are the
   //    alternatives).
-  core::ErPipeline pipeline =
-      core::ErPipelineBuilder()
-          .Strategy(lb::StrategyKind::kBlockSplit)
-          .MapTasks(2)
-          .ReduceTasks(4)
-          .Build();
+  core::ErPipelineConfig config;
+  config.strategy = lb::StrategyKind::kBlockSplit;
+  config.num_map_tasks = 2;
+  config.num_reduce_tasks = 4;
+  core::ErPipeline pipeline(config);
 
   // 5. Run: Job 1 computes the block distribution matrix (BDM), Job 2
   //    redistributes and matches.

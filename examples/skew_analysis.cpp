@@ -46,17 +46,18 @@ int main(int argc, char** argv) {
               FormatWithCommas(bdm->TotalPairs()).c_str());
   std::printf("largest 5 blocks (entities / share of all pairs):\n");
   for (int i = 0; i < 5 && i < static_cast<int>(bdm->num_blocks()); ++i) {
+    const bdm::Bdm::BlockView block = bdm->view(i);
     std::printf("  %s: %s entities, %.1f%% of pairs\n",
                 bdm->BlockKey(i).c_str(),
-                FormatWithCommas(bdm->Size(i)).c_str(),
-                100.0 * bdm->PairsInBlock(i) / bdm->TotalPairs());
+                FormatWithCommas(block.size()).c_str(),
+                100.0 * block.pairs() / bdm->TotalPairs());
   }
 
   std::printf("\nworkload distribution over r=%u reduce tasks:\n", r);
   core::TextTable table;
   table.SetHeader({"strategy", "max pairs/task", "mean pairs/task",
                    "imbalance", "map KV pairs", "sim total s"});
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     lb::MatchJobOptions options;
     options.num_reduce_tasks = r;
     auto plan = lb::MakeStrategy(kind)->Plan(*bdm, options);
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
     if (!projected.ok()) return 1;
     double mean =
         static_cast<double>(plan->total_comparisons) / r;
-    table.AddRow({lb::StrategyName(kind),
+    table.AddRow({lb::StrategyKindToName(kind),
                   FormatWithCommas(plan->MaxReduceComparisons()),
                   FormatWithCommas(static_cast<uint64_t>(mean)),
                   FormatDouble(plan->ReduceImbalance(), 2) + "x",

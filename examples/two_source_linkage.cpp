@@ -64,7 +64,7 @@ int main() {
     auto plain = pipeline.Link(*catalog, offers, blocking, matcher);
     if (!plain.ok()) {
       // ...and fails under the default missing-key policy, as it should:
-      std::printf("%s, plain Link(): %s\n", lb::StrategyName(kind),
+      std::printf("%s, plain Link(): %s\n", lb::StrategyKindToName(kind),
                   plain.status().ToString().c_str());
     }
 
@@ -76,7 +76,7 @@ int main() {
       return 1;
     }
     std::printf("%s with missing-key decomposition: %s linked pairs\n\n",
-                lb::StrategyName(kind),
+                lb::StrategyKindToName(kind),
                 FormatWithCommas(full->size()).c_str());
   }
   return 0;

@@ -151,7 +151,12 @@ void Bdm::BuildDerived() {
     }
     if (!two_source()) block_sizes_r_[k] = block_sizes_[k];
     total_entities_ += block_sizes_[k];
-    pair_offsets_[k + 1] = pair_offsets_[k] + PairsInBlock(k);
+    // Comparisons of the block: |Φk,R|·|Φk,S| or C(|Φk|,2).
+    const uint64_t n = block_sizes_[k];
+    const uint64_t pairs = two_source()
+                               ? block_sizes_r_[k] * block_sizes_s_[k]
+                               : n * (n - 1) / 2;
+    pair_offsets_[k + 1] = pair_offsets_[k] + pairs;
   }
 
   // Memoize the content hash here: every construction path and ApplyDelta
@@ -353,11 +358,6 @@ Result<std::string_view> Bdm::BlockKeyChecked(uint32_t k) const {
   return std::string_view(block_keys_[k]);
 }
 
-uint64_t Bdm::Size(uint32_t k) const {
-  ERLB_CHECK(k < num_blocks());
-  return block_sizes_[k];
-}
-
 uint64_t Bdm::Size(uint32_t k, uint32_t p) const {
   ERLB_CHECK(k < num_blocks());
   ERLB_CHECK(p < num_partitions_);
@@ -368,11 +368,6 @@ uint64_t Bdm::Size(uint32_t k, uint32_t p) const {
                                return cell.partition < partition;
                              });
   return (it != end && it->partition == p) ? it->count : 0;
-}
-
-uint64_t Bdm::SizeOfSource(uint32_t k, er::Source src) const {
-  ERLB_CHECK(k < num_blocks());
-  return src == er::Source::kR ? block_sizes_r_[k] : block_sizes_s_[k];
 }
 
 uint64_t Bdm::EntityIndexOffset(uint32_t k, uint32_t p) const {
@@ -389,38 +384,6 @@ uint64_t Bdm::EntityIndexOffset(uint32_t k, uint32_t p) const {
     off += cell.count;
   }
   return off;
-}
-
-std::vector<std::vector<uint64_t>> Bdm::BuildEntityIndexOffsets() const {
-  std::vector<std::vector<uint64_t>> offsets(
-      num_blocks(), std::vector<uint64_t>(num_partitions_, 0));
-  for (uint32_t k = 0; k < num_blocks(); ++k) {
-    uint64_t run_r = 0, run_s = 0;
-    size_t cell = cell_offsets_[k];
-    for (uint32_t p = 0; p < num_partitions_; ++p) {
-      bool is_s = two_source() && partition_sources_[p] == er::Source::kS;
-      offsets[k][p] = is_s ? run_s : run_r;
-      if (cell < cell_offsets_[k + 1] && cells_[cell].partition == p) {
-        (is_s ? run_s : run_r) += cells_[cell].count;
-        ++cell;
-      }
-    }
-  }
-  return offsets;
-}
-
-uint64_t Bdm::PairsInBlock(uint32_t k) const {
-  ERLB_CHECK(k < num_blocks());
-  if (two_source()) {
-    return block_sizes_r_[k] * block_sizes_s_[k];
-  }
-  uint64_t n = block_sizes_[k];
-  return n * (n - 1) / 2;
-}
-
-uint64_t Bdm::PairOffset(uint32_t k) const {
-  ERLB_CHECK(k <= num_blocks());
-  return pair_offsets_[k];
 }
 
 uint64_t Bdm::TotalPairs() const { return pair_offsets_[num_blocks()]; }

@@ -9,9 +9,8 @@
 // plus CSR count arrays (`cell_offsets_` rows over the `cells_` nonzero
 // (partition, count) array). Planning code reads it through the
 // traversal-first BlockView/ForEachBlock API below, which walks the CSR
-// arrays in one cache-friendly pass; the per-element getters (Size,
-// EntityIndexOffset, ...) remain as compatibility shims over the same
-// arrays.
+// arrays in one cache-friendly pass. The only per-element getters are the
+// (block, partition) point queries no BlockView method answers.
 #ifndef ERLB_BDM_BDM_H_
 #define ERLB_BDM_BDM_H_
 
@@ -187,30 +186,14 @@ class Bdm {
   /// read back from serialized plans): OutOfRange instead of UB.
   [[nodiscard]] Result<std::string_view> BlockKeyChecked(uint32_t k) const;
 
-  /// |Φk|: total entities of block `k` (both sources in two-source mode).
-  uint64_t Size(uint32_t k) const;
   /// Number of entities of block `k` in partition `p`. O(log nnz(k)).
   uint64_t Size(uint32_t k, uint32_t p) const;
-  /// |Φk,src| (two-source mode; in one-source mode source kR = Size(k)).
-  uint64_t SizeOfSource(uint32_t k, er::Source src) const;
 
   /// Entities of block `k` in partitions 0..p-1 — the PairRange entity
   /// index offset ("the overall number of entities of Φk in all preceding
   /// partitions"). In two-source mode, only partitions of the same source
   /// as partition `p` are counted (entity enumeration is per source).
   uint64_t EntityIndexOffset(uint32_t k, uint32_t p) const;
-
-  /// Builds the full b×m matrix of EntityIndexOffset values (running
-  /// per-source sums over the nonzero cells), for map tasks that need one
-  /// column each.
-  std::vector<std::vector<uint64_t>> BuildEntityIndexOffsets() const;
-
-  /// Comparisons of block `k`: C(|Φk|,2) one-source, |Φk,R|·|Φk,S|
-  /// two-source.
-  uint64_t PairsInBlock(uint32_t k) const;
-
-  /// o(k): total pairs in blocks 0..k-1 (PairRange pair-index offset).
-  uint64_t PairOffset(uint32_t k) const;
 
   /// P: total pairs over all blocks.
   uint64_t TotalPairs() const;

@@ -21,15 +21,29 @@ struct BdmKey {
   uint32_t partition = 0;
 };
 
-bool BdmKeyLess(const BdmKey& a, const BdmKey& b) {
-  return std::tie(a.block_key, a.source, a.partition) <
-         std::tie(b.block_key, b.source, b.partition);
-}
+/// comp: by the entire composite key.
+struct BdmKeyLessFn {
+  bool operator()(const BdmKey& a, const BdmKey& b) const {
+    return std::tie(a.block_key, a.source, a.partition) <
+           std::tie(b.block_key, b.source, b.partition);
+  }
+};
 
-bool BdmKeyEqual(const BdmKey& a, const BdmKey& b) {
-  return std::tie(a.block_key, a.source, a.partition) ==
-         std::tie(b.block_key, b.source, b.partition);
-}
+/// group: by the entire composite key.
+struct BdmKeyEqualFn {
+  bool operator()(const BdmKey& a, const BdmKey& b) const {
+    return std::tie(a.block_key, a.source, a.partition) ==
+           std::tie(b.block_key, b.source, b.partition);
+  }
+};
+
+/// part: repartition by blocking key only, so every (block, partition)
+/// cell of one block lands in one reduce task.
+struct BdmPartitionFn {
+  uint32_t operator()(const BdmKey& k, uint32_t r) const {
+    return static_cast<uint32_t>(Fnv1a64(k.block_key) % r);
+  }
+};
 
 /// The first 8 bytes of `key`, big-endian and zero-padded: where two
 /// keys' prefixes differ, they order the keys as the keys themselves do.
@@ -237,7 +251,8 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
     num_reduce_tasks = mr::PickReduceTasks(sample, runner.num_workers());
   }
 
-  mr::JobSpec<uint32_t, er::EntityRef, BdmKey, uint64_t, uint32_t, BdmTriple>
+  mr::TypedJobSpec<uint32_t, er::EntityRef, BdmKey, uint64_t, uint32_t,
+                   BdmTriple, BdmKeyLessFn, BdmKeyEqualFn, BdmPartitionFn>
       spec;
   spec.num_reduce_tasks = num_reduce_tasks;
   const auto& opts = options;
@@ -271,6 +286,8 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
     const char* end = p + bytes.size();
     uint64_t n = 0;
     if (!mr::SpillCodec<uint64_t>::Decode(&p, end, &n)) return false;
+    // Each record takes at least one byte: bound n before reserving.
+    if (n > static_cast<uint64_t>(end - p)) return false;
     auto& slot = side->mutable_files()[task_index];
     slot.clear();
     slot.reserve(n);
@@ -288,13 +305,6 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<BdmReducer>();
   };
-  // part: repartition by blocking key only, so every (block, partition)
-  // cell of one block lands in one reduce task.
-  spec.partitioner = [](const BdmKey& k, uint32_t r) {
-    return static_cast<uint32_t>(Fnv1a64(k.block_key) % r);
-  };
-  spec.key_less = BdmKeyLess;
-  spec.group_equal = BdmKeyEqual;  // group by the entire composite key
   if (options.use_combiner) {
     spec.combiner = [](std::span<const std::pair<BdmKey, uint64_t>> group,
                        std::vector<std::pair<BdmKey, uint64_t>>* out) {

@@ -175,9 +175,9 @@ Result<DataflowReport> Dataflow::Run() {
   mr::ExecutionOptions execution = options_.execution;
   if (execution.mode == mr::ExecutionMode::kMultiProcess &&
       execution.num_worker_processes == 0) {
-    // The WorkerProcesses(0) builder shorthand means "as many processes
-    // as worker threads"; resolve it here because JobRunner::Run rejects
-    // the ambiguous zero outright.
+    // A graph-level process count of 0 means "as many processes as
+    // worker threads"; resolve it here because JobRunner::Run rejects the
+    // ambiguous zero outright.
     execution.num_worker_processes =
         static_cast<uint32_t>(options_.EffectiveWorkers());
   }
@@ -244,7 +244,7 @@ Result<DataflowReport> Dataflow::Run() {
   full_report.total_seconds = total_watch.ElapsedSeconds();
   // A fully successful run retires its checkpoints — they exist to
   // survive crashes, not to cache results across distinct runs.
-  if (!checkpoint_root.empty() && !execution.checkpoint.keep_on_success) {
+  if (!checkpoint_root.empty()) {
     std::error_code ec;
     std::filesystem::remove_all(checkpoint_root, ec);
   }

@@ -243,8 +243,8 @@ class Dataflow {
   /// jobs write durable checkpoints under
   /// `<dir>/<stage>/job-<k>` and a rerun of the same graph over the same
   /// input resumes past committed tasks; the checkpoint root is
-  /// removed after a fully successful run (unless keep_on_success). A
-  /// Dataflow is single-shot; a second Run is FailedPrecondition.
+  /// removed after a fully successful run. A Dataflow is single-shot; a
+  /// second Run is FailedPrecondition.
   [[nodiscard]] Result<DataflowReport> Run();
 
   /// A dataset by name, or nullptr if absent (or not yet produced).

@@ -188,100 +188,6 @@ StandardGraphOptions StandardGraphOptionsFrom(const ErPipelineConfig& config);
     const er::Matcher& matcher,
     const lb::MatchPlan* prebuilt_plan = nullptr);
 
-/// Fluent construction of an ErPipeline:
-///
-/// \code
-///   auto pipeline = core::ErPipelineBuilder()
-///                       .Strategy(lb::StrategyKind::kPairRange)
-///                       .MapTasks(8)
-///                       .ReduceTasks(32)
-///                       .Build();
-/// \endcode
-class ErPipelineBuilder {
- public:
-  ErPipelineBuilder& Strategy(lb::StrategyKind kind) {
-    config_.strategy = kind;
-    return *this;
-  }
-  ErPipelineBuilder& MapTasks(uint32_t m) {
-    config_.num_map_tasks = m;
-    return *this;
-  }
-  ErPipelineBuilder& ReduceTasks(uint32_t r) {
-    config_.num_reduce_tasks = r;
-    return *this;
-  }
-  ErPipelineBuilder& Workers(uint32_t workers) {
-    config_.num_workers = workers;
-    return *this;
-  }
-  ErPipelineBuilder& Assignment(lb::TaskAssignment assignment) {
-    config_.assignment = assignment;
-    return *this;
-  }
-  ErPipelineBuilder& SubSplits(uint32_t sub_splits) {
-    config_.sub_splits = sub_splits;
-    return *this;
-  }
-  ErPipelineBuilder& MissingKeys(bdm::MissingKeyPolicy policy) {
-    config_.missing_key_policy = policy;
-    return *this;
-  }
-  ErPipelineBuilder& UseCombiner(bool use) {
-    config_.use_combiner = use;
-    return *this;
-  }
-  ErPipelineBuilder& Execution(const mr::ExecutionOptions& options) {
-    config_.execution = options;
-    return *this;
-  }
-  ErPipelineBuilder& ExecutionMode(mr::ExecutionMode mode) {
-    config_.execution.mode = mode;
-    return *this;
-  }
-  /// Shared-nothing execution: run every job's tasks in `processes`
-  /// forked worker processes (proc/coordinator.h) instead of pool
-  /// threads. Shorthand for ExecutionMode(kMultiProcess) plus
-  /// execution.num_worker_processes; 0 keeps the Workers() count as the
-  /// process count.
-  ErPipelineBuilder& WorkerProcesses(uint32_t processes) {
-    config_.execution.mode = mr::ExecutionMode::kMultiProcess;
-    config_.execution.num_worker_processes = processes;
-    return *this;
-  }
-  ErPipelineBuilder& SpillThresholdBytes(uint64_t bytes) {
-    config_.execution.spill_threshold_bytes = bytes;
-    return *this;
-  }
-  ErPipelineBuilder& SpillTempDir(std::string dir) {
-    config_.execution.temp_dir = std::move(dir);
-    return *this;
-  }
-  /// Durable checkpoint root for the run's external jobs: a rerun with
-  /// the same config over the same input resumes past committed map and
-  /// reduce tasks (see mr/task_commit.h). Requires a spillable execution
-  /// mode — Validate() rejects the combination with kInMemory.
-  ErPipelineBuilder& CheckpointDir(std::string dir) {
-    config_.execution.checkpoint.dir = std::move(dir);
-    return *this;
-  }
-  ErPipelineBuilder& IoBufferBytes(size_t bytes) {
-    config_.execution.io_buffer_bytes = bytes;
-    return *this;
-  }
-  ErPipelineBuilder& CsvSplitRecords(uint32_t records) {
-    config_.csv_split_records = records;
-    return *this;
-  }
-
-  const ErPipelineConfig& config() const { return config_; }
-
-  ErPipeline Build() const { return ErPipeline(config_); }
-
- private:
-  ErPipelineConfig config_;
-};
-
 /// Section III: deduplication when some entities lack a blocking key.
 /// match_B(R) = match_B(R−R∅) ∪ match_⊥(R−R∅, R∅) ∪ match_⊥(R∅):
 /// entities without key are compared against everything.

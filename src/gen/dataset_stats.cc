@@ -21,9 +21,9 @@ DatasetStats ComputeDatasetStats(const bdm::Bdm& bdm) {
   s.num_blocks = bdm.num_blocks();
   s.total_pairs = bdm.TotalPairs();
   if (bdm.num_blocks() > 0) {
-    uint32_t k = bdm.LargestBlock();
-    s.largest_block_size = bdm.Size(k);
-    s.largest_block_pairs = bdm.PairsInBlock(k);
+    const bdm::Bdm::BlockView largest = bdm.view(bdm.LargestBlock());
+    s.largest_block_size = largest.size();
+    s.largest_block_pairs = largest.pairs();
   }
   if (s.num_entities > 0) {
     s.largest_block_entity_share =

@@ -111,7 +111,7 @@ struct BasicPlannedPartitionFn {
   }
 };
 
-/// Typed fast-path spec (comp/group/part inlined by the engine).
+/// The match job's spec (comp/group/part inlined by the engine).
 template <typename InK, typename PartFn>
 using BasicSpec =
     mr::TypedJobSpec<InK, er::EntityRef, BasicKey, MatchValue, MatchOutK,

@@ -186,7 +186,7 @@ Result<MatchPlan> BlockSplitStrategy::BuildPlan(
   for (const auto& task : plan.tasks()) {
     uint64_t recs;
     if (!plan.IsSplit(task.block)) {
-      recs = bdm.Size(task.block);
+      recs = bdm.view(task.block).size();
     } else if (task.pi == task.pj) {
       recs = BlockSplitPlan::VirtualPartitionSize(bdm, task.block, task.pi,
                                                   sub);
@@ -226,8 +226,6 @@ Result<MatchJobOutput> BlockSplitStrategy::ExecutePlan(
   }
   const BlockSplitPlan* split_plan = &plan.block_split()->plan;
 
-  // Typed fast path: comp/group/part as compile-time functors, so the
-  // engine's sort and merge loops inline them.
   mr::TypedJobSpec<std::string, er::EntityRef, BlockSplitKey, MatchValue,
                    MatchOutK, MatchOutV, BlockSplitKeyLessFn,
                    BlockSplitGroupEqualFn, BlockSplitPartitionFn>

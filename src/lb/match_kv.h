@@ -26,10 +26,9 @@ inline bool BasicKeyGroupEqual(const BasicKey& a, const BasicKey& b) {
   return a.block_key == b.block_key;  // group by blocking key only
 }
 
-/// Stateless functor forms of comp/group/part for the engine's typed fast
-/// path (mr::TypedJobSpec): passing these as template arguments lets the
-/// sort, merge and scatter loops inline the per-pair calls instead of
-/// dispatching through std::function.
+/// Stateless functor forms of comp/group/part (mr::TypedJobSpec): passing
+/// these as template arguments lets the sort, merge and scatter loops
+/// inline the per-pair calls.
 struct BasicKeyLessFn {
   bool operator()(const BasicKey& a, const BasicKey& b) const {
     return BasicKeyLess(a, b);
@@ -68,7 +67,7 @@ inline bool BlockSplitGroupEqual(const BlockSplitKey& a,
   return std::tie(a.block, a.pi, a.pj) == std::tie(b.block, b.pi, b.pj);
 }
 
-/// Typed fast-path functors (see BasicKeyLessFn).
+/// Functor forms of comp/group/part (see BasicKeyLessFn).
 struct BlockSplitPartitionFn {
   uint32_t operator()(const BlockSplitKey& k, uint32_t r) const {
     return BlockSplitPartition(k, r);
@@ -109,7 +108,7 @@ inline bool PairRangeGroupEqual(const PairRangeKey& a,
   return std::tie(a.range, a.block) == std::tie(b.range, b.block);
 }
 
-/// Typed fast-path functors (see BasicKeyLessFn).
+/// Functor forms of comp/group/part (see BasicKeyLessFn).
 struct PairRangePartitionFn {
   uint32_t operator()(const PairRangeKey& k, uint32_t r) const {
     return PairRangePartition(k, r);

@@ -12,23 +12,23 @@ namespace lb {
 
 namespace {
 
-/// Algorithm 2, map: tracks per-block entity indexes (seeded with the
-/// BDM-derived offset of this partition), computes each entity's relevant
-/// ranges, and emits one annotated copy per range.
+/// Algorithm 2, map: tracks per-block entity indexes (seeded with "the
+/// number of entities of Φk in all preceding partitions" — this partition's
+/// column of the BDM only), computes each entity's relevant ranges, and
+/// emits one annotated copy per range.
 class PairRangeMapper
     : public mr::Mapper<std::string, er::EntityRef, PairRangeKey,
                         MatchValue> {
  public:
-  PairRangeMapper(const bdm::Bdm* bdm,
-                  const std::vector<std::vector<uint64_t>>* offsets,
-                  uint32_t partition, uint32_t num_ranges)
+  PairRangeMapper(const bdm::Bdm* bdm, uint32_t partition,
+                  uint32_t num_ranges)
       : bdm_(bdm),
         partition_(partition),
         num_ranges_(num_ranges),
         total_pairs_(bdm->TotalPairs()) {
     next_index_.resize(bdm->num_blocks());
     for (uint32_t k = 0; k < bdm->num_blocks(); ++k) {
-      next_index_[k] = (*offsets)[k][partition];
+      next_index_[k] = bdm->EntityIndexOffset(k, partition);
     }
   }
 
@@ -38,15 +38,16 @@ class PairRangeMapper
     ERLB_CHECK(k_res.ok()) << "block key absent from BDM: " << block_key;
     const uint32_t k = *k_res;
     const uint64_t x = next_index_[k]++;
-    const uint64_t off = bdm_->PairOffset(k);
+    const bdm::Bdm::BlockView block = bdm_->view(k);
+    const uint64_t off = block.pair_offset();
 
     ranges_.clear();
     if (!bdm_->two_source()) {
-      RelevantRangesOneSource(x, bdm_->Size(k), off, total_pairs_,
+      RelevantRangesOneSource(x, block.size(), off, total_pairs_,
                               num_ranges_, &ranges_);
     } else {
-      const uint64_t nr = bdm_->SizeOfSource(k, er::Source::kR);
-      const uint64_t ns = bdm_->SizeOfSource(k, er::Source::kS);
+      const uint64_t nr = block.size_r();
+      const uint64_t ns = block.size_s();
       if (entity->source == er::Source::kR) {
         RelevantRangesDualR(x, nr, ns, off, total_pairs_, num_ranges_,
                             &ranges_);
@@ -89,11 +90,14 @@ class PairRangeReducer
     const PairRangeKey& key = group.front().first;
     const uint32_t range = key.range;
     const uint32_t k = key.block;
-    const uint64_t off = bdm_->PairOffset(k);
+    // `k` comes from a decoded shuffle key; view() only DCHECKs it.
+    ERLB_CHECK(k < bdm_->num_blocks()) << "block index out of range: " << k;
+    const bdm::Bdm::BlockView block = bdm_->view(k);
+    const uint64_t off = block.pair_offset();
     buffer_.clear();
 
     if (!bdm_->two_source()) {
-      const uint64_t n = bdm_->Size(k);
+      const uint64_t n = block.size();
       for (const auto& [kk, v] : group) {
         const uint64_t x2 = v.entity_index;
         for (const auto& [e1, x1] : buffer_) {
@@ -114,7 +118,7 @@ class PairRangeReducer
         stats_.NoteBuffer(buffer_.size());
       }
     } else {
-      const uint64_t ns = bdm_->SizeOfSource(k, er::Source::kS);
+      const uint64_t ns = block.size_s();
       // R entities (sorted by index) first, then S entities.
       for (const auto& [kk, v] : group) {
         if (v.entity->source == er::Source::kR) {
@@ -179,18 +183,13 @@ Result<MatchJobOutput> PairRangeStrategy::ExecutePlan(
           "execution evaluates");
     }
   }
-  const auto offsets = bdm.BuildEntityIndexOffsets();
-
-  // Typed fast path: comp/group/part as compile-time functors, so the
-  // engine's sort and merge loops inline them.
   mr::TypedJobSpec<std::string, er::EntityRef, PairRangeKey, MatchValue,
                    MatchOutK, MatchOutV, PairRangeKeyLessFn,
                    PairRangeGroupEqualFn, PairRangePartitionFn>
       spec;
   spec.num_reduce_tasks = r;
-  spec.mapper_factory = [&bdm, &offsets, r](const mr::TaskContext& ctx) {
-    return std::make_unique<PairRangeMapper>(&bdm, &offsets,
-                                             ctx.task_index, r);
+  spec.mapper_factory = [&bdm, r](const mr::TaskContext& ctx) {
+    return std::make_unique<PairRangeMapper>(&bdm, ctx.task_index, r);
   };
   spec.reducer_factory = [&matcher, &bdm, r](const mr::TaskContext&) {
     return std::make_unique<PairRangeReducer>(&matcher, &bdm, r);

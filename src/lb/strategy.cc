@@ -91,7 +91,5 @@ std::string JoinStrategyKindNames(std::string_view sep) {
   return out;
 }
 
-std::vector<StrategyKind> AllStrategies() { return AllStrategyKinds(); }
-
 }  // namespace lb
 }  // namespace erlb

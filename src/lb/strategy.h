@@ -8,7 +8,9 @@
 // cluster simulator, and the strategy recommender all consume the same
 // MatchPlan, which can be cached, inspected, and serialized (plan_io.h).
 // RunMatchJob (= BuildPlan + ExecutePlan) and Plan (= BuildPlan's
-// aggregate stats) remain as convenience wrappers.
+// aggregate stats) remain as convenience wrappers. A kind has one name
+// (StrategyKindToName, parsed back by StrategyKindFromName) and one
+// enumeration (AllStrategyKinds).
 #ifndef ERLB_LB_STRATEGY_H_
 #define ERLB_LB_STRATEGY_H_
 
@@ -36,11 +38,6 @@ namespace lb {
 /// (round-trip guaranteed) and the single spelling used by reports, plan
 /// JSON, and dataflow run reports.
 const char* StrategyKindToName(StrategyKind kind);
-
-/// Alias of StrategyKindToName kept for existing call sites.
-inline const char* StrategyName(StrategyKind kind) {
-  return StrategyKindToName(kind);
-}
 
 /// Inverse of StrategyKindToName, for CLI/config parsing.
 /// Case-insensitive; returns InvalidArgument for unknown names.
@@ -98,9 +95,6 @@ const std::vector<StrategyKind>& AllStrategyKinds();
 /// Canonical names of AllStrategyKinds() joined with `sep`, e.g.
 /// "Basic|BlockSplit|PairRange" for usage lines.
 std::string JoinStrategyKindNames(std::string_view sep);
-
-/// Alias of AllStrategyKinds (by value) kept for existing call sites.
-std::vector<StrategyKind> AllStrategies();
 
 }  // namespace lb
 }  // namespace erlb

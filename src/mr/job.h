@@ -53,13 +53,9 @@
 // the committed map tasks — and reduce tasks, when the output types are
 // spillable.
 //
-// Job wiring comes in two flavors. `JobSpec` stores part/comp/group as
-// `std::function`s — maximally flexible, one indirect call per key
-// comparison. `TypedJobSpec` additionally takes the comparator, grouping
+// Job wiring is one `TypedJobSpec`: it takes the comparator, grouping
 // predicate, and partitioner as compile-time functor types, letting the
-// sort/merge/group loops inline them; the hot strategies (BlockSplit,
-// PairRange, Basic) use this fast path. `JobSpec` is just the alias of
-// `TypedJobSpec` with all three defaulted to `std::function`.
+// sort/merge/group loops inline them.
 #ifndef ERLB_MR_JOB_H_
 #define ERLB_MR_JOB_H_
 
@@ -147,8 +143,7 @@ struct ExecutionOptions {
   /// kMultiProcess: number of worker processes to fork (>= 1). Leaving
   /// this 0 in multi-process mode is an InvalidArgument at Run() —
   /// callers that want "as many processes as worker threads" resolve
-  /// that explicitly (core::Dataflow does for the WorkerProcesses(0)
-  /// builder shorthand).
+  /// that explicitly, as core::Dataflow does.
   uint32_t num_worker_processes = 0;
 
   /// Rejects knob combinations no execution path can honor — zero
@@ -222,13 +217,10 @@ class Reducer {
 /// Full specification of an MR job. `KeyLess`, `GroupEqual` and
 /// `Partitioner` are functor types invoked on every key comparison /
 /// routing decision of the sort, merge and group loops; stateless structs
-/// here devirtualize the hottest calls of the engine. The defaults are
-/// `std::function`, giving the flexible `JobSpec` alias below.
+/// here devirtualize the hottest calls of the engine.
 template <typename InK, typename InV, typename MidK, typename MidV,
-          typename OutK, typename OutV,
-          typename KeyLess = std::function<bool(const MidK&, const MidK&)>,
-          typename GroupEqual = std::function<bool(const MidK&, const MidK&)>,
-          typename Partitioner = std::function<uint32_t(const MidK&, uint32_t)>>
+          typename OutK, typename OutV, typename KeyLess, typename GroupEqual,
+          typename Partitioner>
 struct TypedJobSpec {
   using MapperT = Mapper<InK, InV, MidK, MidV>;
   using ReducerT = Reducer<MidK, MidV, OutK, OutV>;
@@ -276,11 +268,6 @@ struct TypedJobSpec {
 
   uint32_t num_reduce_tasks = 1;
 };
-
-/// Compatibility spec: part/comp/group held as `std::function`.
-template <typename InK, typename InV, typename MidK, typename MidV,
-          typename OutK, typename OutV>
-using JobSpec = TypedJobSpec<InK, InV, MidK, MidV, OutK, OutV>;
 
 /// Result of running a job: output pairs per reduce task plus metrics.
 /// `status` is non-OK when the external shuffle hit an I/O error (spill
@@ -435,9 +422,8 @@ class JobRunner {
   ThreadPool* shared_pool() const { return shared_pool_; }
 
   /// Runs `spec` over `input_partitions` (one map task per partition).
-  /// `Spec` is any TypedJobSpec instantiation (including the JobSpec
-  /// alias). Check `result.status` before consuming outputs when the
-  /// runner may take the external path.
+  /// `Spec` is any TypedJobSpec instantiation. Check `result.status`
+  /// before consuming outputs when the runner may take the external path.
   template <typename Spec>
   JobResult<typename Spec::OutKey, typename Spec::OutValue> Run(
       const Spec& spec,
@@ -524,8 +510,8 @@ class JobRunner {
   using Buckets = std::vector<std::vector<std::vector<
       std::pair<typename Spec::MidKey, typename Spec::MidValue>>>>;
 
-  /// True iff `f` is an unset std::function; plain functors are always
-  /// considered set.
+  /// True iff `f` is an unset std::function (a spec may name
+  /// std::function types); plain functors are always considered set.
   template <typename F>
   static bool IsUnset(const F& f) {
     if constexpr (requires { f == nullptr; }) {

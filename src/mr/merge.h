@@ -9,15 +9,16 @@
 // (map-task) index, in run order — the Hadoop merge-contiguity guarantee
 // Algorithm 1's streaming reduce depends on.
 //
-// Two implementations, identical output:
-//  * MergeSortedRuns — balanced binary merge tree: adjacent runs are
+// One merge per shuffle, identical output:
+//  * MergeSortedRuns — the in-memory shuffle's: adjacent vector runs are
 //    two-way merged with std::merge until one remains. O(N log m) element
 //    moves, but std::merge's tight two-way loop is 2-3x faster than a
 //    loser tree's branchy replay for 4..256 runs of small pairs
-//    (measured on x86-64, 512k pairs); this is what the engine uses.
-//  * LoserTreeMerge — classic single-pass tournament tree: O(N) element
-//    moves and O(N log m) comparisons. Preferable when element moves are
-//    expensive (very wide values) or m is in the thousands.
+//    (measured on x86-64, 512k pairs).
+//  * LoserTreeMergeCursors — the external shuffle's: a single-pass
+//    tournament tree over cursors (file-backed RunCursors, mr/spill.h),
+//    O(N log m) comparisons and O(m) state, so it streams runs that do
+//    not fit in memory.
 //
 // `ConcatAndStableSort` is the engine's previous concatenate-then-
 // stable-sort path, kept as the oracle for differential tests and as the
@@ -113,9 +114,8 @@ std::vector<T> MergeSortedRuns(std::span<std::vector<T>> runs,
 }
 
 /// Single-pass tournament merge over an arbitrary span of cursors — the
-/// kernel both LoserTreeMerge (in-memory vectors) and the external
-/// shuffle's file-backed RunCursors (mr/spill.h) run on. A cursor is
-/// anything with
+/// kernel the external shuffle's file-backed RunCursors (mr/spill.h) run
+/// on. A cursor is anything with
 ///   using value_type = T;
 ///   bool exhausted() const;       // no more elements
 ///   const T& head() const;        // current element (only if !exhausted)
@@ -174,64 +174,6 @@ void LoserTreeMergeCursors(std::span<Cursor> cursors, const Less& less,
     }
     winner = cand;
   }
-}
-
-namespace internal {
-
-/// Adapts one in-memory sorted run to the cursor interface of
-/// LoserTreeMergeCursors.
-template <typename T>
-class VectorRunCursor {
- public:
-  using value_type = T;
-
-  VectorRunCursor() = default;
-  explicit VectorRunCursor(std::vector<T>* run) : run_(run) {}
-
-  bool exhausted() const { return run_ == nullptr || pos_ >= run_->size(); }
-  const T& head() const { return (*run_)[pos_]; }
-  T Pop() { return std::move((*run_)[pos_++]); }
-
- private:
-  std::vector<T>* run_ = nullptr;
-  size_t pos_ = 0;
-};
-
-}  // namespace internal
-
-/// Same contract and output as MergeSortedRuns, implemented on the
-/// tournament-tree kernel above: O(N) element moves and O(N log m)
-/// comparisons. See the file comment for when to prefer it.
-template <typename T, typename Less>
-std::vector<T> LoserTreeMerge(std::span<std::vector<T>> runs,
-                              const Less& less) {
-  const size_t m = runs.size();
-  size_t total = 0, live = 0, last_live = 0;
-  for (size_t i = 0; i < m; ++i) {
-    total += runs[i].size();
-    if (!runs[i].empty()) {
-      ++live;
-      last_live = i;
-    }
-  }
-  std::vector<T> out;
-  if (live == 0) return out;
-  if (live == 1) {
-    out = std::move(runs[last_live]);
-    runs[last_live].clear();
-    return out;
-  }
-  out.reserve(total);
-
-  std::vector<internal::VectorRunCursor<T>> cursors;
-  cursors.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    cursors.emplace_back(&runs[i]);
-  }
-  LoserTreeMergeCursors(std::span<internal::VectorRunCursor<T>>(cursors),
-                        less, [&out](T&& e) { out.push_back(std::move(e)); });
-  for (size_t i = 0; i < m; ++i) runs[i].clear();
-  return out;
 }
 
 }  // namespace mr

@@ -132,6 +132,9 @@ struct SpillCodec<std::vector<T>> {
   static bool Decode(const char** p, const char* end, std::vector<T>* v) {
     uint32_t n = 0;
     if (!spill_internal::DecodeRaw(p, end, &n)) return false;
+    // Every element encodes to at least one byte, so a count beyond the
+    // bytes left is corrupt — reject it before reserving.
+    if (n > static_cast<size_t>(end - *p)) return false;
     v->clear();
     v->reserve(n);
     for (uint32_t i = 0; i < n; ++i) {

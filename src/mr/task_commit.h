@@ -50,11 +50,6 @@ struct CheckpointOptions {
   /// (e.g. the serialized BdmFingerprint of the plan driving the job),
   /// guarding against resuming onto different input.
   std::string identity;
-  /// Dataflow-level runs only: retain the checkpoint directory after a
-  /// fully successful run instead of retiring it. Useful for debugging
-  /// the records; a retained checkpoint is revalidated (and reused or
-  /// overwritten) by the next run.
-  bool keep_on_success = false;
 };
 
 /// A map task's durable side-output file ("additional output" beyond

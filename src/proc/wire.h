@@ -73,6 +73,10 @@ class PayloadReader {
 
   /// True iff every byte was consumed and nothing was truncated.
   [[nodiscard]] bool AtEnd() const { return ok_ && p_ == end_; }
+  /// Bytes not yet consumed (0 once a read has failed).
+  [[nodiscard]] size_t remaining() const {
+    return ok_ ? static_cast<size_t>(end_ - p_) : 0;
+  }
 
  private:
   const char* p_;

@@ -9,6 +9,12 @@ namespace {
 
 constexpr uint32_t kMaxBatchEntities = 1u << 20;
 
+// The fewest bytes each counted item can encode to. A count beyond
+// remaining() / k is malformed and must not size an allocation.
+constexpr size_t kMinFieldBytes = 4;    // u32 length prefix
+constexpr size_t kMinEntityBytes = 24;  // id, source, cluster, nfields
+constexpr size_t kIdBytes = 8;
+
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed serve payload: ") +
                                  what);
@@ -32,7 +38,8 @@ bool DecodeEntity(proc::PayloadReader* reader, er::Entity* entity) {
   uint32_t nfields = 0;
   if (!reader->GetU64(&id) || !reader->GetU32(&source) || source > 1 ||
       !reader->GetU64(&cluster) || !reader->GetU32(&nfields) ||
-      nfields > kMaxBatchEntities) {
+      nfields > kMaxBatchEntities ||
+      nfields > reader->remaining() / kMinFieldBytes) {
     return false;
   }
   entity->id = id;
@@ -59,7 +66,8 @@ Result<std::vector<er::Entity>> DecodeProbeRequest(
     std::string_view payload) {
   proc::PayloadReader reader(payload);
   uint32_t count = 0;
-  if (!reader.GetU32(&count) || count > kMaxBatchEntities) {
+  if (!reader.GetU32(&count) || count > kMaxBatchEntities ||
+      count > reader.remaining() / kMinEntityBytes) {
     return Malformed("probe count");
   }
   std::vector<er::Entity> probes(count);
@@ -110,7 +118,8 @@ Result<std::vector<er::Entity>> DecodeInsertBody(std::string_view body) {
 Result<std::vector<uint64_t>> DecodeRemoveBody(std::string_view body) {
   proc::PayloadReader reader(body);
   uint32_t count = 0;
-  if (!reader.GetU32(&count) || count > kMaxBatchEntities) {
+  if (!reader.GetU32(&count) || count > kMaxBatchEntities ||
+      count > reader.remaining() / kIdBytes) {
     return Malformed("remove count");
   }
   std::vector<uint64_t> ids(count);

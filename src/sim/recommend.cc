@@ -12,9 +12,9 @@ Result<Recommendation> RecommendStrategy(const bdm::Bdm& bdm, uint32_t r,
                                          const ClusterConfig& cluster,
                                          const CostModel& cost) {
   Recommendation rec;
-  rec.plans.resize(lb::AllStrategies().size());
+  rec.plans.resize(lb::AllStrategyKinds().size());
   double best = -1;
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     // Plan once per strategy; the same MatchPlan feeds the projection here
     // and, if this strategy wins, execution by the caller.
     lb::MatchJobOptions options;

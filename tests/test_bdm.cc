@@ -47,14 +47,14 @@ TEST(BdmTest, PaperExampleCellCounts) {
 TEST(BdmTest, PaperExampleBlockSizesAndPairs) {
   auto bdm = Bdm::FromKeys(PaperExampleKeys());
   ASSERT_TRUE(bdm.ok());
-  EXPECT_EQ(bdm->Size(0), 4u);
-  EXPECT_EQ(bdm->Size(1), 2u);
-  EXPECT_EQ(bdm->Size(2), 3u);
-  EXPECT_EQ(bdm->Size(3), 5u);
-  EXPECT_EQ(bdm->PairsInBlock(0), 6u);
-  EXPECT_EQ(bdm->PairsInBlock(1), 1u);
-  EXPECT_EQ(bdm->PairsInBlock(2), 3u);
-  EXPECT_EQ(bdm->PairsInBlock(3), 10u);
+  EXPECT_EQ(bdm->view(0).size(), 4u);
+  EXPECT_EQ(bdm->view(1).size(), 2u);
+  EXPECT_EQ(bdm->view(2).size(), 3u);
+  EXPECT_EQ(bdm->view(3).size(), 5u);
+  EXPECT_EQ(bdm->view(0).pairs(), 6u);
+  EXPECT_EQ(bdm->view(1).pairs(), 1u);
+  EXPECT_EQ(bdm->view(2).pairs(), 3u);
+  EXPECT_EQ(bdm->view(3).pairs(), 10u);
   // "the largest block with key z entails 50% of all comparisons"
   EXPECT_EQ(bdm->TotalPairs(), 20u);
   EXPECT_EQ(bdm->LargestBlock(), 3u);
@@ -64,11 +64,11 @@ TEST(BdmTest, PaperExampleBlockSizesAndPairs) {
 TEST(BdmTest, PaperExamplePairOffsets) {
   auto bdm = Bdm::FromKeys(PaperExampleKeys());
   ASSERT_TRUE(bdm.ok());
-  EXPECT_EQ(bdm->PairOffset(0), 0u);
-  EXPECT_EQ(bdm->PairOffset(1), 6u);
-  EXPECT_EQ(bdm->PairOffset(2), 7u);
-  EXPECT_EQ(bdm->PairOffset(3), 10u);
-  EXPECT_EQ(bdm->PairOffset(4), 20u);
+  EXPECT_EQ(bdm->view(0).pair_offset(), 0u);
+  EXPECT_EQ(bdm->view(1).pair_offset(), 6u);
+  EXPECT_EQ(bdm->view(2).pair_offset(), 7u);
+  EXPECT_EQ(bdm->view(3).pair_offset(), 10u);
+  EXPECT_EQ(bdm->TotalPairs(), 20u);
 }
 
 TEST(BdmTest, PaperExampleEntityIndexOffset) {
@@ -80,17 +80,6 @@ TEST(BdmTest, PaperExampleEntityIndexOffset) {
   EXPECT_EQ(bdm->EntityIndexOffset(3, 1), 2u);
   EXPECT_EQ(bdm->EntityIndexOffset(3, 0), 0u);
   EXPECT_EQ(bdm->EntityIndexOffset(0, 1), 2u);
-}
-
-TEST(BdmTest, BuildEntityIndexOffsetsMatchesPointQueries) {
-  auto bdm = Bdm::FromKeys(PaperExampleKeys());
-  ASSERT_TRUE(bdm.ok());
-  auto offsets = bdm->BuildEntityIndexOffsets();
-  for (uint32_t k = 0; k < bdm->num_blocks(); ++k) {
-    for (uint32_t p = 0; p < bdm->num_partitions(); ++p) {
-      EXPECT_EQ(offsets[k][p], bdm->EntityIndexOffset(k, p));
-    }
-  }
 }
 
 TEST(BdmTest, BlockIndexLookup) {
@@ -147,8 +136,8 @@ TEST(BdmTest, EmptyTriplesYieldEmptyBdm) {
 TEST(BdmTest, SingletonBlockHasNoPairs) {
   auto bdm = Bdm::FromKeys({{"a", "b", "b"}});
   ASSERT_TRUE(bdm.ok());
-  EXPECT_EQ(bdm->PairsInBlock(0), 0u);
-  EXPECT_EQ(bdm->PairsInBlock(1), 1u);
+  EXPECT_EQ(bdm->view(0).pairs(), 0u);
+  EXPECT_EQ(bdm->view(1).pairs(), 1u);
 }
 
 // ---- two-source ------------------------------------------------------
@@ -166,24 +155,24 @@ TEST(BdmTwoSourceTest, PerSourceSizes) {
   ASSERT_TRUE(bdm.ok());
   EXPECT_TRUE(bdm->two_source());
   ASSERT_EQ(bdm->num_blocks(), 4u);  // w x y z
-  EXPECT_EQ(bdm->SizeOfSource(0, er::Source::kR), 2u);  // w
-  EXPECT_EQ(bdm->SizeOfSource(0, er::Source::kS), 2u);
-  EXPECT_EQ(bdm->SizeOfSource(1, er::Source::kR), 1u);  // x
-  EXPECT_EQ(bdm->SizeOfSource(1, er::Source::kS), 0u);
-  EXPECT_EQ(bdm->SizeOfSource(2, er::Source::kR), 1u);  // y
-  EXPECT_EQ(bdm->SizeOfSource(2, er::Source::kS), 2u);
-  EXPECT_EQ(bdm->SizeOfSource(3, er::Source::kR), 2u);  // z
-  EXPECT_EQ(bdm->SizeOfSource(3, er::Source::kS), 3u);
+  EXPECT_EQ(bdm->view(0).size_r(), 2u);  // w
+  EXPECT_EQ(bdm->view(0).size_s(), 2u);
+  EXPECT_EQ(bdm->view(1).size_r(), 1u);  // x
+  EXPECT_EQ(bdm->view(1).size_s(), 0u);
+  EXPECT_EQ(bdm->view(2).size_r(), 1u);  // y
+  EXPECT_EQ(bdm->view(2).size_s(), 2u);
+  EXPECT_EQ(bdm->view(3).size_r(), 2u);  // z
+  EXPECT_EQ(bdm->view(3).size_s(), 3u);
 }
 
 TEST(BdmTwoSourceTest, CrossProductPairCounts) {
   auto tags = testing_util::PaperTwoSourceTags();
   auto bdm = Bdm::FromKeys(TwoSourceKeys(), &tags);
   ASSERT_TRUE(bdm.ok());
-  EXPECT_EQ(bdm->PairsInBlock(0), 4u);  // 2*2
-  EXPECT_EQ(bdm->PairsInBlock(1), 0u);  // no S entities -> dropped
-  EXPECT_EQ(bdm->PairsInBlock(2), 2u);  // 1*2
-  EXPECT_EQ(bdm->PairsInBlock(3), 6u);  // 2*3
+  EXPECT_EQ(bdm->view(0).pairs(), 4u);  // 2*2
+  EXPECT_EQ(bdm->view(1).pairs(), 0u);  // no S entities -> dropped
+  EXPECT_EQ(bdm->view(2).pairs(), 2u);  // 1*2
+  EXPECT_EQ(bdm->view(3).pairs(), 6u);  // 2*3
   // "The BDM indicates 12 overall pairs"
   EXPECT_EQ(bdm->TotalPairs(), 12u);
 }
@@ -192,10 +181,10 @@ TEST(BdmTwoSourceTest, PairOffsetsSkipEmptyBlocks) {
   auto tags = testing_util::PaperTwoSourceTags();
   auto bdm = Bdm::FromKeys(TwoSourceKeys(), &tags);
   ASSERT_TRUE(bdm.ok());
-  EXPECT_EQ(bdm->PairOffset(0), 0u);
-  EXPECT_EQ(bdm->PairOffset(1), 4u);
-  EXPECT_EQ(bdm->PairOffset(2), 4u);  // x contributes nothing
-  EXPECT_EQ(bdm->PairOffset(3), 6u);
+  EXPECT_EQ(bdm->view(0).pair_offset(), 0u);
+  EXPECT_EQ(bdm->view(1).pair_offset(), 4u);
+  EXPECT_EQ(bdm->view(2).pair_offset(), 4u);  // x contributes nothing
+  EXPECT_EQ(bdm->view(3).pair_offset(), 6u);
 }
 
 TEST(BdmTwoSourceTest, EntityEnumerationIsPerSource) {

@@ -75,7 +75,7 @@ void ExpectPlansByteIdentical(const Bdm& a, const Bdm& b) {
     ASSERT_TRUE(plan_a.ok()) << plan_a.status().ToString();
     ASSERT_TRUE(plan_b.ok()) << plan_b.status().ToString();
     EXPECT_EQ(lb::MatchPlanToJson(*plan_a), lb::MatchPlanToJson(*plan_b))
-        << lb::StrategyName(kind);
+        << lb::StrategyKindToName(kind);
   }
 }
 

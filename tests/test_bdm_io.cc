@@ -51,7 +51,7 @@ TEST(BdmIoTest, TwoSourceRoundTripKeepsTags) {
   EXPECT_EQ(loaded->TotalPairs(), 12u);
   EXPECT_EQ(loaded->PartitionSource(0), er::Source::kR);
   EXPECT_EQ(loaded->PartitionSource(2), er::Source::kS);
-  EXPECT_EQ(loaded->SizeOfSource(3, er::Source::kS), 3u);
+  EXPECT_EQ(loaded->view(3).size_s(), 3u);
   std::remove(path.c_str());
 }
 

@@ -134,7 +134,7 @@ TEST(BdmJobTest, MissingKeyBottomPolicy) {
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->bdm.num_blocks(), 1u);
   EXPECT_EQ(out->bdm.BlockKey(0), er::kBottomKey);
-  EXPECT_EQ(out->bdm.Size(0), 14u);  // full Cartesian product block
+  EXPECT_EQ(out->bdm.view(0).size(), 14u);  // full Cartesian product block
 }
 
 TEST(BdmJobTest, EmptyInputRejected) {
@@ -156,7 +156,7 @@ TEST(BdmJobTest, TwoSourceTagsInTriples) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->bdm.two_source());
   EXPECT_EQ(out->bdm.TotalPairs(), 12u);
-  EXPECT_EQ(out->bdm.SizeOfSource(3, er::Source::kS), 3u);
+  EXPECT_EQ(out->bdm.view(3).size_s(), 3u);
 }
 
 TEST(BdmJobTest, TwoSourceTagSizeMismatchRejected) {

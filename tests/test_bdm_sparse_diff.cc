@@ -31,7 +31,7 @@ struct ReferenceBdm {
     return cell == row->second.end() ? 0 : cell->second;
   }
 
-  uint64_t SizeOfSource(const std::string& key, er::Source src) const {
+  uint64_t SourceSize(const std::string& key, er::Source src) const {
     uint64_t n = 0;
     for (uint32_t p = 0; p < m; ++p) {
       er::Source ps = sources.empty() ? er::Source::kR : sources[p];
@@ -51,8 +51,8 @@ struct ReferenceBdm {
       const uint64_t n = BlockSize(key);
       return n * (n - 1) / 2;
     }
-    return SizeOfSource(key, er::Source::kR) *
-           SizeOfSource(key, er::Source::kS);
+    return SourceSize(key, er::Source::kR) *
+           SourceSize(key, er::Source::kS);
   }
 
   uint64_t EntityIndexOffset(const std::string& key, uint32_t p) const {
@@ -119,15 +119,14 @@ void ExpectMatchesReference(const Bdm& bdm, const ReferenceBdm& ref) {
   uint32_t k = 0;
   for (const auto& [key, row] : ref.cells) {
     EXPECT_EQ(bdm.BlockKey(k), key);
-    EXPECT_EQ(bdm.Size(k), ref.BlockSize(key)) << key;
-    EXPECT_EQ(bdm.PairsInBlock(k), ref.Pairs(key)) << key;
-    EXPECT_EQ(bdm.PairOffset(k), total_pairs) << key;
-    EXPECT_EQ(bdm.SizeOfSource(k, er::Source::kR),
-              ref.SizeOfSource(key, er::Source::kR))
-        << key;
+    const Bdm::BlockView block = bdm.view(k);
+    EXPECT_EQ(block.key(), key);
+    EXPECT_EQ(block.size(), ref.BlockSize(key)) << key;
+    EXPECT_EQ(block.pairs(), ref.Pairs(key)) << key;
+    EXPECT_EQ(block.pair_offset(), total_pairs) << key;
+    EXPECT_EQ(block.size_r(), ref.SourceSize(key, er::Source::kR)) << key;
     if (bdm.two_source()) {
-      EXPECT_EQ(bdm.SizeOfSource(k, er::Source::kS),
-                ref.SizeOfSource(key, er::Source::kS))
+      EXPECT_EQ(block.size_s(), ref.SourceSize(key, er::Source::kS))
           << key;
     }
     for (uint32_t p = 0; p < ref.m; ++p) {
@@ -149,13 +148,6 @@ void ExpectBlockViewsAgree(const Bdm& bdm, const ReferenceBdm& ref) {
     const uint32_t k = block.index();
     EXPECT_EQ(k, visited);
     EXPECT_EQ(block.key(), bdm.BlockKey(k));
-    EXPECT_EQ(block.size(), bdm.Size(k));
-    EXPECT_EQ(block.pairs(), bdm.PairsInBlock(k));
-    EXPECT_EQ(block.pair_offset(), bdm.PairOffset(k));
-    EXPECT_EQ(block.size_r(), bdm.SizeOfSource(k, er::Source::kR));
-    if (bdm.two_source()) {
-      EXPECT_EQ(block.size_s(), bdm.SizeOfSource(k, er::Source::kS));
-    }
     // Cells are exactly the reference row's nonzeros, ascending.
     const auto& row = ref.cells.at(std::string(block.key()));
     ASSERT_EQ(block.cells().size(), row.size());
@@ -192,26 +184,6 @@ TEST(BdmSparseDiffTest, TwoSourceAccessorsMatchReference) {
   ASSERT_TRUE(bdm.ok()) << bdm.status().ToString();
   ExpectMatchesReference(*bdm, ref);
   ExpectBlockViewsAgree(*bdm, ref);
-}
-
-TEST(BdmSparseDiffTest, EntityIndexOffsetMatrixMatchesReference) {
-  auto keys = MakeKeys(4, 25);
-  std::vector<er::Source> sources = {er::Source::kR, er::Source::kS,
-                                     er::Source::kR, er::Source::kS};
-  auto ref = MakeReference(keys, &sources);
-  auto bdm = Bdm::FromKeys(keys, &sources);
-  ASSERT_TRUE(bdm.ok());
-  auto offsets = bdm->BuildEntityIndexOffsets();
-  ASSERT_EQ(offsets.size(), bdm->num_blocks());
-  uint32_t k = 0;
-  for (const auto& [key, row] : ref.cells) {
-    ASSERT_EQ(offsets[k].size(), ref.m);
-    for (uint32_t p = 0; p < ref.m; ++p) {
-      EXPECT_EQ(offsets[k][p], ref.EntityIndexOffset(key, p))
-          << key << " p=" << p;
-    }
-    ++k;
-  }
 }
 
 // Plans depend only on the BDM's logical content: building the same

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -56,9 +57,17 @@ class SumReducer
   }
 };
 
+/// Routes a key by its last byte.
+struct LastBytePartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    return static_cast<uint32_t>(static_cast<unsigned char>(k.back())) % r;
+  }
+};
+
 // Spillable output types, so reduce tasks commit (and resume) too.
-using SumSpec = mr::JobSpec<int, int64_t, std::string, int64_t, std::string,
-                            int64_t>;
+using SumSpec =
+    mr::TypedJobSpec<int, int64_t, std::string, int64_t, std::string, int64_t,
+                     std::less<>, std::equal_to<>, LastBytePartitionFn>;
 
 SumSpec MakeSumSpec(uint32_t r) {
   SumSpec spec;
@@ -68,15 +77,6 @@ SumSpec MakeSumSpec(uint32_t r) {
   };
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<SumReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r_) {
-    return static_cast<uint32_t>(static_cast<unsigned char>(k.back())) % r_;
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }
@@ -401,26 +401,27 @@ class AggReducer
   }
 };
 
-mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> AggSpec(
-    uint32_t r) {
-  mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> spec;
+/// FNV-1a of the key, mod r.
+struct FnvPartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    uint32_t h = 2166136261u;
+    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+    return h % r;
+  }
+};
+
+using AggSpecT =
+    mr::TypedJobSpec<int, int64_t, std::string, int64_t, std::string, Agg,
+                     std::less<>, std::equal_to<>, FnvPartitionFn>;
+
+AggSpecT AggSpec(uint32_t r) {
+  AggSpecT spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const mr::TaskContext&) {
     return std::make_unique<IdentityMapper>();
   };
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<AggReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r_) {
-    uint32_t h = 2166136261u;
-    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-    return h % r_;
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }

@@ -3,6 +3,7 @@
 // phase.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,8 +30,15 @@ class FirstReducer : public Reducer<int, int, int, int> {
   }
 };
 
-JobSpec<int, int, int, int, int, int> TinySpec() {
-  JobSpec<int, int, int, int, int, int> spec;
+struct ZeroPartitionFn {
+  uint32_t operator()(int, uint32_t) const { return 0; }
+};
+
+using TinySpecT = TypedJobSpec<int, int, int, int, int, int, std::less<>,
+                               std::equal_to<>, ZeroPartitionFn>;
+
+TinySpecT TinySpec() {
+  TinySpecT spec;
   spec.num_reduce_tasks = 1;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<IdentityMapper>();
@@ -38,9 +46,6 @@ JobSpec<int, int, int, int, int, int> TinySpec() {
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<FirstReducer>();
   };
-  spec.partitioner = [](const int&, uint32_t) { return 0u; };
-  spec.key_less = [](const int& a, const int& b) { return a < b; };
-  spec.group_equal = [](const int& a, const int& b) { return a == b; };
   return spec;
 }
 

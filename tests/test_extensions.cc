@@ -265,7 +265,7 @@ TEST_P(MultiPassStrategyTest, MatchesReferenceOnGeneratedData) {
       core::DeduplicateMultiPass(pipeline, *entities, passes, matcher);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->matches.SameAs(reference))
-      << lb::StrategyName(GetParam()) << ": got "
+      << lb::StrategyKindToName(GetParam()) << ": got "
       << result->matches.size() << " want " << reference.size();
 }
 
@@ -274,7 +274,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MultiPassStrategyTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(MultiPassTest, SinglePassEqualsPlainDeduplicate) {

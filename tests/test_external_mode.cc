@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,26 +62,27 @@ class AggReducer
   }
 };
 
-mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> AggSpec(
-    uint32_t r) {
-  mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> spec;
+/// FNV-1a of the key, mod r.
+struct FnvPartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    uint32_t h = 2166136261u;
+    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+    return h % r;
+  }
+};
+
+using AggSpecT =
+    mr::TypedJobSpec<int, int64_t, std::string, int64_t, std::string, Agg,
+                     std::less<>, std::equal_to<>, FnvPartitionFn>;
+
+AggSpecT AggSpec(uint32_t r) {
+  AggSpecT spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const mr::TaskContext&) {
     return std::make_unique<IdentityMapper>();
   };
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<AggReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r_) {
-    uint32_t h = 2166136261u;
-    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-    return h % r_;
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }
@@ -187,14 +189,14 @@ TEST(ExecutionModeAutoTest, ThresholdCrossedGoesExternal) {
 
 core::ErPipeline MakePipeline(lb::StrategyKind kind,
                               mr::ExecutionMode mode) {
-  return core::ErPipelineBuilder()
-      .Strategy(kind)
-      .MapTasks(5)
-      .ReduceTasks(7)
-      .Workers(4)
-      .ExecutionMode(mode)
-      .IoBufferBytes(512)
-      .Build();
+  core::ErPipelineConfig config;
+  config.strategy = kind;
+  config.num_map_tasks = 5;
+  config.num_reduce_tasks = 7;
+  config.num_workers = 4;
+  config.execution.mode = mode;
+  config.execution.io_buffer_bytes = 512;
+  return core::ErPipeline(config);
 }
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1500) {
@@ -270,7 +272,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyExternalTest,
                                            lb::StrategyKind::kBlockSplit,
                                            lb::StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 // Sub-splits exercise BlockSplit's composite-key spill in its general
@@ -280,14 +282,14 @@ TEST(StrategyExternalTest, BlockSplitSubSplitsDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
   auto build = [&](mr::ExecutionMode mode) {
-    return core::ErPipelineBuilder()
-        .Strategy(lb::StrategyKind::kBlockSplit)
-        .MapTasks(4)
-        .ReduceTasks(6)
-        .Workers(4)
-        .SubSplits(3)
-        .ExecutionMode(mode)
-        .Build();
+    core::ErPipelineConfig config;
+    config.strategy = lb::StrategyKind::kBlockSplit;
+    config.num_map_tasks = 4;
+    config.num_reduce_tasks = 6;
+    config.num_workers = 4;
+    config.sub_splits = 3;
+    config.execution.mode = mode;
+    return core::ErPipeline(config);
   };
   auto mem = build(mr::ExecutionMode::kInMemory)
                  .Deduplicate(entities, blocking, matcher);
@@ -305,13 +307,13 @@ TEST(StrategyExternalTest, AutoThresholdSelectsPath) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
   auto build = [&](uint64_t threshold) {
-    return core::ErPipelineBuilder()
-        .Strategy(lb::StrategyKind::kBlockSplit)
-        .MapTasks(3)
-        .ReduceTasks(5)
-        .Workers(4)
-        .SpillThresholdBytes(threshold)
-        .Build();
+    core::ErPipelineConfig config;
+    config.strategy = lb::StrategyKind::kBlockSplit;
+    config.num_map_tasks = 3;
+    config.num_reduce_tasks = 5;
+    config.num_workers = 4;
+    config.execution.spill_threshold_bytes = threshold;
+    return core::ErPipeline(config);
   };
   auto spilled =
       build(0).Deduplicate(entities, blocking, matcher);
@@ -342,13 +344,13 @@ TEST(DeduplicateCsvTest, ChunkedIngestMatchesVectorPath) {
 
   // Tiny splits: the 600 entities become ceil(600/128) = 5 partitions,
   // each ingested as one bounded batch; external mode end to end.
-  auto pipeline = core::ErPipelineBuilder()
-                      .Strategy(lb::StrategyKind::kBlockSplit)
-                      .ReduceTasks(6)
-                      .Workers(4)
-                      .CsvSplitRecords(128)
-                      .ExecutionMode(mr::ExecutionMode::kExternal)
-                      .Build();
+  core::ErPipelineConfig config;
+  config.strategy = lb::StrategyKind::kBlockSplit;
+  config.num_reduce_tasks = 6;
+  config.num_workers = 4;
+  config.csv_split_records = 128;
+  config.execution.mode = mr::ExecutionMode::kExternal;
+  const core::ErPipeline pipeline(config);
   auto from_csv = pipeline.DeduplicateCsv(csv_path, schema, blocking,
                                           matcher);
   ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
@@ -357,12 +359,12 @@ TEST(DeduplicateCsvTest, ChunkedIngestMatchesVectorPath) {
   ASSERT_EQ(from_csv->bdm_metrics.map_tasks.size(), 5u);
 
   // Same result as the in-memory vector path over the same partitioning.
-  auto reference_pipeline = core::ErPipelineBuilder()
-                                .Strategy(lb::StrategyKind::kBlockSplit)
-                                .MapTasks(5)
-                                .ReduceTasks(6)
-                                .Workers(4)
-                                .Build();
+  core::ErPipelineConfig reference_config;
+  reference_config.strategy = lb::StrategyKind::kBlockSplit;
+  reference_config.num_map_tasks = 5;
+  reference_config.num_reduce_tasks = 6;
+  reference_config.num_workers = 4;
+  const core::ErPipeline reference_pipeline(reference_config);
   auto reference =
       reference_pipeline.Deduplicate(entities, blocking, matcher);
   ASSERT_TRUE(reference.ok());
@@ -372,7 +374,7 @@ TEST(DeduplicateCsvTest, ChunkedIngestMatchesVectorPath) {
 
 TEST(DeduplicateCsvTest, MissingFileIsIoError) {
   er::CsvSchema schema;
-  auto pipeline = core::ErPipelineBuilder().Build();
+  const core::ErPipeline pipeline(core::ErPipelineConfig{});
   auto result = pipeline.DeduplicateCsv("/nonexistent/file.csv", schema,
                                         er::ConstantBlocking(),
                                         er::JaroWinklerMatcher());

@@ -74,13 +74,13 @@ class FaultSweepTest : public ::testing::Test {
     er::CsvSchema schema;
     schema.id_column = 0;
     schema.has_header = true;
-    auto pipeline = core::ErPipelineBuilder()
-                        .Execution(opts)
-                        .Strategy(lb::StrategyKind::kBlockSplit)
-                        .ReduceTasks(5)
-                        .Workers(2)
-                        .CsvSplitRecords(64)
-                        .Build();
+    core::ErPipelineConfig config;
+    config.execution = opts;
+    config.strategy = lb::StrategyKind::kBlockSplit;
+    config.num_reduce_tasks = 5;
+    config.num_workers = 2;
+    config.csv_split_records = 64;
+    const core::ErPipeline pipeline(config);
     return pipeline.DeduplicateCsv(
         csv_path_, schema, er::AttributeBlocking(gen::kSkewBlockField),
         er::JaroWinklerMatcher(0.85, gen::kSkewTitleField));

@@ -112,16 +112,16 @@ TEST(IntegrationTest, BinaryBytesInTitlesAreHandled) {
   er::EditDistanceMatcher matcher(0.8);
   auto reference = core::ReferenceDeduplicate(entities, blocking, matcher);
 
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     core::ErPipelineConfig pcfg;
     pcfg.strategy = kind;
     pcfg.num_map_tasks = 2;
     pcfg.num_reduce_tasks = 3;
     core::ErPipeline pipeline(pcfg);
     auto result = pipeline.Deduplicate(entities, blocking, matcher);
-    ASSERT_TRUE(result.ok()) << lb::StrategyName(kind);
+    ASSERT_TRUE(result.ok()) << lb::StrategyKindToName(kind);
     EXPECT_TRUE(result->matches.SameAs(reference))
-        << lb::StrategyName(kind);
+        << lb::StrategyKindToName(kind);
   }
 }
 
@@ -138,16 +138,16 @@ TEST(IntegrationTest, OneEntityPerBlockProducesNoPairs) {
   }
   er::AttributeBlocking blocking(1);
   er::EditDistanceMatcher matcher(0.8);
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     core::ErPipelineConfig pcfg;
     pcfg.strategy = kind;
     pcfg.num_map_tasks = 3;
     pcfg.num_reduce_tasks = 5;
     core::ErPipeline pipeline(pcfg);
     auto result = pipeline.Deduplicate(entities, blocking, matcher);
-    ASSERT_TRUE(result.ok()) << lb::StrategyName(kind);
-    EXPECT_EQ(result->comparisons, 0) << lb::StrategyName(kind);
-    EXPECT_TRUE(result->matches.empty()) << lb::StrategyName(kind);
+    ASSERT_TRUE(result.ok()) << lb::StrategyKindToName(kind);
+    EXPECT_EQ(result->comparisons, 0) << lb::StrategyKindToName(kind);
+    EXPECT_TRUE(result->matches.empty()) << lb::StrategyKindToName(kind);
   }
 }
 
@@ -166,12 +166,12 @@ TEST(IntegrationTest, SingleGiantBlock) {
   er::LambdaMatcher all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
   const int64_t expected = static_cast<int64_t>(n * (n - 1) / 2);
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     er::Partitions parts = er::SplitIntoPartitions(entities, 4);
     auto run = RunStrategy(kind, parts, blocking, all, 10);
-    EXPECT_EQ(run.comparisons, expected) << lb::StrategyName(kind);
+    EXPECT_EQ(run.comparisons, expected) << lb::StrategyKindToName(kind);
     EXPECT_EQ(run.matches.size(), static_cast<size_t>(expected))
-        << lb::StrategyName(kind);
+        << lb::StrategyKindToName(kind);
   }
 }
 
@@ -206,10 +206,10 @@ TEST(IntegrationTest, ManyMoreReduceTasksThanPairs) {
   er::AttributeBlocking blocking(1);
   er::LambdaMatcher all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     er::Partitions parts = er::SplitIntoPartitions(entities, 2);
     auto run = RunStrategy(kind, parts, blocking, all, 500);
-    EXPECT_EQ(run.comparisons, 15) << lb::StrategyName(kind);
+    EXPECT_EQ(run.comparisons, 15) << lb::StrategyKindToName(kind);
   }
 }
 

@@ -48,7 +48,7 @@ TEST(MemoryFootprintTest, BasicBuffersWholeBlocksBalancersDoNot) {
   ASSERT_TRUE(bdm_out.ok());
   const bdm::Bdm& bdm = bdm_out->bdm;
   const int64_t largest_block =
-      static_cast<int64_t>(bdm.Size(bdm.LargestBlock()));
+      static_cast<int64_t>(bdm.view(bdm.LargestBlock()).size());
   ASSERT_GT(largest_block, 500);
 
   lb::MatchJobOptions options;

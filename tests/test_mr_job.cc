@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -37,24 +38,25 @@ class SumReducer : public Reducer<std::string, int, std::string, int> {
   }
 };
 
-JobSpec<int, std::string, std::string, int, std::string, int>
-WordCountSpec(uint32_t r) {
-  JobSpec<int, std::string, std::string, int, std::string, int> spec;
+/// Fnv1a64 of the key, mod r.
+struct FnvPartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    return static_cast<uint32_t>(Fnv1a64(k) % r);
+  }
+};
+
+using CountSpec =
+    TypedJobSpec<int, std::string, std::string, int, std::string, int,
+                 std::less<>, std::equal_to<>, FnvPartitionFn>;
+
+CountSpec WordCountSpec(uint32_t r) {
+  CountSpec spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<WordCountMapper>();
   };
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<SumReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r) {
-    return static_cast<uint32_t>(Fnv1a64(k) % r);
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }
@@ -172,23 +174,35 @@ class GroupCountReducer
   }
 };
 
+/// part: by color only.
+struct ColorPartitionFn {
+  uint32_t operator()(const ShapeColorKey& k, uint32_t r) const {
+    return static_cast<uint32_t>(k.color) % r;
+  }
+};
+/// comp: by (color, shape).
+struct ColorShapeLessFn {
+  bool operator()(const ShapeColorKey& a, const ShapeColorKey& b) const {
+    return std::tie(a.color, a.shape) < std::tie(b.color, b.shape);
+  }
+};
+/// group: by the entire key.
+struct ShapeColorEqualFn {
+  bool operator()(const ShapeColorKey& a, const ShapeColorKey& b) const {
+    return a.color == b.color && a.shape == b.shape;
+  }
+};
+
 TEST(MrJobTest, Figure1PartitionByColorGroupByEntireKey) {
-  JobSpec<int, ShapeColorKey, ShapeColorKey, int, ShapeColorKey, int> spec;
+  TypedJobSpec<int, ShapeColorKey, ShapeColorKey, int, ShapeColorKey, int,
+               ColorShapeLessFn, ShapeColorEqualFn, ColorPartitionFn>
+      spec;
   spec.num_reduce_tasks = 3;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<PassThroughMapper>();
   };
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<GroupCountReducer>();
-  };
-  spec.partitioner = [](const ShapeColorKey& k, uint32_t r) {
-    return static_cast<uint32_t>(k.color) % r;
-  };
-  spec.key_less = [](const ShapeColorKey& a, const ShapeColorKey& b) {
-    return std::tie(a.color, a.shape) < std::tie(b.color, b.shape);
-  };
-  spec.group_equal = [](const ShapeColorKey& a, const ShapeColorKey& b) {
-    return a.color == b.color && a.shape == b.shape;
   };
 
   // 10 keys over 5 distinct (shape, color) combinations, as in Figure 1.
@@ -270,8 +284,16 @@ class ContiguityReducer : public Reducer<int, TaggedValue, int, int> {
   }
 };
 
+struct IntModPartitionFn {
+  uint32_t operator()(int k, uint32_t r) const {
+    return static_cast<uint32_t>(k) % r;
+  }
+};
+
 TEST(MrJobTest, EqualKeysStayContiguousPerMapTask) {
-  JobSpec<int, int, int, TaggedValue, int, int> spec;
+  TypedJobSpec<int, int, int, TaggedValue, int, int, std::less<>,
+               std::equal_to<>, IntModPartitionFn>
+      spec;
   spec.num_reduce_tasks = 2;
   spec.mapper_factory = [](const TaskContext& ctx) {
     return std::make_unique<TagMapper>(ctx.task_index);
@@ -279,11 +301,6 @@ TEST(MrJobTest, EqualKeysStayContiguousPerMapTask) {
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<ContiguityReducer>();
   };
-  spec.partitioner = [](const int& k, uint32_t r) {
-    return static_cast<uint32_t>(k) % r;
-  };
-  spec.key_less = [](const int& a, const int& b) { return a < b; };
-  spec.group_equal = [](const int& a, const int& b) { return a == b; };
 
   // 6 map tasks all emitting the same small key set.
   std::vector<std::vector<std::pair<int, int>>> input(6);
@@ -329,23 +346,33 @@ class SecondaryMapper
   }
 };
 
+/// part and group: by `group` only; comp: by (group, pos).
+struct GroupPartitionFn {
+  uint32_t operator()(const SecondaryKey& k, uint32_t r) const {
+    return static_cast<uint32_t>(k.group) % r;
+  }
+};
+struct GroupPosLessFn {
+  bool operator()(const SecondaryKey& a, const SecondaryKey& b) const {
+    return std::tie(a.group, a.pos) < std::tie(b.group, b.pos);
+  }
+};
+struct GroupEqualFn {
+  bool operator()(const SecondaryKey& a, const SecondaryKey& b) const {
+    return a.group == b.group;
+  }
+};
+
 TEST(MrJobTest, SecondarySortDeliversValuesInKeyOrder) {
-  JobSpec<int, SecondaryKey, SecondaryKey, int, int, std::vector<int>> spec;
+  TypedJobSpec<int, SecondaryKey, SecondaryKey, int, int, std::vector<int>,
+               GroupPosLessFn, GroupEqualFn, GroupPartitionFn>
+      spec;
   spec.num_reduce_tasks = 1;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<SecondaryMapper>();
   };
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<SecondarySortReducer>();
-  };
-  spec.partitioner = [](const SecondaryKey& k, uint32_t r) {
-    return static_cast<uint32_t>(k.group) % r;
-  };
-  spec.key_less = [](const SecondaryKey& a, const SecondaryKey& b) {
-    return std::tie(a.group, a.pos) < std::tie(b.group, b.pos);
-  };
-  spec.group_equal = [](const SecondaryKey& a, const SecondaryKey& b) {
-    return a.group == b.group;
   };
 
   std::vector<std::vector<std::pair<int, SecondaryKey>>> input(2);
@@ -380,56 +407,38 @@ TEST(MrJobTest, CountersMergeAcrossTasks) {
 }
 
 // ---------------------------------------------------------------------
-// Typed fast path: a TypedJobSpec with functor comp/group/part must
-// produce byte-identical output to the std::function JobSpec.
+// Functor and std::function comp/group/part: a spec that names
+// std::function types must produce byte-identical output to the
+// functor-typed one.
 // ---------------------------------------------------------------------
 
-struct WordLessFn {
-  bool operator()(const std::string& a, const std::string& b) const {
-    return a < b;
-  }
-};
-struct WordEqualFn {
-  bool operator()(const std::string& a, const std::string& b) const {
-    return a == b;
-  }
-};
-struct WordPartitionFn {
-  uint32_t operator()(const std::string& k, uint32_t r) const {
-    return static_cast<uint32_t>(Fnv1a64(k) % r);
-  }
-};
-
 TEST(MrJobTest, TypedSpecMatchesFunctionSpec) {
+  using KeyPredicate =
+      std::function<bool(const std::string&, const std::string&)>;
   TypedJobSpec<int, std::string, std::string, int, std::string, int,
-               WordLessFn, WordEqualFn, WordPartitionFn>
-      typed;
-  typed.num_reduce_tasks = 4;
-  typed.mapper_factory = [](const TaskContext&) {
+               KeyPredicate, KeyPredicate,
+               std::function<uint32_t(const std::string&, uint32_t)>>
+      fn_spec;
+  fn_spec.num_reduce_tasks = 4;
+  fn_spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<WordCountMapper>();
   };
-  typed.reducer_factory = [](const TaskContext&) {
+  fn_spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<SumReducer>();
   };
+  fn_spec.partitioner = FnvPartitionFn{};
+  fn_spec.key_less = std::less<>{};
+  fn_spec.group_equal = std::equal_to<>{};
   JobRunner runner(4);
-  auto typed_result = runner.Run(typed, WordInput());
-  auto fn_result = runner.Run(WordCountSpec(4), WordInput());
+  auto typed_result = runner.Run(WordCountSpec(4), WordInput());
+  auto fn_result = runner.Run(fn_spec, WordInput());
   EXPECT_EQ(typed_result.MergedOutput(), fn_result.MergedOutput());
   EXPECT_EQ(typed_result.metrics.counters.Get(kCounterMapOutputPairs),
             fn_result.metrics.counters.Get(kCounterMapOutputPairs));
 }
 
 TEST(MrJobTest, TypedSpecSupportsCombiner) {
-  TypedJobSpec<int, std::string, std::string, int, std::string, int,
-               WordLessFn, WordEqualFn, WordPartitionFn>
-      typed;
-  typed.num_reduce_tasks = 1;
-  typed.mapper_factory = [](const TaskContext&) {
-    return std::make_unique<WordCountMapper>();
-  };
-  typed.reducer_factory = [](const TaskContext&) {
-    return std::make_unique<SumReducer>();
-  };
+  auto typed = WordCountSpec(1);
   typed.combiner = [](std::span<const std::pair<std::string, int>> group,
                       std::vector<std::pair<std::string, int>>* out) {
     int sum = 0;

@@ -1,5 +1,5 @@
-// Differential tests for the reduce-side shuffle: the loser-tree k-way
-// merge (mr/merge.h) must produce exactly the sequence the engine's old
+// Differential tests for the reduce-side shuffle: both k-way merges
+// (mr/merge.h) must produce exactly the sequence the engine's old
 // concatenate-then-stable-sort path produced — including equal-key ties
 // across runs (grouped by run index, run order preserved) — both at the
 // kernel level and through a full job with and without a combiner.
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -25,16 +26,45 @@ bool PairKeyLess(const IntPair& a, const IntPair& b) {
   return a.first < b.first;
 }
 
-// Both merge implementations must satisfy the same contract; every test
-// below exercises the engine's MergeSortedRuns and the LoserTreeMerge
-// alternative.
+// Both merge kernels must satisfy the same contract; every test below
+// exercises the in-memory shuffle's MergeSortedRuns and the external
+// shuffle's LoserTreeMergeCursors (here over in-memory runs).
 enum class MergeImpl { kBinaryTree, kLoserTree };
+
+/// One in-memory sorted run as a LoserTreeMergeCursors cursor.
+template <typename T>
+class VectorCursor {
+ public:
+  using value_type = T;
+
+  explicit VectorCursor(std::vector<T>* run) : run_(run) {}
+
+  bool exhausted() const { return pos_ >= run_->size(); }
+  const T& head() const { return (*run_)[pos_]; }
+  T Pop() { return std::move((*run_)[pos_++]); }
+
+ private:
+  std::vector<T>* run_;
+  size_t pos_ = 0;
+};
+
+template <typename T, typename Less>
+std::vector<T> Merge(MergeImpl impl, std::vector<std::vector<T>> runs,
+                     const Less& less) {
+  if (impl == MergeImpl::kBinaryTree) {
+    return MergeSortedRuns(std::span(runs), less);
+  }
+  std::vector<VectorCursor<T>> cursors;
+  for (auto& run : runs) cursors.emplace_back(&run);
+  std::vector<T> out;
+  LoserTreeMergeCursors(std::span(cursors), less,
+                        [&out](T&& e) { out.push_back(std::move(e)); });
+  return out;
+}
 
 std::vector<IntPair> RunMerge(MergeImpl impl,
                               std::vector<std::vector<IntPair>> runs) {
-  return impl == MergeImpl::kBinaryTree
-             ? MergeSortedRuns(std::span(runs), PairKeyLess)
-             : LoserTreeMerge(std::span(runs), PairKeyLess);
+  return Merge(impl, std::move(runs), PairKeyLess);
 }
 
 class MergeKernelTest : public ::testing::TestWithParam<MergeImpl> {};
@@ -106,11 +136,7 @@ TEST_P(MergeKernelTest, DifferentialAgainstConcatStableSortStringKeys) {
     }
     auto expected = ConcatAndStableSort(
         std::span<const std::vector<StrPair>>(master), less);
-    auto runs = master;  // the merges consume their input
-    auto actual = GetParam() == MergeImpl::kBinaryTree
-                      ? MergeSortedRuns(std::span(runs), less)
-                      : LoserTreeMerge(std::span(runs), less);
-    ASSERT_EQ(actual, expected) << "trial " << trial;
+    ASSERT_EQ(Merge(GetParam(), master, less), expected) << "trial " << trial;
   }
 }
 
@@ -210,6 +236,12 @@ std::vector<std::vector<std::pair<int, std::vector<int>>>> ReferenceGroups(
   return groups;
 }
 
+struct IntModPartitionFn {
+  uint32_t operator()(int k, uint32_t r) const {
+    return static_cast<uint32_t>(k) % r;
+  }
+};
+
 void RunJobDifferential(const Combiner& combiner) {
   // 6 map tasks all emitting the same key set -> dense cross-task ties.
   std::vector<std::vector<std::pair<int, int>>> input(6);
@@ -222,7 +254,9 @@ void RunJobDifferential(const Combiner& combiner) {
   }
   const uint32_t r = 3;
 
-  JobSpec<int, int, int, int, int, std::vector<int>> spec;
+  TypedJobSpec<int, int, int, int, int, std::vector<int>, std::less<>,
+               std::equal_to<>, IntModPartitionFn>
+      spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const TaskContext& ctx) {
     return std::make_unique<TagMapper>(ctx.task_index);
@@ -230,11 +264,6 @@ void RunJobDifferential(const Combiner& combiner) {
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<GroupEchoReducer>();
   };
-  spec.partitioner = [](const int& k, uint32_t rr) {
-    return static_cast<uint32_t>(k) % rr;
-  };
-  spec.key_less = [](const int& a, const int& b) { return a < b; };
-  spec.group_equal = [](const int& a, const int& b) { return a == b; };
   spec.combiner = combiner;
 
   JobRunner runner(4);

@@ -3,6 +3,7 @@
 // worker counts.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <tuple>
 
@@ -44,8 +45,20 @@ class AggReducer : public Reducer<int, int64_t, int, Agg> {
   }
 };
 
-JobSpec<int, int64_t, int, int64_t, int, Agg> AggSpec(uint32_t r) {
-  JobSpec<int, int64_t, int, int64_t, int, Agg> spec;
+/// Multiplicative hash of the key, mod r.
+struct MulHashPartitionFn {
+  uint32_t operator()(int k, uint32_t r) const {
+    return static_cast<uint32_t>(k * 2654435761u) % r;
+  }
+};
+
+template <typename Partitioner = MulHashPartitionFn>
+TypedJobSpec<int, int64_t, int, int64_t, int, Agg, std::less<>,
+             std::equal_to<>, Partitioner>
+AggSpec(uint32_t r) {
+  TypedJobSpec<int, int64_t, int, int64_t, int, Agg, std::less<>,
+               std::equal_to<>, Partitioner>
+      spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<IdentityMapper>();
@@ -53,11 +66,6 @@ JobSpec<int, int64_t, int, int64_t, int, Agg> AggSpec(uint32_t r) {
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<AggReducer>();
   };
-  spec.partitioner = [](const int& k, uint32_t r) {
-    return static_cast<uint32_t>(k * 2654435761u) % r;
-  };
-  spec.key_less = [](const int& a, const int& b) { return a < b; };
-  spec.group_equal = [](const int& a, const int& b) { return a == b; };
   return spec;
 }
 
@@ -122,12 +130,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Partitioner violations are caught, not silently misrouted.
-using FatalSpec = JobSpec<int, int64_t, int, int64_t, int, Agg>;
+struct OutOfRangePartitionFn {
+  uint32_t operator()(int, uint32_t) const { return 99; }
+};
 
 TEST(MrJobDeathTest, OutOfRangePartitionerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto spec = AggSpec(2);
-  spec.partitioner = [](const int&, uint32_t) { return 99u; };
+  auto spec = AggSpec<OutOfRangePartitionFn>(2);
   std::vector<std::vector<std::pair<int, int64_t>>> input{{{1, 1}}};
   JobRunner runner(1);
   EXPECT_DEATH(runner.Run(spec, input), "partitioner returned");

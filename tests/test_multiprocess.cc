@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -88,26 +89,27 @@ class AggReducer
   }
 };
 
-mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> AggSpec(
-    uint32_t r) {
-  mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> spec;
+/// FNV-1a of the key, mod r.
+struct FnvPartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    uint32_t h = 2166136261u;
+    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+    return h % r;
+  }
+};
+
+using AggSpecT =
+    mr::TypedJobSpec<int, int64_t, std::string, int64_t, std::string, Agg,
+                     std::less<>, std::equal_to<>, FnvPartitionFn>;
+
+AggSpecT AggSpec(uint32_t r) {
+  AggSpecT spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const mr::TaskContext&) {
     return std::make_unique<IdentityMapper>();
   };
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<AggReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r_) {
-    uint32_t h = 2166136261u;
-    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-    return h % r_;
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }
@@ -332,18 +334,19 @@ TEST(MultiProcessCheckpointTest, RerunAdoptsCommittedMapAndReduceTasks) {
 core::ErPipeline MakePipeline(lb::StrategyKind kind,
                               mr::ExecutionMode mode,
                               uint32_t worker_processes = 0) {
-  auto builder = core::ErPipelineBuilder()
-                     .Strategy(kind)
-                     .MapTasks(5)
-                     .ReduceTasks(7)
-                     .Workers(4)
-                     .IoBufferBytes(512);
+  core::ErPipelineConfig config;
+  config.strategy = kind;
+  config.num_map_tasks = 5;
+  config.num_reduce_tasks = 7;
+  config.num_workers = 4;
+  config.execution.io_buffer_bytes = 512;
   if (worker_processes > 0) {
-    builder.WorkerProcesses(worker_processes);
+    config.execution.mode = mr::ExecutionMode::kMultiProcess;
+    config.execution.num_worker_processes = worker_processes;
   } else {
-    builder.ExecutionMode(mode);
+    config.execution.mode = mode;
   }
-  return builder.Build();
+  return core::ErPipeline(config);
 }
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
@@ -419,7 +422,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyMultiProcessTest,
                                            lb::StrategyKind::kBlockSplit,
                                            lb::StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 // One-worker degenerate pool through the full pipeline, plus a pool

@@ -59,12 +59,12 @@ TEST_P(PipelineStrategyTest, PrebuiltPlanOverloadMatchesFreshRun) {
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
 
-  ErPipeline pipeline = ErPipelineBuilder()
-                            .Strategy(GetParam())
-                            .MapTasks(3)
-                            .ReduceTasks(7)
-                            .Workers(4)
-                            .Build();
+  ErPipelineConfig config;
+  config.strategy = GetParam();
+  config.num_map_tasks = 3;
+  config.num_reduce_tasks = 7;
+  config.num_workers = 4;
+  const ErPipeline pipeline(config);
   er::Partitions parts = er::SplitIntoPartitions(entities, 3);
   ErPipelineConfig cfg = pipeline.config();
   EXPECT_EQ(cfg.strategy, GetParam());
@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PipelineStrategyTest,
                                            lb::StrategyKind::kBlockSplit,
                                            lb::StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(PipelineTest, StrategiesAgreeWithEachOther) {
@@ -144,7 +144,7 @@ TEST(PipelineTest, StrategiesAgreeWithEachOther) {
   er::EditDistanceMatcher matcher(0.8);
   er::MatchResult results[3];
   int i = 0;
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     ErPipelineConfig cfg;
     cfg.strategy = kind;
     cfg.num_map_tasks = 4;

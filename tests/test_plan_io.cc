@@ -1,8 +1,8 @@
 // MatchPlan serialization and strategy-API tests: JSON round-trips must be
 // lossless (serialize → parse → re-serialize byte-identical, stats and
 // bodies equal), deserialized plans must execute to the same result as
-// fresh ones, StrategyKindFromName must invert StrategyName, and invalid
-// MatchJobOptions must be rejected up front.
+// fresh ones, StrategyKindFromName must invert StrategyKindToName, and
+// invalid MatchJobOptions must be rejected up front.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -127,7 +127,7 @@ TEST_P(PlanRoundTripTest, SaveAndLoadFile) {
   ASSERT_TRUE(plan.ok());
 
   std::string path = ::testing::TempDir() + "plan_" +
-                     lb::StrategyName(GetParam()) + ".json";
+                     lb::StrategyKindToName(GetParam()) + ".json";
   ASSERT_TRUE(lb::SaveMatchPlan(path, *plan).ok());
   auto loaded = lb::LoadMatchPlan(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -140,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanRoundTripTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(PlanCompatTest, PlanProjectionEqualsBuildPlanStats) {
@@ -148,7 +148,7 @@ TEST(PlanCompatTest, PlanProjectionEqualsBuildPlanStats) {
   bdm::Bdm bdm = PaperBdm();
   MatchJobOptions options;
   options.num_reduce_tasks = 3;
-  for (auto kind : lb::AllStrategies()) {
+  for (auto kind : lb::AllStrategyKinds()) {
     auto strategy = lb::MakeStrategy(kind);
     auto stats = strategy->Plan(bdm, options);
     auto plan = strategy->BuildPlan(bdm, options);
@@ -279,12 +279,12 @@ TEST(PlanJsonErrorsTest, RejectsMalformedDocuments) {
 }
 
 // ---------------------------------------------------------------------
-// StrategyKindFromName: the inverse of StrategyName.
+// StrategyKindFromName: the inverse of StrategyKindToName.
 // ---------------------------------------------------------------------
 
 TEST(StrategyNameTest, RoundTripsAllStrategies) {
-  for (auto kind : lb::AllStrategies()) {
-    auto parsed = lb::StrategyKindFromName(lb::StrategyName(kind));
+  for (auto kind : lb::AllStrategyKinds()) {
+    auto parsed = lb::StrategyKindFromName(lb::StrategyKindToName(kind));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, kind);
   }
@@ -362,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, OptionValidationTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(OptionValidationTest, SingleJobBasicRejectsInvalidOptions) {

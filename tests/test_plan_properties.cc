@@ -44,13 +44,12 @@ std::set<std::tuple<uint32_t, uint64_t, uint64_t>> MaterializePairs(
   // Entities are indexed per block in partition order (like PairRange's
   // enumeration), which is exactly the order chunks slice.
   std::set<std::tuple<uint32_t, uint64_t, uint64_t>> pairs;
-  auto offsets = bdm.BuildEntityIndexOffsets();
   const uint32_t mv = bdm.num_partitions() * sub;
   for (uint32_t k = 0; k < bdm.num_blocks(); ++k) {
     // entity ids of virtual partition v, in order
     std::vector<std::vector<uint64_t>> members(mv);
     for (uint32_t p = 0; p < bdm.num_partitions(); ++p) {
-      uint64_t base = offsets[k][p];
+      uint64_t base = bdm.EntityIndexOffset(k, p);
       uint64_t n = bdm.Size(k, p);
       for (uint64_t local = 0; local < n; ++local) {
         uint32_t chunk = 0;
@@ -112,7 +111,7 @@ TEST_P(BlockSplitCoverageTest, EveryPairExactlyOnce) {
   // Expected: all within-block pairs of blocks with >= 2 entities.
   uint64_t expected = 0;
   for (uint32_t k = 0; k < bdm.num_blocks(); ++k) {
-    expected += bdm.PairsInBlock(k);
+    expected += bdm.view(k).pairs();
   }
   EXPECT_EQ(pairs.size(), expected);
 }
@@ -203,13 +202,13 @@ TEST(PlanTotalsTest, AllStrategiesAgreeOnTotalComparisons) {
   MatchJobOptions options;
   options.num_reduce_tasks = 9;
   uint64_t expected = bdm.TotalPairs();
-  for (auto kind : AllStrategies()) {
+  for (auto kind : AllStrategyKinds()) {
     auto plan = MakeStrategy(kind)->Plan(bdm, options);
     ASSERT_TRUE(plan.ok());
     uint64_t total = 0;
     for (uint64_t c : plan->comparisons_per_reduce_task) total += c;
-    EXPECT_EQ(total, expected) << StrategyName(kind);
-    EXPECT_EQ(plan->total_comparisons, expected) << StrategyName(kind);
+    EXPECT_EQ(total, expected) << StrategyKindToName(kind);
+    EXPECT_EQ(plan->total_comparisons, expected) << StrategyKindToName(kind);
   }
 }
 

@@ -76,7 +76,7 @@ TEST_P(OneSourceDifferentialTest, ExecutionHonorsPlanExactly) {
   er::Partitions parts = er::SplitIntoPartitions(*entities, p.m);
   auto run = RunWithPlan(p.strategy, parts, blocking, matcher, p.r);
   ExpectPlanMatchesExecution(
-      run, std::string(lb::StrategyName(p.strategy)) + " m=" +
+      run, std::string(lb::StrategyKindToName(p.strategy)) + " m=" +
                std::to_string(p.m) + " r=" + std::to_string(p.r));
 }
 
@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, OneSourceDifferentialTest, ::testing::ValuesIn(MakeDiffSweep()),
     [](const ::testing::TestParamInfo<DiffParam>& info) {
       const auto& p = info.param;
-      return std::string(lb::StrategyName(p.strategy)) + "_m" +
+      return std::string(lb::StrategyKindToName(p.strategy)) + "_m" +
              std::to_string(p.m) + "_r" + std::to_string(p.r) + "_s" +
              std::to_string(static_cast<int>(p.skew * 10));
     });
@@ -114,7 +114,7 @@ TEST_P(TwoSourceDifferentialTest, PaperAppendixExample) {
   auto tags = PaperTwoSourceTags();
   auto run = RunWithPlan(kind, PaperTwoSourcePartitions(), blocking,
                          matcher, r, 4, &tags);
-  ExpectPlanMatchesExecution(run, std::string(lb::StrategyName(kind)) +
+  ExpectPlanMatchesExecution(run, std::string(lb::StrategyKindToName(kind)) +
                                       " two-source r=" + std::to_string(r));
 }
 
@@ -141,16 +141,30 @@ TEST_P(TwoSourceDifferentialTest, GeneratedLinkage) {
 
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   auto matcher = AcceptAll();
-  er::Partitions parts = er::SplitIntoPartitions(*r_entities, 2);
-  auto s_parts = er::SplitIntoPartitions(*s_entities, 3);
-  std::vector<er::Source> tags(2, er::Source::kR);
-  for (auto& sp : s_parts) {
-    parts.push_back(std::move(sp));
-    tags.push_back(er::Source::kS);
+  // R partitions first, then interleaved with S: PairRange's per-source
+  // entity index offsets must skip the other source's partitions, or
+  // the executed per-task counts drift from the plan.
+  const std::vector<std::vector<er::Source>> layouts = {
+      {er::Source::kR, er::Source::kR, er::Source::kS, er::Source::kS,
+       er::Source::kS},
+      {er::Source::kR, er::Source::kS, er::Source::kR, er::Source::kS,
+       er::Source::kS}};
+  for (const auto& tags : layouts) {
+    auto r_parts = er::SplitIntoPartitions(*r_entities, 2);
+    auto s_parts = er::SplitIntoPartitions(*s_entities, 3);
+    er::Partitions parts;
+    size_t next_r = 0, next_s = 0;
+    std::string layout;
+    for (er::Source src : tags) {
+      const bool is_r = src == er::Source::kR;
+      parts.push_back(std::move(is_r ? r_parts[next_r++] : s_parts[next_s++]));
+      layout += is_r ? 'R' : 'S';
+    }
+    auto run = RunWithPlan(kind, parts, blocking, matcher, r, 4, &tags);
+    ExpectPlanMatchesExecution(
+        run, std::string(lb::StrategyKindToName(kind)) + " linkage r=" +
+                 std::to_string(r) + " layout " + layout);
   }
-  auto run = RunWithPlan(kind, parts, blocking, matcher, r, 4, &tags);
-  ExpectPlanMatchesExecution(run, std::string(lb::StrategyName(kind)) +
-                                      " linkage r=" + std::to_string(r));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,8 +174,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          StrategyKind::kPairRange),
                        ::testing::Values(1u, 3u, 9u)),
     [](const auto& info) {
-      return std::string(lb::StrategyName(std::get<0>(info.param))) + "_r" +
-             std::to_string(std::get<1>(info.param));
+      return std::string(lb::StrategyKindToName(std::get<0>(info.param))) +
+             "_r" + std::to_string(std::get<1>(info.param));
     });
 
 // BlockSplit's sub-split extension must stay exactly plannable too.

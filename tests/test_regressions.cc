@@ -86,7 +86,7 @@ TEST(TwoSourceOffsetRegression, FirstPairIndexIsZero) {
   std::vector<er::Source> tags{er::Source::kR, er::Source::kS};
   auto bdm = bdm::Bdm::FromKeys({{"a", "a"}, {"a", "a", "a"}}, &tags);
   ASSERT_TRUE(bdm.ok());
-  EXPECT_EQ(bdm->PairOffset(0), 0u);
+  EXPECT_EQ(bdm->view(0).pair_offset(), 0u);
   EXPECT_EQ(bdm->TotalPairs(), 6u);
   // Pair (x=0, y=0) gets global index 0 + 0*3 + 0 = 0.
   EXPECT_EQ(lb::CellIndexDual(0, 0, 3), 0u);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -50,26 +51,27 @@ class AggReducer
   }
 };
 
-mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> AggSpec(
-    uint32_t r) {
-  mr::JobSpec<int, int64_t, std::string, int64_t, std::string, Agg> spec;
+/// FNV-1a of the key, mod r.
+struct FnvPartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    uint32_t h = 2166136261u;
+    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+    return h % r;
+  }
+};
+
+using AggSpecT =
+    mr::TypedJobSpec<int, int64_t, std::string, int64_t, std::string, Agg,
+                     std::less<>, std::equal_to<>, FnvPartitionFn>;
+
+AggSpecT AggSpec(uint32_t r) {
+  AggSpecT spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const mr::TaskContext&) {
     return std::make_unique<IdentityMapper>();
   };
   spec.reducer_factory = [](const mr::TaskContext&) {
     return std::make_unique<AggReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r_) {
-    uint32_t h = 2166136261u;
-    for (char c : k) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-    return h % r_;
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }

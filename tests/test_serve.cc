@@ -16,6 +16,7 @@
 #include "common/fault.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
+#include "proc/wire.h"
 #include "serve/batcher.h"
 #include "serve/plan_cache.h"
 #include "serve/protocol.h"
@@ -296,6 +297,51 @@ TEST_F(ServeTest, ProtocolCodecsRoundTrip) {
   EXPECT_TRUE(serve::DecodeAdminOp("", &body).status()
                   .IsInvalidArgument());
   EXPECT_TRUE(serve::DecodeError("").IsInvalidArgument());
+}
+
+TEST_F(ServeTest, ProtocolRejectsCountsBeyondThePayload) {
+  // Counts are bounded by the bytes left before anything is sized by
+  // them: a short frame claiming 2^20 entities, ids or fields is
+  // malformed.
+  std::string probe;
+  proc::PutU32(1u << 20, &probe);
+  probe.append(16, '\0');
+  EXPECT_TRUE(serve::DecodeProbeRequest(probe).status().IsInvalidArgument());
+
+  std::string remove;
+  proc::PutU32(1u << 20, &remove);
+  remove.append(8, '\0');
+  EXPECT_TRUE(serve::DecodeRemoveBody(remove).status().IsInvalidArgument());
+
+  std::string fields;
+  proc::PutU32(1, &fields);         // one entity
+  proc::PutU64(42, &fields);        // id
+  proc::PutU32(0, &fields);         // source R
+  proc::PutU64(0, &fields);         // cluster
+  proc::PutU32(1u << 20, &fields);  // field count
+  proc::PutBytes("only one", &fields);
+  EXPECT_TRUE(serve::DecodeProbeRequest(fields).status().IsInvalidArgument());
+}
+
+TEST_F(ServeTest, ProtocolCapsFieldsPerEntity) {
+  // A well-formed entity with more than 2^20 (empty) fields is still
+  // rejected: the cap bounds what one frame can make the server allocate.
+  auto entity_with_fields = [](uint32_t nfields) {
+    std::string frame;
+    proc::PutU32(1, &frame);        // one entity
+    proc::PutU64(42, &frame);       // id
+    proc::PutU32(0, &frame);        // source R
+    proc::PutU64(0, &frame);        // cluster
+    proc::PutU32(nfields, &frame);  // field count
+    for (uint32_t i = 0; i < nfields; ++i) proc::PutBytes("", &frame);
+    return frame;
+  };
+  EXPECT_TRUE(serve::DecodeProbeRequest(entity_with_fields((1u << 20) + 1))
+                  .status()
+                  .IsInvalidArgument());
+  auto at_cap = serve::DecodeProbeRequest(entity_with_fields(1u << 20));
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->at(0).fields.size(), size_t{1} << 20);
 }
 
 TEST_F(ServeTest, ServerServesProtocolOverSocket) {

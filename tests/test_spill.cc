@@ -69,6 +69,27 @@ TEST(SpillCodecTest, DecodeRejectsTruncation) {
   }
 }
 
+TEST(SpillCodecTest, VectorCountBeyondBytesLeftIsRejected) {
+  // A corrupt element count must fail the decode, not size a reserve:
+  // 0xFFFFFFFF strings would ask for ~137 GB.
+  std::string buf;
+  SpillCodec<uint32_t>::Encode(0xFFFFFFFFu, &buf);
+  buf.append(8, '\0');
+  const char* p = buf.data();
+  std::vector<std::string> out;
+  EXPECT_FALSE(SpillCodec<std::vector<std::string>>::Decode(
+      &p, buf.data() + buf.size(), &out));
+
+  // A count equal to the bytes left passes the bound and then fails on
+  // the truncated elements.
+  buf.clear();
+  SpillCodec<uint32_t>::Encode(3, &buf);
+  buf.append(3, '\0');
+  p = buf.data();
+  EXPECT_FALSE(SpillCodec<std::vector<std::string>>::Decode(
+      &p, buf.data() + buf.size(), &out));
+}
+
 TEST(SpillCodecTest, EntityRef) {
   er::Entity e;
   e.id = 42;
@@ -209,6 +230,31 @@ TEST(SpillFileTest, CursorReportsCorruptRecords) {
   RunCursor<uint32_t, uint32_t> cursor;
   Status s = cursor.Open(path, extent, 64);
   EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(cursor.exhausted());
+}
+
+TEST(SpillFileTest, CursorReportsHugeElementCountAsCorrupt) {
+  // Records are decoded before the run checksum is checked, so a
+  // corrupt element count inside a well-framed record reaches the codec;
+  // it must surface through status(), not as an exception.
+  auto dir = ScopedTempDir::Make();
+  ASSERT_TRUE(dir.ok());
+  std::string payload;
+  SpillCodec<uint32_t>::Encode(7, &payload);           // key
+  SpillCodec<uint32_t>::Encode(0xFFFFFFFFu, &payload);  // element count
+  payload.append(8, 'x');
+  const std::string path = dir->path() + "/huge_count.run";
+  BufferedFileWriter w;
+  ASSERT_TRUE(w.Open(path).ok());
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  ASSERT_TRUE(w.Append(&len, sizeof(len)).ok());
+  ASSERT_TRUE(w.Append(payload.data(), payload.size()).ok());
+  ASSERT_TRUE(w.Close().ok());
+
+  RunExtent extent{0, sizeof(len) + payload.size(), 1};
+  RunCursor<uint32_t, std::vector<std::string>> cursor;
+  Status s = cursor.Open(path, extent, 64);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
   EXPECT_TRUE(cursor.exhausted());
 }
 
@@ -372,20 +418,22 @@ class SumReducer : public Reducer<uint32_t, int64_t, uint32_t, AggOut> {
   }
 };
 
-JobSpec<int, int64_t, uint32_t, int64_t, uint32_t, AggOut> SumSpec(
-    uint32_t r) {
-  JobSpec<int, int64_t, uint32_t, int64_t, uint32_t, AggOut> spec;
+struct ModPartitionFn {
+  uint32_t operator()(uint32_t k, uint32_t r) const { return k % r; }
+};
+
+using SumSpecT =
+    TypedJobSpec<int, int64_t, uint32_t, int64_t, uint32_t, AggOut,
+                 std::less<>, std::equal_to<>, ModPartitionFn>;
+
+SumSpecT SumSpec(uint32_t r) {
+  SumSpecT spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<SumMapper>();
   };
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<SumReducer>();
-  };
-  spec.partitioner = [](const uint32_t& k, uint32_t r_) { return k % r_; };
-  spec.key_less = [](const uint32_t& a, const uint32_t& b) { return a < b; };
-  spec.group_equal = [](const uint32_t& a, const uint32_t& b) {
-    return a == b;
   };
   return spec;
 }

@@ -4,9 +4,12 @@
 // once, for any (strategy, m, r, dataset) combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/reference.h"
 #include "er/matcher.h"
@@ -25,27 +28,6 @@ using testing_util::PaperExamplePartitions;
 using testing_util::PaperTwoSourcePartitions;
 using testing_util::PaperTwoSourceTags;
 using testing_util::RunStrategy;
-
-// StrategyKindToName / StrategyKindFromName are exact inverses — the
-// single spelling shared by CLI parsing, reports, and plan JSON.
-TEST(StrategyNameTest, ToNameFromNameRoundTrips) {
-  for (StrategyKind kind : lb::AllStrategies()) {
-    const char* name = lb::StrategyKindToName(kind);
-    auto parsed = lb::StrategyKindFromName(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, kind) << name;
-    // StrategyName stays as an alias of the canonical spelling.
-    EXPECT_STREQ(lb::StrategyName(kind), name);
-  }
-}
-
-TEST(StrategyNameTest, FromNameIsCaseInsensitiveAndRejectsUnknown) {
-  auto parsed = lb::StrategyKindFromName("blocksplit");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, StrategyKind::kBlockSplit);
-  EXPECT_TRUE(
-      lb::StrategyKindFromName("NotAStrategy").status().IsInvalidArgument());
-}
 
 /// Matcher that accepts every pair — turns the match result into "the set
 /// of compared pairs", making coverage directly observable.
@@ -107,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PaperExampleStrategyTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 TEST(BlockSplitPaperTest, Emits19KeyValuePairs) {
@@ -195,7 +177,7 @@ TEST_P(StrategyEquivalenceTest, MatchesReferenceResult) {
   er::Partitions parts = er::SplitIntoPartitions(*entities, p.m);
   auto run = RunStrategy(p.strategy, parts, blocking, matcher, p.r);
   EXPECT_TRUE(run.matches.SameAs(reference))
-      << lb::StrategyName(p.strategy) << " m=" << p.m << " r=" << p.r
+      << lb::StrategyKindToName(p.strategy) << " m=" << p.m << " r=" << p.r
       << " skew=" << p.skew << ": got " << run.matches.size()
       << " pairs, want " << reference.size();
 
@@ -224,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, StrategyEquivalenceTest, ::testing::ValuesIn(MakeSweep()),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       const auto& p = info.param;
-      return std::string(lb::StrategyName(p.strategy)) + "_m" +
+      return std::string(lb::StrategyKindToName(p.strategy)) + "_m" +
              std::to_string(p.m) + "_r" + std::to_string(p.r) + "_s" +
              std::to_string(static_cast<int>(p.skew * 10));
     });
@@ -254,8 +236,12 @@ TEST_P(TwoSourceStrategyTest, PaperAppendixExampleCoversAllCrossPairs) {
   }
 }
 
-TEST_P(TwoSourceStrategyTest, MatchesReferenceLinkOnGeneratedData) {
-  auto [kind, r] = GetParam();
+/// Links generated R and S data with `kind` over input partitions laid
+/// out as `layout` (one source tag per partition; R is split over the R
+/// slots and S over the S slots, each in order) and compares the result
+/// with core::ReferenceLink.
+void ExpectLinkMatchesReference(StrategyKind kind, uint32_t r,
+                                const std::vector<er::Source>& layout) {
   gen::SkewConfig cfg_r, cfg_s;
   cfg_r.num_entities = 150;
   cfg_r.num_blocks = 8;
@@ -281,18 +267,49 @@ TEST_P(TwoSourceStrategyTest, MatchesReferenceLinkOnGeneratedData) {
   auto reference =
       core::ReferenceLink(*r_entities, *s_entities, blocking, matcher);
 
-  // Lay out partitions: 2 of R, 3 of S.
-  er::Partitions parts = er::SplitIntoPartitions(*r_entities, 2);
-  auto s_parts = er::SplitIntoPartitions(*s_entities, 3);
-  std::vector<er::Source> tags(2, er::Source::kR);
-  for (auto& sp : s_parts) {
-    parts.push_back(std::move(sp));
-    tags.push_back(er::Source::kS);
+  const auto num_r = static_cast<uint32_t>(
+      std::count(layout.begin(), layout.end(), er::Source::kR));
+  auto r_parts = er::SplitIntoPartitions(*r_entities, num_r);
+  auto s_parts = er::SplitIntoPartitions(
+      *s_entities, static_cast<uint32_t>(layout.size()) - num_r);
+  er::Partitions parts;
+  size_t next_r = 0, next_s = 0;
+  for (er::Source src : layout) {
+    parts.push_back(std::move(src == er::Source::kR ? r_parts[next_r++]
+                                                    : s_parts[next_s++]));
   }
-  auto run = RunStrategy(kind, parts, blocking, matcher, r, 4, &tags);
+  auto run = RunStrategy(kind, parts, blocking, matcher, r, 4, &layout);
   EXPECT_TRUE(run.matches.SameAs(reference))
-      << lb::StrategyName(kind) << " r=" << r << ": got "
+      << lb::StrategyKindToName(kind) << " r=" << r << ": got "
       << run.matches.size() << " want " << reference.size();
+  // Every cross pair of a block is compared exactly once: a pair
+  // evaluated twice or never would not show in the match set.
+  std::map<std::string, std::pair<int64_t, int64_t>> block_sizes;
+  for (const auto& e : *r_entities) ++block_sizes[blocking.Key(e)].first;
+  for (const auto& e : *s_entities) ++block_sizes[blocking.Key(e)].second;
+  int64_t cross_pairs = 0;
+  for (const auto& [key, sizes] : block_sizes) {
+    cross_pairs += sizes.first * sizes.second;
+  }
+  EXPECT_EQ(run.comparisons, cross_pairs)
+      << lb::StrategyKindToName(kind) << " r=" << r;
+}
+
+TEST_P(TwoSourceStrategyTest, MatchesReferenceLinkOnGeneratedData) {
+  auto [kind, r] = GetParam();
+  // 2 partitions of R, then 3 of S.
+  ExpectLinkMatchesReference(kind, r,
+                             {er::Source::kR, er::Source::kR, er::Source::kS,
+                              er::Source::kS, er::Source::kS});
+}
+
+TEST_P(TwoSourceStrategyTest, MatchesReferenceLinkOnInterleavedSources) {
+  auto [kind, r] = GetParam();
+  // Sources interleaved: per-source entity index offsets must skip the
+  // other source's partitions.
+  ExpectLinkMatchesReference(kind, r,
+                             {er::Source::kR, er::Source::kS, er::Source::kR,
+                              er::Source::kS, er::Source::kS});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -302,8 +319,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          StrategyKind::kPairRange),
                        ::testing::Values(1u, 3u, 5u, 17u)),
     [](const auto& info) {
-      return std::string(lb::StrategyName(std::get<0>(info.param))) + "_r" +
-             std::to_string(std::get<1>(info.param));
+      return std::string(lb::StrategyKindToName(std::get<0>(info.param))) +
+             "_r" + std::to_string(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------
@@ -360,7 +377,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanConsistencyTest,
                                            StrategyKind::kBlockSplit,
                                            StrategyKind::kPairRange),
                          [](const auto& info) {
-                           return lb::StrategyName(info.param);
+                           return lb::StrategyKindToName(info.param);
                          });
 
 // BlockSplit on sorted input still covers everything (Figure 11's setup).

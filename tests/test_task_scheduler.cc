@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -103,24 +104,25 @@ class SumReducer : public Reducer<std::string, int, std::string, int> {
   }
 };
 
-JobSpec<int, std::string, std::string, int, std::string, int> TokenSpec(
-    uint32_t r) {
-  JobSpec<int, std::string, std::string, int, std::string, int> spec;
+/// Fnv1a64 of the key, mod r.
+struct FnvPartitionFn {
+  uint32_t operator()(const std::string& k, uint32_t r) const {
+    return static_cast<uint32_t>(Fnv1a64(k) % r);
+  }
+};
+
+using CountSpec =
+    TypedJobSpec<int, std::string, std::string, int, std::string, int,
+                 std::less<>, std::equal_to<>, FnvPartitionFn>;
+
+CountSpec TokenSpec(uint32_t r) {
+  CountSpec spec;
   spec.num_reduce_tasks = r;
   spec.mapper_factory = [](const TaskContext&) {
     return std::make_unique<TokenMapper>();
   };
   spec.reducer_factory = [](const TaskContext&) {
     return std::make_unique<SumReducer>();
-  };
-  spec.partitioner = [](const std::string& k, uint32_t r) {
-    return static_cast<uint32_t>(Fnv1a64(k) % r);
-  };
-  spec.key_less = [](const std::string& a, const std::string& b) {
-    return a < b;
-  };
-  spec.group_equal = [](const std::string& a, const std::string& b) {
-    return a == b;
   };
   return spec;
 }

@@ -26,11 +26,14 @@ classified:
     meaningful across differing CI hardware.
   * entries with "value"        — informational only (peak RSS etc.).
 
-Entries present on only one side are reported but never fail the gate
-(renames would otherwise break every PR that adds a benchmark). The
-markdown summary is written to --summary and, when the environment
-provides it, appended to $GITHUB_STEP_SUMMARY. Exit code 1 iff any gated
-entry regressed.
+A baseline entry missing from the current run fails the gate when it
+would have gated (ratios always, times unless the pair is `:ratios`):
+a benchmark that silently stops being emitted must not pass as "no
+regression". Retiring one means removing it from the committed
+baseline. Entries present only in the current run are reported as new
+and never gate. The markdown summary is written to --summary and, when
+the environment provides it, appended to $GITHUB_STEP_SUMMARY. Exit
+code 1 iff any gated entry regressed or went missing.
 """
 
 import argparse
@@ -64,14 +67,23 @@ def compare_documents(baseline, current, threshold, ratios_only=False):
     (name, kind, baseline_value, current_value, delta_fraction, verdict).
     delta_fraction is signed so that positive always means "worse".
     With ratios_only, absolute-time entries are reported but never gate.
+    A gating baseline entry absent from `current` is a regression.
     """
     rows = []
     regressions = []
     for name in sorted(set(baseline) | set(current)):
         b = baseline.get(name)
         c = current.get(name)
-        if b is None or c is None:
-            rows.append((name, "missing", b, c, None, "skipped"))
+        if b is None:
+            rows.append((name, "new", None, c, None, "info"))
+            continue
+        if c is None:
+            kind = classify(b)
+            gating = kind == "ratio" or (kind == "time" and not ratios_only)
+            rows.append((name, "missing", b, None, None,
+                         "MISSING" if gating else "skipped"))
+            if gating:
+                regressions.append(name)
             continue
         kind = classify(b)
         if kind != classify(c):
@@ -125,8 +137,10 @@ def render_markdown(title, rows, threshold):
         "|---|---|---:|---:|---:|---|",
     ]
     for name, kind, bv, cv, delta, verdict in rows:
-        if kind in ("missing", "mismatch"):
-            lines.append(f"| `{name}` | {kind} | — | — | — | {verdict} |")
+        if kind in ("missing", "mismatch", "new"):
+            mark = "❌" if verdict == "MISSING" else ""
+            lines.append(
+                f"| `{name}` | {kind} | — | — | — | {verdict} {mark} |")
             continue
         delta_str = "—" if delta is None else f"{delta:+.1%}"
         mark = "❌" if verdict == "REGRESSION" else ""
@@ -154,7 +168,10 @@ def run_compare(pairs, threshold, summary_path):
         print(f"-- {title}: {len(rows)} entries, "
               f"{len(regressions)} regression(s)")
         for name, kind, bv, cv, delta, verdict in rows:
-            if verdict == "REGRESSION":
+            if verdict == "MISSING":
+                print(f"   MISSING {name}: gated baseline entry absent "
+                      "from the current run")
+            elif verdict == "REGRESSION":
                 print(f"   REGRESSION {name}: baseline "
                       f"{format_value(kind, bv)} -> current "
                       f"{format_value(kind, cv)} ({delta:+.1%})")
@@ -220,15 +237,34 @@ def selftest():
     rows, regs = compare_documents(baseline, bad_ratio, 0.25)
     assert "ratio" in regs, regs
 
-    # New/removed benchmarks are reported but do not gate.
+    # New benchmarks and a removed informational entry are reported but
+    # do not gate.
     extra = dict(drift)
     extra["brand_new"] = {"name": "brand_new", "nanos_per_op": 1.0}
-    del extra["fast"]
+    del extra["rss"]
     rows, regs = compare_documents(baseline, extra, 0.25)
     assert not regs, regs
     kinds = {name: kind for name, kind, *_ in rows}
-    assert kinds["brand_new"] == "missing"
-    assert kinds["fast"] == "missing"
+    assert kinds["brand_new"] == "new"
+    assert kinds["rss"] == "missing"
+
+    # A gated entry that vanished from the current run fails: a removed
+    # time entry unless times are informational, a removed ratio always.
+    no_fast = dict(drift)
+    del no_fast["fast"]
+    rows, regs = compare_documents(baseline, no_fast, 0.25)
+    assert regs == ["fast"], regs
+    rows, regs = compare_documents(baseline, no_fast, 0.25,
+                                   ratios_only=True)
+    assert not regs, regs
+    no_ratio = dict(drift)
+    del no_ratio["ratio"]
+    rows, regs = compare_documents(baseline, no_ratio, 0.25)
+    assert regs == ["ratio"], regs
+    rows, regs = compare_documents(baseline, no_ratio, 0.25,
+                                   ratios_only=True)
+    assert regs == ["ratio"], regs
+    assert "MISSING" in render_markdown("selftest", rows, 0.25)
 
     # ratios_only: absolute-time regressions are demoted to info, but a
     # collapsed ratio still fails.
