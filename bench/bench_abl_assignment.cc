@@ -29,8 +29,8 @@ int main() {
     lpt.num_reduce_tasks = rr.num_reduce_tasks = r;
     lpt.assignment = lb::TaskAssignment::kGreedyLpt;
     rr.assignment = lb::TaskAssignment::kRoundRobin;
-    auto lpt_plan = strategy->Plan(bdm, lpt);
-    auto rr_plan = strategy->Plan(bdm, rr);
+    auto lpt_plan = strategy->BuildPlan(bdm, lpt);
+    auto rr_plan = strategy->BuildPlan(bdm, rr);
     ERLB_CHECK(lpt_plan.ok());
     ERLB_CHECK(rr_plan.ok());
 
@@ -45,8 +45,8 @@ int main() {
     ERLB_CHECK(lpt_sim.ok());
     ERLB_CHECK(rr_sim.ok());
     table.AddRow({std::to_string(r),
-                  bench::Fmt(lpt_plan->ReduceImbalance(), 2),
-                  bench::Fmt(rr_plan->ReduceImbalance(), 2),
+                  bench::Fmt(lpt_plan->stats().ReduceImbalance(), 2),
+                  bench::Fmt(rr_plan->stats().ReduceImbalance(), 2),
                   bench::Fmt(lpt_sim->total_s),
                   bench::Fmt(rr_sim->total_s)});
   }

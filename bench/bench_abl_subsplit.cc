@@ -44,7 +44,7 @@ int main() {
     lb::MatchJobOptions options;
     options.num_reduce_tasks = kReduceTasks;
     options.sub_splits = sub;
-    auto plan = strategy->Plan(bdm, options);
+    auto plan = strategy->BuildPlan(bdm, options);
     ERLB_CHECK(plan.ok());
     sim::ClusterConfig cluster;
     cluster.num_nodes = kNodes;
@@ -53,8 +53,8 @@ int main() {
                                lb::TaskAssignment::kGreedyLpt, sub);
     ERLB_CHECK(res.ok());
     table.AddRow({std::to_string(sub),
-                  bench::Fmt(plan->ReduceImbalance(), 2),
-                  FormatWithCommas(plan->TotalMapOutputPairs()),
+                  bench::Fmt(plan->stats().ReduceImbalance(), 2),
+                  FormatWithCommas(plan->stats().TotalMapOutputPairs()),
                   bench::Fmt(res->total_s),
                   bench::Fmt(res->total_s / baseline.total_s, 2) + "x"});
   }

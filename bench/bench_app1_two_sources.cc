@@ -8,8 +8,9 @@
 #include "bench_common.h"
 #include "bdm/bdm_job.h"
 #include "common/string_util.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
 #include "core/reference.h"
+#include "core/stages.h"
 #include "core/table.h"
 #include "lb/block_split_plan.h"
 
@@ -69,8 +70,11 @@ void AppendixExample() {
   options.num_reduce_tasks = 3;
   for (auto kind :
        {lb::StrategyKind::kBlockSplit, lb::StrategyKind::kPairRange}) {
-    auto out = lb::MakeStrategy(kind)->RunMatchJob(
-        *bdm_out->annotated, bdm, all, options, runner);
+    auto strategy = lb::MakeStrategy(kind);
+    auto match_plan = strategy->BuildPlan(bdm, options);
+    ERLB_CHECK(match_plan.ok());
+    auto out = strategy->ExecutePlan(*match_plan, *bdm_out->annotated, bdm,
+                                     all, runner);
     ERLB_CHECK(out.ok());
     std::printf("%s: comparisons=%lld matches=%zu map KV pairs=%lld\n",
                 lb::StrategyKindToName(kind),
@@ -103,20 +107,24 @@ void SyntheticLinkage() {
   table.SetHeader({"strategy", "matches", "comparisons", "map KV pairs",
                    "wall s", "== reference"});
   for (auto kind : lb::AllStrategyKinds()) {
-    core::ErPipelineConfig cfg;
-    cfg.strategy = kind;
-    cfg.num_map_tasks = 6;
-    cfg.num_reduce_tasks = 24;
-    core::ErPipeline pipeline(cfg);
-    auto result = pipeline.Link(*r_ents, *s_ents, blocking, matcher);
-    ERLB_CHECK(result.ok());
+    core::StandardGraphOptions graph;
+    graph.strategy = kind;
+    graph.num_reduce_tasks = 24;
+    core::Dataflow df;
+    df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                        &*r_ents, 6, nullptr, &*s_ents);
+    ERLB_CHECK(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+    auto report = df.Run();
+    ERLB_CHECK(report.ok());
+    const er::MatchResult& matches =
+        **df.Get<er::MatchResult>(core::kDatasetMatches);
     table.AddRow({lb::StrategyKindToName(kind),
-                  FormatWithCommas(result->matches.size()),
-                  FormatWithCommas(result->comparisons),
+                  FormatWithCommas(matches.size()),
+                  FormatWithCommas(report->TotalComparisons()),
                   FormatWithCommas(
-                      result->match_metrics.TotalMapOutputPairs()),
-                  bench::Fmt(result->total_seconds, 2),
-                  result->matches.SameAs(reference) ? "yes" : "NO"});
+                      report->Find("match")->job->TotalMapOutputPairs()),
+                  bench::Fmt(report->total_seconds, 2),
+                  matches.SameAs(reference) ? "yes" : "NO"});
   }
   table.Print();
 }

@@ -1,14 +1,15 @@
-// Dataflow-adapter overhead micro benchmark: ErPipeline now builds and
-// runs the standard stage graph (core/dataflow.h), so this bench pins
-// the cost of that indirection — graph construction alone, and the full
-// adapter run against the same jobs invoked directly (RunBdmJob +
-// BuildPlan + ExecutePlan on one runner, the pre-dataflow pipeline
-// body). The `overhead/direct_vs_adapter` ratio must stay ~1x; it is
-// gated by tools/bench_compare.py against the committed
-// BENCH_dataflow.json baseline. Two serial steps of the wide_external
-// shape are timed on their own as well, each with a gated ratio: CSV
-// ingest on one worker vs. four, and BDM assembly from the job's
-// reduce output vs. from shuffled triples.
+// Dataflow overhead micro benchmark: every caller runs the ER workflow
+// as the standard stage graph (core/dataflow.h, core/stages.h), so this
+// bench pins the cost of that indirection — graph construction alone,
+// and the full graph run (`run/pipeline_adapter`: build, validate, run,
+// report) against the same jobs invoked directly (RunBdmJob + BuildPlan +
+// ExecutePlan on one runner, the pre-dataflow pipeline body). The
+// `overhead/direct_vs_adapter` ratio must stay ~1x; it is gated by
+// tools/bench_compare.py against the committed BENCH_dataflow.json
+// baseline. Two serial steps of the wide_external shape are timed on
+// their own as well, each with a gated ratio: CSV ingest on one worker
+// vs. four, and BDM assembly from the job's reduce output vs. from
+// shuffled triples.
 //
 //   $ ./bench_dataflow [--json <path>] [--reps N] [--min-rep-ms N]
 #include <string>
@@ -53,22 +54,32 @@ int main(int argc, char** argv) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  core::ErPipelineConfig config;
-  config.strategy = lb::StrategyKind::kBlockSplit;
-  config.num_map_tasks = m;
-  config.num_reduce_tasks = r;
-  config.num_workers = workers;
-  core::ErPipeline pipeline(config);
+  core::DataflowOptions resources;
+  resources.num_workers = workers;
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = r;
+  // The standard graph over `parts`, built and bound but not run.
+  auto build = [&] {
+    core::Dataflow df(resources);
+    Status built = core::AddStandardGraph(&df, graph, &blocking, &matcher);
+    ERLB_CHECK(built.ok());
+    core::PartitionedEntities input;
+    input.partitions = parts;
+    Status bound = df.AddInput(core::kDatasetPartitions,
+                               core::Dataset(std::move(input)));
+    ERLB_CHECK(bound.ok());
+    return df;
+  };
 
   // The pre-dataflow pipeline body: both jobs on one directly-owned
   // runner, no graph, no report.
   harness.Run("run/direct_jobs", [&] {
-    mr::JobRunner runner(workers, config.execution);
+    mr::JobRunner runner(workers, resources.execution);
     bdm::BdmJobOptions bdm_options;
     bdm_options.num_reduce_tasks = r;
     auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
     ERLB_CHECK(bdm_out.ok());
-    auto strategy = lb::MakeStrategy(config.strategy);
+    auto strategy = lb::MakeStrategy(graph.strategy);
     lb::MatchJobOptions match_options;
     match_options.num_reduce_tasks = r;
     auto plan = strategy->BuildPlan(bdm_out->bdm, match_options);
@@ -79,16 +90,18 @@ int main(int argc, char** argv) {
     ERLB_CHECK(out->matches.size() > 0);
   });
 
-  // The adapter: same jobs, reached through graph build + validate +
-  // run + report assembly.
+  // The graph: same jobs, reached through graph build + validate + run +
+  // report assembly.
   harness.Run("run/pipeline_adapter", [&] {
-    auto result = pipeline.DeduplicatePartitioned(parts, blocking, matcher);
-    ERLB_CHECK(result.ok());
-    ERLB_CHECK(result->matches.size() > 0);
+    core::Dataflow df = build();
+    auto report = df.Run();
+    ERLB_CHECK(report.ok());
+    auto matches = df.Get<er::MatchResult>(core::kDatasetMatches);
+    ERLB_CHECK(matches.ok() && (*matches)->size() > 0);
   });
 
-  // direct / adapter; ~1.0 means the graph machinery is free at job
-  // granularity. Gated (higher is better, so a regression = adapter
+  // direct / graph; ~1.0 means the graph machinery is free at job
+  // granularity. Gated (higher is better, so a regression = the graph
   // getting relatively slower).
   harness.Speedup("overhead/direct_vs_adapter", "run/direct_jobs",
                   "run/pipeline_adapter");
@@ -96,15 +109,8 @@ int main(int argc, char** argv) {
   // Graph construction alone (no execution): stage allocation, dataset
   // wiring, DAG validation, input binding.
   harness.Run("build/standard_graph", [&] {
-    auto df = core::BuildStandardDataflow(config, blocking, matcher);
-    ERLB_CHECK(df.ok());
-    core::PartitionedEntities input;
-    input.partitions = parts;
-    core::Dataset dataset(std::move(input));
-    Status bound =
-        df->AddInput(core::kDatasetPartitions, std::move(dataset));
-    ERLB_CHECK(bound.ok());
-    ERLB_CHECK(df->Validate().ok());
+    core::Dataflow df = build();
+    ERLB_CHECK(df.Validate().ok());
   });
 
   // CSV ingest alone: CsvSourceStage over a 200k-row file on one worker

@@ -43,7 +43,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "core/pipeline.h"
 #include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
@@ -213,23 +212,23 @@ CaseResult RunPipelineCase(const CaseConfig& config, Mode mode) {
   auto entities = gen::GenerateSkewed(gen_config);
   ERLB_CHECK(entities.ok()) << entities.status().ToString();
 
-  core::ErPipelineConfig pipeline_config;
-  pipeline_config.strategy = lb::StrategyKind::kBlockSplit;
-  pipeline_config.num_map_tasks = 8;
-  pipeline_config.num_reduce_tasks = 32;
+  constexpr uint32_t kMapTasks = 8;
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = 32;
+  core::DataflowOptions resources;
   switch (mode) {
     case Mode::kExternal:
       // kAuto + tiny threshold: the engine must decide to spill on its
       // own.
-      pipeline_config.execution.mode = mr::ExecutionMode::kAuto;
-      pipeline_config.execution.spill_threshold_bytes = uint64_t{1} << 20;
+      resources.execution.mode = mr::ExecutionMode::kAuto;
+      resources.execution.spill_threshold_bytes = uint64_t{1} << 20;
       break;
     case Mode::kInMemory:
-      pipeline_config.execution.mode = mr::ExecutionMode::kInMemory;
+      resources.execution.mode = mr::ExecutionMode::kInMemory;
       break;
     case Mode::kMultiProcess:
-      pipeline_config.execution.mode = mr::ExecutionMode::kMultiProcess;
-      pipeline_config.execution.num_worker_processes = kWorkerProcesses;
+      resources.execution.mode = mr::ExecutionMode::kMultiProcess;
+      resources.execution.num_worker_processes = kWorkerProcesses;
       break;
   }
 
@@ -237,15 +236,14 @@ CaseResult RunPipelineCase(const CaseConfig& config, Mode mode) {
   er::JaroWinklerMatcher matcher(0.9, gen::kSkewTitleField);
 
   Stopwatch watch;
-  auto df = core::BuildStandardDataflow(pipeline_config, blocking, matcher);
-  ERLB_CHECK(df.ok()) << df.status().ToString();
+  core::Dataflow df(resources);
+  ERLB_CHECK(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
   core::PartitionedEntities input;
-  input.partitions =
-      er::SplitIntoPartitions(*entities, pipeline_config.num_map_tasks);
-  ERLB_CHECK(df->AddInput(core::kDatasetPartitions,
-                          core::Dataset(std::move(input)))
+  input.partitions = er::SplitIntoPartitions(*entities, kMapTasks);
+  ERLB_CHECK(df.AddInput(core::kDatasetPartitions,
+                         core::Dataset(std::move(input)))
                  .ok());
-  auto report = df->Run();
+  auto report = df.Run();
   double seconds = watch.ElapsedSeconds();
   ERLB_CHECK(report.ok()) << report.status().ToString();
 

@@ -29,12 +29,12 @@ int main() {
     options.num_reduce_tasks = r;
     std::vector<std::string> row{std::to_string(r)};
     for (auto kind : lb::AllStrategyKinds()) {
-      auto plan = lb::MakeStrategy(kind)->Plan(bdm, options);
+      auto plan = lb::MakeStrategy(kind)->BuildPlan(bdm, options);
       if (!plan.ok()) {
         std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
         return 1;
       }
-      row.push_back(FormatWithCommas(plan->TotalMapOutputPairs()));
+      row.push_back(FormatWithCommas(plan->stats().TotalMapOutputPairs()));
     }
     table.AddRow(std::move(row));
   }

@@ -31,9 +31,10 @@
 // (common/fault.h), e.g. ERLB_FAULT="task.map=kill@3" kills the process
 // on the third map task — which is how the crash harness exercises the
 // checkpoint/resume path.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <system_error>
 
 #include "core/dataflow.h"
 #include "core/report.h"
@@ -92,14 +93,17 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
           return false;
         }
       } else if (name == "--workers") {
-        int workers = std::atoi(value.c_str());
-        if (workers < 1) {
+        // The whole value must be one decimal count that fits.
+        uint32_t workers = 0;
+        const char* end = value.data() + value.size();
+        auto [ptr, ec] = std::from_chars(value.data(), end, workers);
+        if (ec != std::errc() || ptr != end || workers < 1) {
           std::fprintf(stderr, "--workers needs a positive count, got "
                        "\"%s\"\n", value.c_str());
           return false;
         }
         cli->execution.mode = mr::ExecutionMode::kMultiProcess;
-        cli->execution.num_worker_processes = static_cast<uint32_t>(workers);
+        cli->execution.num_worker_processes = workers;
       } else if (name == "--temp-dir") {
         cli->execution.temp_dir = value;
       } else if (name == "--checkpoint-dir") {

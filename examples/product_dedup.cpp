@@ -7,7 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "core/table.h"
 #include "common/string_util.h"
 #include "er/blocking.h"
@@ -47,30 +48,36 @@ int main(int argc, char** argv) {
   er::MatchResult previous;
   bool first = true;
   for (auto kind : lb::AllStrategyKinds()) {
-    core::ErPipelineConfig cfg;
-    cfg.strategy = kind;
-    cfg.num_map_tasks = 8;
-    cfg.num_reduce_tasks = 32;
-    core::ErPipeline pipeline(cfg);
-    auto result = pipeline.Deduplicate(*entities, blocking, matcher);
-    if (!result.ok()) {
+    core::Dataflow df;
+    df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                        &*entities, /*num_partitions=*/8);
+    core::StandardGraphOptions graph;
+    graph.strategy = kind;
+    graph.num_reduce_tasks = 32;
+    auto fail = [kind](const Status& status) {
       std::fprintf(stderr, "%s failed: %s\n", lb::StrategyKindToName(kind),
-                   result.status().ToString().c_str());
+                   status.ToString().c_str());
       return 1;
-    }
-    auto quality = er::EvaluateMatches(*entities, result->matches);
+    };
+    Status built = core::AddStandardGraph(&df, graph, &blocking, &matcher);
+    if (!built.ok()) return fail(built);
+    auto report = df.Run();
+    if (!report.ok()) return fail(report.status());
+    const er::MatchResult& matches =
+        **df.Get<er::MatchResult>(core::kDatasetMatches);
+    auto quality = er::EvaluateMatches(*entities, matches);
     table.AddRow(
-        {lb::StrategyKindToName(kind), FormatWithCommas(result->matches.size()),
-         FormatWithCommas(result->comparisons),
-         FormatWithCommas(result->match_metrics.TotalMapOutputPairs()),
+        {lb::StrategyKindToName(kind), FormatWithCommas(matches.size()),
+         FormatWithCommas(report->TotalComparisons()),
+         FormatWithCommas(report->Find("match")->job->TotalMapOutputPairs()),
          FormatDouble(quality.Precision(), 3),
          FormatDouble(quality.Recall(), 3), FormatDouble(quality.F1(), 3),
-         FormatDouble(result->total_seconds, 2)});
-    if (!first && !result->matches.SameAs(previous)) {
+         FormatDouble(report->total_seconds, 2)});
+    if (!first && !matches.SameAs(previous)) {
       std::fprintf(stderr, "ERROR: strategies disagree!\n");
       return 1;
     }
-    previous = std::move(result->matches);
+    previous = matches;
     first = false;
   }
   table.Print();

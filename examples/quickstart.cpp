@@ -4,10 +4,12 @@
 //   $ ./quickstart
 //
 // Walks through the library's core API: entities, a blocking function, a
-// matcher, the pipeline, and the match result.
+// matcher, the dataflow graph that runs the workflow, and the match
+// result.
 #include <cstdio>
 
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 
@@ -39,29 +41,35 @@ int main() {
   // 3. Matching: normalized edit distance >= 0.8 (the paper's matcher).
   er::EditDistanceMatcher matcher(/*threshold=*/0.8);
 
-  // 4. Configure the MR pipeline: m map tasks, r reduce tasks, and the
-  //    BlockSplit load balancing strategy (PairRange and Basic are the
-  //    alternatives).
-  core::ErPipelineConfig config;
-  config.strategy = lb::StrategyKind::kBlockSplit;
-  config.num_map_tasks = 2;
-  config.num_reduce_tasks = 4;
-  core::ErPipeline pipeline(config);
-
-  // 5. Run: Job 1 computes the block distribution matrix (BDM), Job 2
-  //    redistributes and matches.
-  auto result = pipeline.Deduplicate(catalog, blocking, matcher);
-  if (!result.ok()) {
-    std::fprintf(stderr, "pipeline failed: %s\n",
-                 result.status().ToString().c_str());
+  // 4. Build the dataflow graph: a source stage splits the catalog into
+  //    m = 2 map partitions, and the standard chain adds Job 1 (the block
+  //    distribution matrix, BDM), the BlockSplit plan over r = 4 reduce
+  //    tasks, and Job 2, which redistributes and matches. PairRange and
+  //    Basic are the alternative strategies.
+  core::Dataflow df;
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &catalog, /*num_partitions=*/2);
+  core::StandardGraphOptions graph;
+  graph.strategy = lb::StrategyKind::kBlockSplit;
+  graph.num_reduce_tasks = 4;
+  auto fail = [](const Status& status) {
+    std::fprintf(stderr, "pipeline failed: %s\n", status.ToString().c_str());
     return 1;
-  }
+  };
+  Status built = core::AddStandardGraph(&df, graph, &blocking, &matcher);
+  if (!built.ok()) return fail(built);
+
+  // 5. Run it and read the matches and the per-stage report.
+  auto report = df.Run();
+  if (!report.ok()) return fail(report.status());
+  const er::MatchResult& matches =
+      **df.Get<er::MatchResult>(core::kDatasetMatches);
 
   std::printf("blocks: %u   candidate pairs compared: %lld\n",
-              result->bdm.num_blocks(),
-              static_cast<long long>(result->comparisons));
-  std::printf("matches found: %zu\n", result->matches.size());
-  for (const auto& pair : result->matches.pairs()) {
+              (*df.Get<bdm::Bdm>(core::kDatasetBdm))->num_blocks(),
+              static_cast<long long>(report->TotalComparisons()));
+  std::printf("matches found: %zu\n", matches.size());
+  for (const auto& pair : matches.pairs()) {
     std::printf("  %llu <-> %llu\n",
                 static_cast<unsigned long long>(pair.first),
                 static_cast<unsigned long long>(pair.second));

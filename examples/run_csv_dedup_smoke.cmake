@@ -40,3 +40,16 @@ file(READ ${auto_output} auto_matches)
 if(NOT auto_matches STREQUAL matches)
   message(FATAL_ERROR "csv_dedup auto mode found different matches:\n${auto_matches}\nvs\n${matches}")
 endif()
+
+# A malformed --workers count is rejected while parsing the command
+# line, before any worker process is forked or any output is written.
+foreach(bad "--workers=4x" "--workers=" "--workers=99999999999")
+  set(bad_output ${WORK_DIR}/matches_bad_workers.csv)
+  file(REMOVE ${bad_output})
+  execute_process(COMMAND ${EXE} ${input} ${bad_output} ${bad}
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "--workers needs a positive count"
+     OR EXISTS ${bad_output})
+    message(FATAL_ERROR "csv_dedup accepted ${bad} (exit ${rc}): ${err}")
+  endif()
+endforeach()

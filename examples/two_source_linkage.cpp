@@ -9,7 +9,8 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/perturb.h"
@@ -54,30 +55,38 @@ int main() {
 
   for (auto kind :
        {lb::StrategyKind::kBlockSplit, lb::StrategyKind::kPairRange}) {
-    core::ErPipelineConfig cfg;
-    cfg.strategy = kind;
-    cfg.num_map_tasks = 6;
-    cfg.num_reduce_tasks = 12;
-    core::ErPipeline pipeline(cfg);
+    core::StandardGraphOptions graph;
+    graph.strategy = kind;
+    graph.num_reduce_tasks = 12;
 
-    // Plain linkage ignores S entities without a key...
-    auto plain = pipeline.Link(*catalog, offers, blocking, matcher);
-    if (!plain.ok()) {
-      // ...and fails under the default missing-key policy, as it should:
-      std::printf("%s, plain Link(): %s\n", lb::StrategyKindToName(kind),
-                  plain.status().ToString().c_str());
+    // Plain linkage: one source stage over R and S (m = 6 map tasks split
+    // between them by size) feeding the standard chain...
+    core::Dataflow plain;
+    plain.Emplace<core::EntitySourceStage>(
+        "source", core::kDatasetPartitions, &*catalog, 6, nullptr, &offers);
+    Status status = core::AddStandardGraph(&plain, graph, &blocking, &matcher);
+    if (status.ok()) status = plain.Run().status();
+    if (!status.ok()) {
+      // ...fails on S entities without a key under the default
+      // missing-key policy, as it should:
+      std::printf("%s, plain linkage: %s\n", lb::StrategyKindToName(kind),
+                  status.ToString().c_str());
     }
 
     // The appendix decomposition handles them via the constant key ⊥.
-    auto full = core::LinkWithMissingKeys(pipeline, *catalog, offers,
-                                          blocking, matcher);
-    if (!full.ok()) {
-      std::fprintf(stderr, "%s\n", full.status().ToString().c_str());
+    core::Dataflow full;
+    status = core::AddMissingKeyGraph(&full, graph, 6, &*catalog, &offers,
+                                      &blocking, &matcher);
+    if (status.ok()) status = full.Run().status();
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
+    const size_t linked =
+        (*full.Get<er::MatchResult>(core::kDatasetMatches))->size();
     std::printf("%s with missing-key decomposition: %s linked pairs\n\n",
                 lb::StrategyKindToName(kind),
-                FormatWithCommas(full->size()).c_str());
+                FormatWithCommas(linked).c_str());
   }
   return 0;
 }

@@ -9,7 +9,7 @@
 // consuming and producing *named datasets* (entity partitions, BDMs,
 // annotated stores, match plans, match results, clusters). New workloads
 // become graph compositions — add a stage, wire a dataset — rather than
-// new ErPipeline entry points.
+// new entry points.
 //
 // The graph owns the shared execution resources that each job previously
 // re-derived per run:
@@ -24,9 +24,9 @@
 // spill bytes, comparisons, executed plans — consumable by the cluster
 // simulator, the recommender, and the benches.
 //
-// Concrete stages and the standard/multi-pass graph builders live in
-// core/stages.h; core::ErPipeline remains as a thin adapter that builds
-// and runs the standard graph.
+// Concrete stages and the standard, multi-pass and missing-key graph
+// builders live in core/stages.h; every caller — CLIs, benches, tests —
+// builds its graph from them and runs it here.
 #ifndef ERLB_CORE_DATAFLOW_H_
 #define ERLB_CORE_DATAFLOW_H_
 

@@ -70,5 +70,17 @@ uint64_t ReferencePairCount(const std::vector<er::Entity>& entities,
   return pairs;
 }
 
+er::MatchResult ReferenceMultiPassDeduplicate(
+    const std::vector<er::Entity>& entities,
+    const std::vector<const er::BlockingFunction*>& passes,
+    const er::Matcher& matcher) {
+  er::MatchResult all;
+  for (const auto* pass : passes) {
+    all.Merge(ReferenceDeduplicate(entities, *pass, matcher));
+  }
+  all.Canonicalize();
+  return all;
+}
+
 }  // namespace core
 }  // namespace erlb

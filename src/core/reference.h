@@ -26,6 +26,13 @@ er::MatchResult ReferenceLink(const std::vector<er::Entity>& r_entities,
                               const er::BlockingFunction& blocking,
                               const er::Matcher& matcher);
 
+/// Multi-pass blocking (core/stages.h AddMultiPassGraph): the union of
+/// the per-pass within-block match results.
+er::MatchResult ReferenceMultiPassDeduplicate(
+    const std::vector<er::Entity>& entities,
+    const std::vector<const er::BlockingFunction*>& passes,
+    const er::Matcher& matcher);
+
 /// Total within-block pair count of one source (for workload checks).
 uint64_t ReferencePairCount(const std::vector<er::Entity>& entities,
                             const er::BlockingFunction& blocking);

@@ -1,28 +1,21 @@
-// Human-readable run reports: summarizes an ErPipelineResult (jobs,
-// phases, workload distribution, counters) the way one would read a
-// Hadoop job history page, plus the per-stage view of a Dataflow run and
-// its machine-readable JSON form.
+// Run reports of a Dataflow::Run: the per-stage view as text — with the
+// per-phase task time spread of every MR job, the imbalance the paper's
+// strategies remove — and its machine-readable JSON form.
 #ifndef ERLB_CORE_REPORT_H_
 #define ERLB_CORE_REPORT_H_
 
 #include <string>
 
 #include "core/dataflow.h"
-#include "core/pipeline.h"
 
 namespace erlb {
 namespace core {
 
-/// Formats a multi-line report of one pipeline run.
-std::string FormatRunReport(const ErPipelineResult& result,
-                            const ErPipelineConfig& config);
-
-/// One-line summary (strategy, comparisons, matches, seconds).
-std::string FormatRunSummary(const ErPipelineResult& result,
-                             const ErPipelineConfig& config);
-
 /// Formats the unified per-stage report of one Dataflow::Run — one line
-/// per stage (kind, seconds, records, job shape, spill, plan strategy).
+/// per stage (kind, seconds, records, job shape, spill, plan strategy),
+/// and under each MR job stage one line per phase: tasks, records in and
+/// out, average and maximum task time, and their ratio (the straggler
+/// ratio).
 std::string FormatDataflowReport(const DataflowReport& report);
 
 /// The same report as a JSON document (strategy names via

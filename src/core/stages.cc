@@ -1,6 +1,8 @@
 #include "core/stages.h"
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "lb/basic.h"
@@ -88,34 +90,67 @@ Status CsvSourceStage::Run(DataflowContext* ctx) {
 EntitySourceStage::EntitySourceStage(std::string name,
                                      std::string out_partitions,
                                      const std::vector<er::Entity>* entities,
-                                     uint32_t num_partitions, Filter filter)
+                                     uint32_t num_partitions, Filter filter,
+                                     const std::vector<er::Entity>* s_entities,
+                                     Filter s_filter)
     : Stage(std::move(name)),
       out_(std::move(out_partitions)),
       entities_(entities),
       num_partitions_(num_partitions),
-      filter_(std::move(filter)) {
+      filter_(std::move(filter)),
+      s_entities_(s_entities),
+      s_filter_(std::move(s_filter)) {
   DeclareOutput(out_);
 }
+
+namespace {
+
+/// The entities of one source side that `filter` admits, wrapped as refs
+/// and, on a two-source stage, tagged with `tag`.
+std::vector<er::EntityRef> Admit(const std::vector<er::Entity>& entities,
+                                 const EntitySourceStage::Filter& filter,
+                                 std::optional<er::Source> tag) {
+  std::vector<er::EntityRef> admitted;
+  admitted.reserve(filter == nullptr ? entities.size() : 0);
+  for (const auto& e : entities) {
+    if (filter != nullptr && !filter(e)) continue;
+    er::Entity copy = e;
+    if (tag.has_value()) copy.source = *tag;
+    admitted.push_back(er::MakeEntityRef(std::move(copy)));
+  }
+  return admitted;
+}
+
+}  // namespace
 
 Status EntitySourceStage::Run(DataflowContext* ctx) {
   if (num_partitions_ == 0) {
     return Status::InvalidArgument("num_map_tasks must be >= 1");
   }
   PartitionedEntities out;
-  if (filter_ == nullptr) {
-    if (entities_->empty()) {
-      return Status::InvalidArgument("input is empty");
-    }
-    out.partitions = er::SplitIntoPartitions(*entities_, num_partitions_);
-  } else {
-    std::vector<er::EntityRef> admitted;
-    for (const auto& e : *entities_) {
-      if (filter_(e)) admitted.push_back(er::MakeEntityRef(e));
-    }
-    if (admitted.empty()) {
-      return Status::InvalidArgument("input is empty after filtering");
-    }
+  if (s_entities_ == nullptr) {
+    std::vector<er::EntityRef> admitted =
+        Admit(*entities_, filter_, std::nullopt);
+    if (admitted.empty()) return Status::InvalidArgument("input is empty");
     out.partitions = er::SplitRefsIntoPartitions(admitted, num_partitions_);
+  } else {
+    std::vector<er::EntityRef> r = Admit(*entities_, filter_, er::Source::kR);
+    std::vector<er::EntityRef> s =
+        Admit(*s_entities_, s_filter_, er::Source::kS);
+    if (r.empty() || s.empty()) {
+      return Status::InvalidArgument("both sources must be non-empty");
+    }
+    // Map tasks split between R and S in proportion to their sizes.
+    const uint32_t m = std::max(num_partitions_, 2u);
+    const double total = static_cast<double>(r.size() + s.size());
+    const uint32_t r_tasks = std::clamp<uint32_t>(
+        static_cast<uint32_t>(m * (r.size() / total) + 0.5), 1, m - 1);
+    out.partitions = er::SplitRefsIntoPartitions(r, r_tasks);
+    out.sources.assign(r_tasks, er::Source::kR);
+    for (auto& p : er::SplitRefsIntoPartitions(s, m - r_tasks)) {
+      out.partitions.push_back(std::move(p));
+      out.sources.push_back(er::Source::kS);
+    }
   }
   uint64_t records = 0;
   for (const auto& p : out.partitions) records += p.size();
@@ -454,6 +489,69 @@ Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
   }
   df->Emplace<UnionMatchesStage>(name_prefix + "union",
                                  std::move(pass_outputs), out_matches);
+  return Status::OK();
+}
+
+Status AddMissingKeyGraph(Dataflow* df, const StandardGraphOptions& options,
+                          uint32_t num_map_tasks,
+                          const std::vector<er::Entity>* entities,
+                          const std::vector<er::Entity>* s_entities,
+                          const er::BlockingFunction* blocking,
+                          const er::Matcher* matcher,
+                          const std::string& out_matches,
+                          const std::string& name_prefix) {
+  const EntitySourceStage::Filter keyed = [blocking](const er::Entity& e) {
+    return !blocking->Key(e).empty();
+  };
+  const EntitySourceStage::Filter unkeyed = [blocking](const er::Entity& e) {
+    return blocking->Key(e).empty();
+  };
+  const auto count_keyed = [&keyed](const std::vector<er::Entity>* side) {
+    return static_cast<size_t>(
+        std::count_if(side->begin(), side->end(), keyed));
+  };
+  const er::BlockingFunction* bottom =
+      df->Own(std::make_unique<er::ConstantBlocking>());
+
+  // One term of the decomposition: R side, optional S side, blocking.
+  struct Term {
+    bool present;
+    EntitySourceStage::Filter r_filter;
+    const std::vector<er::Entity>* s_side;
+    EntitySourceStage::Filter s_filter;
+    const er::BlockingFunction* blocking;
+  };
+  const size_t r_keyed = count_keyed(entities);
+  const size_t r_unkeyed = entities->size() - r_keyed;
+  std::vector<Term> terms;
+  if (s_entities == nullptr) {
+    terms = {{r_keyed > 0, keyed, nullptr, nullptr, blocking},
+             {r_keyed > 0 && r_unkeyed > 0, keyed, entities, unkeyed, bottom},
+             {r_unkeyed >= 2, unkeyed, nullptr, nullptr, bottom}};
+  } else {
+    const size_t s_keyed = count_keyed(s_entities);
+    const size_t s_unkeyed = s_entities->size() - s_keyed;
+    terms = {{r_keyed > 0 && s_keyed > 0, keyed, s_entities, keyed, blocking},
+             {!entities->empty() && s_unkeyed > 0, nullptr, s_entities,
+              unkeyed, bottom},
+             {r_unkeyed > 0 && s_keyed > 0, unkeyed, s_entities, keyed,
+              bottom}};
+  }
+
+  std::vector<std::string> term_outputs;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (!terms[i].present) continue;
+    const std::string prefix = name_prefix + "term" + std::to_string(i) + "/";
+    df->Emplace<EntitySourceStage>(prefix + "source",
+                                   prefix + kDatasetPartitions, entities,
+                                   num_map_tasks, terms[i].r_filter,
+                                   terms[i].s_side, terms[i].s_filter);
+    ERLB_RETURN_NOT_OK(
+        AddStandardGraph(df, options, terms[i].blocking, matcher, prefix));
+    term_outputs.push_back(prefix + kDatasetMatches);
+  }
+  df->Emplace<UnionMatchesStage>(name_prefix + "union",
+                                 std::move(term_outputs), out_matches);
   return Status::OK();
 }
 

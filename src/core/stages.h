@@ -13,10 +13,14 @@
 //     per-pass standard subgraphs ("pass<i>/…") feeding one union stage —
 //     replacing the former bespoke entity-replication path.
 //
+//   * AddMissingKeyGraph: the missing-key decompositions of Section III
+//     and Appendix I, the same shape — one standard subgraph per term
+//     ("term<i>/…") feeding one union stage.
+//
 // Blocking functions and matchers are taken by pointer and not owned;
 // they must outlive Dataflow::Run(). Helper objects a builder creates
-// (pass filters, suppressing matchers) are owned by the graph via
-// Dataflow::Own.
+// (suppressing matchers, the ⊥ blocking function) are owned by the
+// graph via Dataflow::Own.
 #ifndef ERLB_CORE_STAGES_H_
 #define ERLB_CORE_STAGES_H_
 
@@ -77,15 +81,24 @@ class CsvSourceStage : public Stage {
 
 /// In-memory source: wraps a caller-owned entity vector (not copied until
 /// Run), optionally filtered, split into `num_partitions` map partitions.
+///
+/// With an S side it is the two-source (R×S, Appendix I) source instead:
+/// R's admitted entities are tagged er::Source::kR and S's kS, and the
+/// max(num_partitions, 2) map tasks are divided between the sources in
+/// proportion to their sizes (at least one each; each partition holds
+/// one source only, the MultipleInputs layout) — R's partitions first.
 class EntitySourceStage : public Stage {
  public:
   using Filter = std::function<bool(const er::Entity&)>;
 
-  /// `entities` is not owned and must outlive Run(). A null `filter`
-  /// admits every entity.
+  /// `entities` and `s_entities` are not owned and must outlive Run().
+  /// A null filter admits every entity of its side; a null `s_entities`
+  /// makes a one-source stage.
   EntitySourceStage(std::string name, std::string out_partitions,
                     const std::vector<er::Entity>* entities,
-                    uint32_t num_partitions, Filter filter = nullptr);
+                    uint32_t num_partitions, Filter filter = nullptr,
+                    const std::vector<er::Entity>* s_entities = nullptr,
+                    Filter s_filter = nullptr);
   const char* kind() const override { return "entity_source"; }
   [[nodiscard]] Status Run(DataflowContext* ctx) override;
 
@@ -94,6 +107,8 @@ class EntitySourceStage : public Stage {
   const std::vector<er::Entity>* entities_;
   uint32_t num_partitions_;
   Filter filter_;
+  const std::vector<er::Entity>* s_entities_;
+  Filter s_filter_;
 };
 
 /// Options of a BdmStage — BdmJobOptions minus the partition sources,
@@ -270,6 +285,31 @@ struct StandardGraphOptions {
     const std::vector<er::Entity>* entities,
     const std::vector<const er::BlockingFunction*>* passes,
     const er::Matcher* matcher, std::atomic<int64_t>* suppressed,
+    const std::string& out_matches = kDatasetMatches,
+    const std::string& name_prefix = "");
+
+/// Composes matching when some entities lack a blocking key (an empty
+/// Key under `blocking`). Entities without a key are compared against
+/// everything through the constant key ⊥ (er::ConstantBlocking):
+///
+///   deduplication (null `s_entities`, Section III):
+///     match_B(R) = match_B(R−R∅) ∪ match_⊥(R−R∅, R∅) ∪ match_⊥(R∅)
+///   linkage (Appendix I):
+///     match_B(R,S) = match_B(R−R∅, S−S∅) ∪ match_⊥(R, S∅)
+///                    ∪ match_⊥(R∅, S−S∅)
+///
+/// Term i runs as a standard subgraph ("<name_prefix>term<i>/…") over a
+/// filtered EntitySourceStage — two-sourced for the R×S terms — and one
+/// union stage ("<name_prefix>union") joins the terms into
+/// `out_matches`. A term with no pair to compare is left out, so an
+/// input without any candidate pair yields an empty match result.
+/// `entities`, `s_entities`, `blocking` and `matcher` are not owned and
+/// must outlive Run().
+[[nodiscard]] Status AddMissingKeyGraph(
+    Dataflow* df, const StandardGraphOptions& options, uint32_t num_map_tasks,
+    const std::vector<er::Entity>* entities,
+    const std::vector<er::Entity>* s_entities,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher,
     const std::string& out_matches = kDatasetMatches,
     const std::string& name_prefix = "");
 

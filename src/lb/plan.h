@@ -38,7 +38,7 @@ struct MatchJobOptions {
 
 /// Rejects option combinations no strategy can plan for
 /// (`num_reduce_tasks == 0`, `sub_splits == 0`). Called up front by every
-/// BuildPlan/RunMatchJob entry point.
+/// BuildPlan and by the single-job Basic path (lb::RunBasicSingleJob).
 [[nodiscard]] Status ValidateMatchJobOptions(const MatchJobOptions& options);
 
 /// Exact aggregate workload distribution of a (hypothetical) matching job

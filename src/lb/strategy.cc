@@ -48,20 +48,6 @@ Result<StrategyKind> StrategyKindFromName(std::string_view name) {
                                  "\" (expected " + expected + ")");
 }
 
-Result<MatchJobOutput> Strategy::RunMatchJob(
-    const bdm::AnnotatedStore& input, const bdm::Bdm& bdm,
-    const er::Matcher& matcher, const MatchJobOptions& options,
-    const mr::JobRunner& runner) const {
-  ERLB_ASSIGN_OR_RETURN(MatchPlan plan, BuildPlan(bdm, options));
-  return ExecutePlan(plan, input, bdm, matcher, runner);
-}
-
-Result<PlanStats> Strategy::Plan(const bdm::Bdm& bdm,
-                                 const MatchJobOptions& options) const {
-  ERLB_ASSIGN_OR_RETURN(MatchPlan plan, BuildPlan(bdm, options));
-  return plan.stats();
-}
-
 std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::kBasic:

@@ -6,11 +6,11 @@
 //    entities written by the BDM job, consuming the plan verbatim.
 // Planning and execution are strictly separated: the executor, the
 // cluster simulator, and the strategy recommender all consume the same
-// MatchPlan, which can be cached, inspected, and serialized (plan_io.h).
-// RunMatchJob (= BuildPlan + ExecutePlan) and Plan (= BuildPlan's
-// aggregate stats) remain as convenience wrappers. A kind has one name
-// (StrategyKindToName, parsed back by StrategyKindFromName) and one
-// enumeration (AllStrategyKinds).
+// MatchPlan, which can be cached, inspected, and serialized (plan_io.h);
+// its aggregate per-task workload is MatchPlan::stats(). The standard
+// dataflow (core/stages.h) runs BuildPlan and ExecutePlan as its plan and
+// match stages. A kind has one name (StrategyKindToName, parsed back by
+// StrategyKindFromName) and one enumeration (AllStrategyKinds).
 #ifndef ERLB_LB_STRATEGY_H_
 #define ERLB_LB_STRATEGY_H_
 
@@ -71,17 +71,6 @@ class Strategy {
       const MatchPlan& plan, const bdm::AnnotatedStore& input,
       const bdm::Bdm& bdm, const er::Matcher& matcher,
       const mr::JobRunner& runner) const = 0;
-
-  /// Convenience: BuildPlan + ExecutePlan in one call.
-  [[nodiscard]] Result<MatchJobOutput> RunMatchJob(const bdm::AnnotatedStore& input,
-                                     const bdm::Bdm& bdm,
-                                     const er::Matcher& matcher,
-                                     const MatchJobOptions& options,
-                                     const mr::JobRunner& runner) const;
-
-  /// Convenience: the aggregate projection of BuildPlan.
-  [[nodiscard]] Result<PlanStats> Plan(const bdm::Bdm& bdm,
-                         const MatchJobOptions& options) const;
 };
 
 /// Creates a strategy instance.

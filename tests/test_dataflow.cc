@@ -1,15 +1,13 @@
 // The composable dataflow API (core/dataflow.h, core/stages.h).
 //
-// The heart of this file is the legacy differential: ErPipeline's entry
-// points now build and run the standard stage graph, and
-// LegacyRunPartitioned below is a verbatim port of the pre-dataflow
-// two-job pipeline body (one JobRunner, RunBdmJob + BuildPlan +
-// ExecutePlan, or RunBasicSingleJob). The graph-backed pipeline must be
-// byte-identical to it — matches, comparison counters, per-task
-// metrics, serialized MatchPlan — for all three strategies, one- and
-// two-source, in-memory and external. Plus structural tests of the
-// graph itself: validation errors, typed dataset access, report
-// contents, cluster/union stages, CSV sources.
+// The heart of this file is the legacy differential: LegacyRunPartitioned
+// below is a verbatim port of the pre-dataflow two-job pipeline body (one
+// JobRunner, RunBdmJob + BuildPlan + ExecutePlan, or RunBasicSingleJob),
+// and the standard stage graph must be byte-identical to it — matches,
+// comparison counters, per-task metrics, serialized MatchPlan — for all
+// three strategies, one- and two-source, in-memory and external. Plus
+// structural tests of the graph itself: validation errors, typed dataset
+// access, report contents, cluster/union stages, CSV sources.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,7 +18,6 @@
 #include "bdm/bdm_job.h"
 #include "common/io_buffer.h"
 #include "core/dataflow.h"
-#include "core/pipeline.h"
 #include "core/report.h"
 #include "core/stages.h"
 #include "er/blocking.h"
@@ -31,9 +28,12 @@
 #include "lb/basic.h"
 #include "lb/plan_io.h"
 #include "lb/strategy.h"
+#include "strategy_test_util.h"
 
 namespace erlb {
 namespace {
+
+using testing_util::ExpectTaskMetricsEqual;
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
   gen::SkewConfig config;
@@ -60,14 +60,16 @@ struct LegacyResult {
 };
 
 Result<LegacyResult> LegacyRunPartitioned(
-    const core::ErPipelineConfig& config, const er::Partitions& partitions,
+    const core::DataflowOptions& resources,
+    const core::StandardGraphOptions& config,
+    const er::Partitions& partitions,
     const std::vector<er::Source>* partition_sources,
     const er::BlockingFunction& blocking, const er::Matcher& matcher,
     const lb::MatchPlan* prebuilt_plan = nullptr) {
   const lb::StrategyKind strategy_kind = prebuilt_plan != nullptr
                                              ? prebuilt_plan->strategy()
                                              : config.strategy;
-  mr::JobRunner runner(config.EffectiveWorkers(), config.execution);
+  mr::JobRunner runner(resources.EffectiveWorkers(), resources.execution);
   LegacyResult result;
 
   if (prebuilt_plan == nullptr &&
@@ -120,48 +122,32 @@ Result<LegacyResult> LegacyRunPartitioned(
   return result;
 }
 
-void ExpectTaskMetricsEqual(const mr::JobMetrics& a,
-                            const mr::JobMetrics& b) {
-  ASSERT_EQ(a.map_tasks.size(), b.map_tasks.size());
-  for (size_t i = 0; i < a.map_tasks.size(); ++i) {
-    EXPECT_EQ(a.map_tasks[i].input_records, b.map_tasks[i].input_records);
-    EXPECT_EQ(a.map_tasks[i].output_records,
-              b.map_tasks[i].output_records);
-    EXPECT_EQ(a.map_tasks[i].counters.values(),
-              b.map_tasks[i].counters.values());
-  }
-  ASSERT_EQ(a.reduce_tasks.size(), b.reduce_tasks.size());
-  for (size_t i = 0; i < a.reduce_tasks.size(); ++i) {
-    EXPECT_EQ(a.reduce_tasks[i].input_records,
-              b.reduce_tasks[i].input_records);
-    EXPECT_EQ(a.reduce_tasks[i].groups, b.reduce_tasks[i].groups);
-    EXPECT_EQ(a.reduce_tasks[i].output_records,
-              b.reduce_tasks[i].output_records);
-    EXPECT_EQ(a.reduce_tasks[i].counters.values(),
-              b.reduce_tasks[i].counters.values());
-  }
-  EXPECT_EQ(a.counters.values(), b.counters.values());
-}
-
-/// Byte-level equality between the graph-backed pipeline result and the
-/// legacy two-job body.
-void ExpectMatchesLegacy(const core::ErPipelineResult& graph,
+/// Byte-level equality between a standard-graph run and the legacy
+/// two-job body.
+void ExpectMatchesLegacy(const core::Dataflow& df,
+                         const core::DataflowReport& report,
                          const LegacyResult& legacy) {
   // Identical matches, in identical order (same ExecutePlan, same task
   // order — not just the same set).
-  EXPECT_EQ(graph.matches.pairs(), legacy.matches.pairs());
-  EXPECT_EQ(graph.comparisons, legacy.comparisons);
-  EXPECT_EQ(graph.skipped_entities, legacy.skipped_entities);
-  ExpectTaskMetricsEqual(graph.match_metrics, legacy.match_metrics);
-  ExpectTaskMetricsEqual(graph.bdm_metrics, legacy.bdm_metrics);
-  ASSERT_EQ(graph.plan.has_value(), legacy.plan.has_value());
-  if (graph.plan.has_value()) {
-    EXPECT_EQ(lb::MatchPlanToJson(*graph.plan),
-              lb::MatchPlanToJson(*legacy.plan));
+  auto matches = df.Get<er::MatchResult>(core::kDatasetMatches);
+  ASSERT_TRUE(matches.ok());
+  EXPECT_EQ((*matches)->pairs(), legacy.matches.pairs());
+  EXPECT_EQ(report.TotalComparisons(), legacy.comparisons);
+  ExpectTaskMetricsEqual(*report.Find("match")->job, legacy.match_metrics);
+  const core::StageReport* bdm = report.Find("bdm");
+  ASSERT_EQ(bdm != nullptr, legacy.bdm.num_blocks() > 0);
+  if (bdm != nullptr) {
+    EXPECT_EQ(bdm->skipped_entities, legacy.skipped_entities);
+    ExpectTaskMetricsEqual(*bdm->job, legacy.bdm_metrics);
+    auto graph_bdm = df.Get<bdm::Bdm>(core::kDatasetBdm);
+    ASSERT_TRUE(graph_bdm.ok());
+    EXPECT_EQ((*graph_bdm)->ContentHash(), legacy.bdm.ContentHash());
   }
-  ASSERT_EQ(graph.bdm.num_blocks(), legacy.bdm.num_blocks());
-  if (graph.bdm.num_blocks() > 0) {
-    EXPECT_EQ(graph.bdm.TotalPairs(), legacy.bdm.TotalPairs());
+  const core::StageReport* plan = report.Find("plan");
+  ASSERT_EQ(plan != nullptr, legacy.plan.has_value());
+  if (plan != nullptr) {
+    EXPECT_EQ(lb::MatchPlanToJson(*plan->plan),
+              lb::MatchPlanToJson(*legacy.plan));
   }
 }
 
@@ -169,39 +155,49 @@ class DataflowDifferentialTest
     : public ::testing::TestWithParam<
           std::tuple<lb::StrategyKind, mr::ExecutionMode>> {
  protected:
-  core::ErPipelineConfig Config() const {
-    core::ErPipelineConfig config;
-    config.strategy = std::get<0>(GetParam());
-    config.num_map_tasks = 4;
-    config.num_reduce_tasks = 7;
-    config.num_workers = 4;
-    config.execution.mode = std::get<1>(GetParam());
-    config.execution.io_buffer_bytes = 512;
-    return config;
+  void SetUp() override {
+    graph_.strategy = std::get<0>(GetParam());
+    graph_.num_reduce_tasks = 7;
+    resources_.num_workers = 4;
+    resources_.execution.mode = std::get<1>(GetParam());
+    resources_.execution.io_buffer_bytes = 512;
   }
+
+  /// Runs `df` — its source already added — as the standard graph.
+  void RunStandard(core::Dataflow* df, const er::BlockingFunction& blocking,
+                   const er::Matcher& matcher, const LegacyResult& legacy,
+                   const lb::MatchPlan* plan = nullptr) {
+    ASSERT_TRUE(
+        core::AddStandardGraph(df, graph_, &blocking, &matcher, "", plan)
+            .ok());
+    auto report = df->Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report->Find("match")->output_records, 0u);
+    ExpectMatchesLegacy(*df, *report, legacy);
+    if (resources_.execution.mode == mr::ExecutionMode::kExternal) {
+      EXPECT_TRUE(report->Find("match")->job->external);
+      EXPECT_GT(report->Find("match")->job->spill_bytes_written, 0);
+    }
+  }
+
+  core::DataflowOptions resources_;
+  core::StandardGraphOptions graph_;
 };
 
 TEST_P(DataflowDifferentialTest, OneSourceMatchesLegacyByteForByte) {
   auto entities = SkewedDataset(11);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config = Config();
 
-  er::Partitions parts =
-      er::SplitIntoPartitions(entities, config.num_map_tasks);
-  auto legacy =
-      LegacyRunPartitioned(config, parts, nullptr, blocking, matcher);
+  er::Partitions parts = er::SplitIntoPartitions(entities, 4);
+  auto legacy = LegacyRunPartitioned(resources_, graph_, parts, nullptr,
+                                     blocking, matcher);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-  core::ErPipeline pipeline(config);
-  auto graph = pipeline.Deduplicate(entities, blocking, matcher);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  EXPECT_GT(graph->matches.size(), 0u);
-  ExpectMatchesLegacy(*graph, *legacy);
-  if (config.execution.mode == mr::ExecutionMode::kExternal) {
-    EXPECT_TRUE(graph->match_metrics.external);
-    EXPECT_GT(graph->match_metrics.spill_bytes_written, 0);
-  }
+  core::Dataflow df(resources_);
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &entities, 4);
+  RunStandard(&df, blocking, matcher, *legacy);
 }
 
 TEST_P(DataflowDifferentialTest, TwoSourceMatchesLegacyByteForByte) {
@@ -209,9 +205,8 @@ TEST_P(DataflowDifferentialTest, TwoSourceMatchesLegacyByteForByte) {
   auto s_entities = SkewedDataset(22, 500);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config = Config();
 
-  // Replicate Link's partition layout for the legacy run.
+  // The two-source layout by hand: tagged sources, R's partitions first.
   std::vector<er::Entity> tagged_r = r_entities;
   for (auto& e : tagged_r) e.source = er::Source::kR;
   std::vector<er::Entity> tagged_s = s_entities;
@@ -224,47 +219,42 @@ TEST_P(DataflowDifferentialTest, TwoSourceMatchesLegacyByteForByte) {
     parts.push_back(std::move(p));
     sources.push_back(er::Source::kS);
   }
-  auto legacy =
-      LegacyRunPartitioned(config, parts, &sources, blocking, matcher);
+  auto legacy = LegacyRunPartitioned(resources_, graph_, parts, &sources,
+                                     blocking, matcher);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-  core::ErPipeline pipeline(config);
-  auto graph = pipeline.Link(r_entities, s_entities, blocking, matcher);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  EXPECT_GT(graph->matches.size(), 0u);
-  ExpectMatchesLegacy(*graph, *legacy);
+  core::Dataflow df(resources_);
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &r_entities, 4, nullptr, &s_entities);
+  RunStandard(&df, blocking, matcher, *legacy);
 }
 
 TEST_P(DataflowDifferentialTest, PrebuiltPlanMatchesLegacyByteForByte) {
   auto entities = SkewedDataset(31, 800);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config = Config();
-  er::Partitions parts =
-      er::SplitIntoPartitions(entities, config.num_map_tasks);
+  er::Partitions parts = er::SplitIntoPartitions(entities, 4);
 
   // Build the plan the legacy way, then feed it to both paths.
-  mr::JobRunner runner(config.EffectiveWorkers(), config.execution);
+  mr::JobRunner runner(resources_.EffectiveWorkers(), resources_.execution);
   bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = config.num_reduce_tasks;
+  bdm_options.num_reduce_tasks = graph_.num_reduce_tasks;
   auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
   ASSERT_TRUE(bdm_out.ok());
-  lb::MatchJobOptions match_options;
-  match_options.num_reduce_tasks = config.num_reduce_tasks;
-  auto plan = lb::MakeStrategy(config.strategy)
-                  ->BuildPlan(bdm_out->bdm, match_options);
+  auto plan = lb::MakeStrategy(graph_.strategy)
+                  ->BuildPlan(bdm_out->bdm, graph_.MatchOptions());
   ASSERT_TRUE(plan.ok());
 
-  auto legacy = LegacyRunPartitioned(config, parts, nullptr, blocking,
-                                     matcher, &*plan);
+  auto legacy = LegacyRunPartitioned(resources_, graph_, parts, nullptr,
+                                     blocking, matcher, &*plan);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  core::ErPipeline pipeline(config);
-  auto graph =
-      pipeline.DeduplicatePartitioned(parts, blocking, matcher, *plan);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  // The caller already holds the plan; neither path returns one.
-  EXPECT_FALSE(graph->plan.has_value());
-  ExpectMatchesLegacy(*graph, *legacy);
+  core::Dataflow df(resources_);
+  core::PartitionedEntities input;
+  input.partitions = parts;
+  ASSERT_TRUE(
+      df.AddInput(core::kDatasetPartitions, core::Dataset(input)).ok());
+  // The caller already holds the plan; neither path builds one.
+  RunStandard(&df, blocking, matcher, *legacy, &*plan);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -281,53 +271,6 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "_external"
                   : "_in_memory");
     });
-
-// ---- CSV source on the graph --------------------------------------------
-
-TEST(DataflowCsvTest, CsvSourceGraphMatchesDeduplicateCsv) {
-  auto entities = SkewedDataset(41, 500);
-  auto base = ScopedTempDir::Make();
-  ASSERT_TRUE(base.ok());
-  const std::string csv_path = base->path() + "/entities.csv";
-  ASSERT_TRUE(er::SaveEntitiesToCsv(csv_path, entities).ok());
-  er::CsvSchema schema;
-  schema.id_column = 0;
-  er::AttributeBlocking blocking(gen::kSkewBlockField);
-  er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-
-  core::ErPipelineConfig config;
-  config.num_reduce_tasks = 5;
-  config.num_workers = 4;
-  config.csv_split_records = 128;
-
-  // Hand-composed graph: CsvSourceStage + standard chain.
-  auto df = core::BuildStandardDataflow(config, blocking, matcher);
-  ASSERT_TRUE(df.ok());
-  df->Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
-                                    csv_path, schema,
-                                    config.csv_split_records);
-  auto report = df->Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  auto matches = df->Get<er::MatchResult>(core::kDatasetMatches);
-  ASSERT_TRUE(matches.ok());
-
-  // The adapter entry point over the same file.
-  core::ErPipeline pipeline(config);
-  auto adapter = pipeline.DeduplicateCsv(csv_path, schema, blocking,
-                                         matcher);
-  ASSERT_TRUE(adapter.ok()) << adapter.status().ToString();
-  EXPECT_EQ((*matches)->pairs(), adapter->matches.pairs());
-  EXPECT_GT((*matches)->size(), 0u);
-
-  // ceil(500 / 128) = 4 splits; the ingest stage reports the row count.
-  const core::StageReport* source = report->Find("source");
-  ASSERT_NE(source, nullptr);
-  EXPECT_EQ(source->output_records, 500u);
-  const core::StageReport* bdm = report->Find("bdm");
-  ASSERT_NE(bdm, nullptr);
-  ASSERT_TRUE(bdm->job.has_value());
-  EXPECT_EQ(bdm->job->map_tasks.size(), 4u);
-}
 
 // ---- Graph structure validation -----------------------------------------
 
@@ -412,7 +355,6 @@ TEST(DataflowRunTest, StageErrorNamesTheStage) {
   er::CsvSchema schema;
   df.Emplace<core::CsvSourceStage>("ingest", "partitions",
                                    "/nonexistent/input.csv", schema, 64);
-  core::ErPipelineConfig config;
   // Wire a full graph so the failure really interrupts a multi-stage run.
   er::ConstantBlocking blocking;
   er::JaroWinklerMatcher matcher;
@@ -429,18 +371,19 @@ TEST(DataflowReportTest, StandardGraphReportCarriesPlanAndMetrics) {
   auto entities = SkewedDataset(51, 600);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  core::ErPipelineConfig config;
-  config.num_reduce_tasks = 5;
-  config.num_workers = 2;
-  config.execution.mode = mr::ExecutionMode::kExternal;
+  core::DataflowOptions resources;
+  resources.num_workers = 2;
+  resources.execution.mode = mr::ExecutionMode::kExternal;
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = 5;
 
-  auto df = core::BuildStandardDataflow(config, blocking, matcher);
-  ASSERT_TRUE(df.ok());
-  df->Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
-                                       &entities, 3);
-  df->Emplace<core::ClusterStage>("cluster", core::kDatasetMatches,
-                                  core::kDatasetClusters);
-  auto report = df->Run();
+  core::Dataflow df(resources);
+  df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                      &entities, 3);
+  ASSERT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+  df.Emplace<core::ClusterStage>("cluster", core::kDatasetMatches,
+                                 core::kDatasetClusters);
+  auto report = df.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   // Execution order respects dependencies.
@@ -462,7 +405,8 @@ TEST(DataflowReportTest, StandardGraphReportCarriesPlanAndMetrics) {
   EXPECT_GT(report->TotalSpillBytes(), 0);
   EXPECT_GT(report->total_seconds, 0.0);
 
-  // Both renderings cover every stage.
+  // Both renderings cover every stage; the text adds each MR phase's
+  // task time spread.
   std::string text = core::FormatDataflowReport(*report);
   std::string json = core::DataflowReportToJson(*report);
   for (const auto& s : report->stages) {
@@ -470,6 +414,8 @@ TEST(DataflowReportTest, StandardGraphReportCarriesPlanAndMetrics) {
     EXPECT_NE(json.find("\"" + s.stage + "\""), std::string::npos)
         << s.stage;
   }
+  EXPECT_NE(text.find("    reduce: 5 tasks"), std::string::npos) << text;
+  EXPECT_NE(text.find("straggler ratio"), std::string::npos);
   EXPECT_NE(json.find("\"plan_strategy\": \"BlockSplit\""),
             std::string::npos);
 }
@@ -483,18 +429,19 @@ TEST(DataflowResourceTest, GraphTempDirIsRemovedAfterRun) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  core::ErPipelineConfig config;
-  config.num_reduce_tasks = 4;
-  config.num_workers = 2;
-  config.execution.mode = mr::ExecutionMode::kExternal;
-  config.execution.temp_dir = base->path();
+  core::DataflowOptions resources;
+  resources.num_workers = 2;
+  resources.execution.mode = mr::ExecutionMode::kExternal;
+  resources.execution.temp_dir = base->path();
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = 4;
 
   {
-    auto df = core::BuildStandardDataflow(config, blocking, matcher);
-    ASSERT_TRUE(df.ok());
-    df->Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
-                                         &entities, 3);
-    auto report = df->Run();
+    core::Dataflow df(resources);
+    df.Emplace<core::EntitySourceStage>("source", core::kDatasetPartitions,
+                                        &entities, 3);
+    ASSERT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+    auto report = df.Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_GT(report->TotalSpillBytes(), 0);
   }

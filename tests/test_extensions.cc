@@ -3,12 +3,11 @@
 // blocking (the paper's future work), and CSV entity I/O.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/csv.h"
-#include "core/multi_pass.h"
-#include "core/pipeline.h"
 #include "core/reference.h"
 #include "er/entity_io.h"
 #include "gen/skew_gen.h"
@@ -23,6 +22,7 @@ using lb::BlockSplitPlan;
 using lb::StrategyKind;
 using testing_util::ExampleBlocking;
 using testing_util::PaperExamplePartitions;
+using testing_util::RunGraph;
 using testing_util::RunStrategy;
 
 // ---------------------------------------------------------------------
@@ -133,18 +133,16 @@ TEST_P(SubSplitEquivalenceTest, MatchesReferenceResult) {
   auto run = RunStrategy(StrategyKind::kBlockSplit, parts, blocking,
                          matcher, r, 4, nullptr,
                          lb::TaskAssignment::kGreedyLpt);
-  // Re-run through the pipeline with sub_splits (RunStrategy has no knob).
-  core::ErPipelineConfig pcfg;
-  pcfg.strategy = StrategyKind::kBlockSplit;
-  pcfg.num_map_tasks = 3;
-  pcfg.num_reduce_tasks = r;
-  pcfg.sub_splits = sub;
-  core::ErPipeline pipeline(pcfg);
-  auto result = pipeline.Deduplicate(*entities, blocking, matcher);
+  // Re-run through the graph with sub_splits (RunStrategy has no knob).
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = r;
+  graph.sub_splits = sub;
+  auto result = testing_util::RunStandardGraph({}, graph, 3, *entities,
+                                               blocking, matcher);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->matches.SameAs(reference))
       << "sub=" << sub << " r=" << r;
-  EXPECT_EQ(static_cast<uint64_t>(result->comparisons),
+  EXPECT_EQ(static_cast<uint64_t>(result->report.TotalComparisons()),
             core::ReferencePairCount(*entities, blocking));
   EXPECT_TRUE(run.matches.SameAs(reference));
 }
@@ -164,22 +162,12 @@ TEST(SubSplitTest, TwoSourceEquivalence) {
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
   auto parts = testing_util::PaperTwoSourcePartitions();
   auto tags = testing_util::PaperTwoSourceTags();
-  mr::JobRunner runner(2);
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = 3;
-  bdm_options.partition_sources = tags;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
-  ASSERT_TRUE(bdm_out.ok());
   for (uint32_t sub : {2u, 3u}) {
-    lb::MatchJobOptions options;
-    options.num_reduce_tasks = 5;
-    options.sub_splits = sub;
-    auto out = lb::MakeStrategy(StrategyKind::kBlockSplit)
-                   ->RunMatchJob(*bdm_out->annotated, bdm_out->bdm, all,
-                                 options, runner);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(out->comparisons, 12) << "sub=" << sub;
-    EXPECT_EQ(out->matches.size(), 12u) << "sub=" << sub;
+    auto run = testing_util::RunWithPlan(StrategyKind::kBlockSplit, parts,
+                                         blocking, all, 5, 2, &tags,
+                                         lb::TaskAssignment::kGreedyLpt, sub);
+    EXPECT_EQ(run.comparisons, 12) << "sub=" << sub;
+    EXPECT_EQ(run.matches.size(), 12u) << "sub=" << sub;
   }
 }
 
@@ -218,12 +206,14 @@ TEST(MultiPassTest, UnionsPassesAndSuppressesDuplicates) {
   er::LambdaMatcher all(
       [](const er::Entity&, const er::Entity&) { return true; }, "all");
 
-  core::ErPipelineConfig cfg;
-  cfg.num_map_tasks = 2;
-  cfg.num_reduce_tasks = 4;
-  core::ErPipeline pipeline(cfg);
-  auto result =
-      core::DeduplicateMultiPass(pipeline, entities, passes, all);
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = 4;
+  core::Dataflow df;
+  std::atomic<int64_t> suppressed{0};
+  ASSERT_TRUE(core::AddMultiPassGraph(&df, graph, 2, &entities, &passes,
+                                      &all, &suppressed)
+                  .ok());
+  auto result = RunGraph(&df);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Candidate pairs: pass0 {1,2}; pass1 block acme {1,2,3,4}: 6 pairs,
   // of which (1,2) is suppressed as an earlier-pass duplicate.
@@ -231,7 +221,7 @@ TEST(MultiPassTest, UnionsPassesAndSuppressesDuplicates) {
                                                        all);
   EXPECT_TRUE(result->matches.SameAs(reference));
   EXPECT_EQ(result->matches.size(), 6u);
-  EXPECT_EQ(result->suppressed_duplicates, 1);
+  EXPECT_EQ(suppressed.load(), 1);
 }
 
 class MultiPassStrategyTest
@@ -256,13 +246,15 @@ TEST_P(MultiPassStrategyTest, MatchesReferenceOnGeneratedData) {
       core::ReferenceMultiPassDeduplicate(*entities, passes, matcher);
   ASSERT_GT(reference.size(), 0u);
 
-  core::ErPipelineConfig pcfg;
-  pcfg.strategy = GetParam();
-  pcfg.num_map_tasks = 3;
-  pcfg.num_reduce_tasks = 7;
-  core::ErPipeline pipeline(pcfg);
-  auto result =
-      core::DeduplicateMultiPass(pipeline, *entities, passes, matcher);
+  core::StandardGraphOptions graph;
+  graph.strategy = GetParam();
+  graph.num_reduce_tasks = 7;
+  core::Dataflow df;
+  std::atomic<int64_t> suppressed{0};
+  ASSERT_TRUE(core::AddMultiPassGraph(&df, graph, 3, &*entities, &passes,
+                                      &matcher, &suppressed)
+                  .ok());
+  auto result = RunGraph(&df);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->matches.SameAs(reference))
       << lb::StrategyKindToName(GetParam()) << ": got "
@@ -288,22 +280,29 @@ TEST(MultiPassTest, SinglePassEqualsPlainDeduplicate) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   std::vector<const er::BlockingFunction*> passes{&blocking};
   er::EditDistanceMatcher matcher(0.8);
-  core::ErPipeline pipeline(core::ErPipelineConfig{});
-  auto multi =
-      core::DeduplicateMultiPass(pipeline, *entities, passes, matcher);
-  auto plain = pipeline.Deduplicate(*entities, blocking, matcher);
+  core::Dataflow df;
+  std::atomic<int64_t> suppressed{0};
+  ASSERT_TRUE(core::AddMultiPassGraph(&df, {}, 4, &*entities, &passes,
+                                      &matcher, &suppressed)
+                  .ok());
+  auto multi = RunGraph(&df);
+  auto plain = testing_util::RunStandardGraph({}, {}, 4, *entities,
+                                              blocking, matcher);
   ASSERT_TRUE(multi.ok());
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(multi->matches.SameAs(plain->matches));
-  EXPECT_EQ(multi->suppressed_duplicates, 0);
+  EXPECT_EQ(suppressed.load(), 0);
 }
 
 TEST(MultiPassTest, EmptyPassesRejected) {
-  core::ErPipeline pipeline(core::ErPipelineConfig{});
   er::EditDistanceMatcher matcher(0.8);
   std::vector<er::Entity> entities{MakeProduct(1, "x", "y")};
-  EXPECT_FALSE(
-      core::DeduplicateMultiPass(pipeline, entities, {}, matcher).ok());
+  const std::vector<const er::BlockingFunction*> no_passes;
+  core::Dataflow df;
+  std::atomic<int64_t> suppressed{0};
+  EXPECT_TRUE(core::AddMultiPassGraph(&df, {}, 4, &entities, &no_passes,
+                                      &matcher, &suppressed)
+                  .IsInvalidArgument());
 }
 
 // Multi-pass × out-of-core: the composed per-pass dataflow in kExternal
@@ -326,28 +325,31 @@ TEST_P(MultiPassExternalTest, ExternalEqualsInMemoryByteForByte) {
   std::vector<const er::BlockingFunction*> passes{&pass0, &pass1};
   er::EditDistanceMatcher matcher(0.8);
 
-  auto run = [&](mr::ExecutionMode mode) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = GetParam();
-    pcfg.num_map_tasks = 3;
-    pcfg.num_reduce_tasks = 6;
-    pcfg.num_workers = 4;
-    pcfg.execution.mode = mode;
-    pcfg.execution.io_buffer_bytes = 512;
-    core::ErPipeline pipeline(pcfg);
-    return core::DeduplicateMultiPass(pipeline, *entities, passes,
-                                      matcher);
+  std::atomic<int64_t> suppressed[2] = {0, 0};
+  auto run = [&](mr::ExecutionMode mode, std::atomic<int64_t>* counter) {
+    core::DataflowOptions resources;
+    resources.num_workers = 4;
+    resources.execution.mode = mode;
+    resources.execution.io_buffer_bytes = 512;
+    core::StandardGraphOptions graph;
+    graph.strategy = GetParam();
+    graph.num_reduce_tasks = 6;
+    core::Dataflow df(resources);
+    EXPECT_TRUE(core::AddMultiPassGraph(&df, graph, 3, &*entities, &passes,
+                                        &matcher, counter)
+                    .ok());
+    return RunGraph(&df);
   };
-  auto mem = run(mr::ExecutionMode::kInMemory);
-  auto ext = run(mr::ExecutionMode::kExternal);
+  auto mem = run(mr::ExecutionMode::kInMemory, &suppressed[0]);
+  auto ext = run(mr::ExecutionMode::kExternal, &suppressed[1]);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
 
   EXPECT_GT(mem->matches.size(), 0u);
   EXPECT_EQ(mem->matches.pairs(), ext->matches.pairs());
-  EXPECT_EQ(mem->suppressed_duplicates, ext->suppressed_duplicates);
-  EXPECT_GT(mem->suppressed_duplicates, 0);
-  EXPECT_EQ(mem->comparisons, ext->comparisons);
+  EXPECT_EQ(suppressed[0].load(), suppressed[1].load());
+  EXPECT_GT(suppressed[0].load(), 0);
+  EXPECT_EQ(mem->report.TotalComparisons(), ext->report.TotalComparisons());
 
   // Stage-by-stage: same graph shape, same per-task counters, and the
   // external run really spilled in every MR stage.

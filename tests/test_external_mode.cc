@@ -17,16 +17,18 @@
 
 #include "common/io_buffer.h"
 #include "common/random.h"
-#include "core/pipeline.h"
 #include "er/blocking.h"
 #include "er/entity_io.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
 #include "lb/plan_io.h"
 #include "mr/job.h"
+#include "strategy_test_util.h"
 
 namespace erlb {
 namespace {
+
+using testing_util::ExpectTaskMetricsEqual;
 
 // ---- Engine-level differential sweep (mirrors test_mr_stress.cc) --------
 
@@ -85,28 +87,6 @@ AggSpecT AggSpec(uint32_t r) {
     return std::make_unique<AggReducer>();
   };
   return spec;
-}
-
-void ExpectTaskMetricsEqual(const mr::JobMetrics& a,
-                            const mr::JobMetrics& b) {
-  ASSERT_EQ(a.map_tasks.size(), b.map_tasks.size());
-  for (size_t i = 0; i < a.map_tasks.size(); ++i) {
-    EXPECT_EQ(a.map_tasks[i].input_records, b.map_tasks[i].input_records);
-    EXPECT_EQ(a.map_tasks[i].output_records, b.map_tasks[i].output_records);
-    EXPECT_EQ(a.map_tasks[i].counters.values(),
-              b.map_tasks[i].counters.values());
-  }
-  ASSERT_EQ(a.reduce_tasks.size(), b.reduce_tasks.size());
-  for (size_t i = 0; i < a.reduce_tasks.size(); ++i) {
-    EXPECT_EQ(a.reduce_tasks[i].input_records,
-              b.reduce_tasks[i].input_records);
-    EXPECT_EQ(a.reduce_tasks[i].groups, b.reduce_tasks[i].groups);
-    EXPECT_EQ(a.reduce_tasks[i].output_records,
-              b.reduce_tasks[i].output_records);
-    EXPECT_EQ(a.reduce_tasks[i].counters.values(),
-              b.reduce_tasks[i].counters.values());
-  }
-  EXPECT_EQ(a.counters.values(), b.counters.values());
 }
 
 class ExternalModeStressTest
@@ -187,16 +167,24 @@ TEST(ExecutionModeAutoTest, ThresholdCrossedGoesExternal) {
 
 // ---- Strategy-level differential (all three, one- and two-source) -------
 
-core::ErPipeline MakePipeline(lb::StrategyKind kind,
-                              mr::ExecutionMode mode) {
-  core::ErPipelineConfig config;
-  config.strategy = kind;
-  config.num_map_tasks = 5;
-  config.num_reduce_tasks = 7;
-  config.num_workers = 4;
-  config.execution.mode = mode;
-  config.execution.io_buffer_bytes = 512;
-  return core::ErPipeline(config);
+using testing_util::GraphRun;
+
+/// One standard-graph run over `entities` (R×S when `s` is set): m=5,
+/// r=7, 4 workers, 512-byte I/O buffers.
+Result<GraphRun> RunInMode(lb::StrategyKind kind, mr::ExecutionMode mode,
+                           const std::vector<er::Entity>& entities,
+                           const er::BlockingFunction& blocking,
+                           const er::Matcher& matcher,
+                           const std::vector<er::Entity>* s = nullptr) {
+  core::DataflowOptions resources;
+  resources.num_workers = 4;
+  resources.execution.mode = mode;
+  resources.execution.io_buffer_bytes = 512;
+  core::StandardGraphOptions graph;
+  graph.strategy = kind;
+  graph.num_reduce_tasks = 7;
+  return testing_util::RunStandardGraph(resources, graph, 5, entities,
+                                        blocking, matcher, s);
 }
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1500) {
@@ -211,26 +199,13 @@ std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1500) {
   return std::move(data).ValueOrDie();
 }
 
-void ExpectPipelineResultsEqual(const core::ErPipelineResult& mem,
-                                const core::ErPipelineResult& ext) {
-  // Same matches.
-  EXPECT_TRUE(mem.matches.SameAs(ext.matches));
-  EXPECT_EQ(mem.comparisons, ext.comparisons);
-  // Same per-task workloads and counters for both jobs.
-  ExpectTaskMetricsEqual(mem.match_metrics, ext.match_metrics);
-  ExpectTaskMetricsEqual(mem.bdm_metrics, ext.bdm_metrics);
-  // Same plan, down to the serialized byte: PlanStats and the strategy
-  // body are independent of the execution mode.
-  ASSERT_EQ(mem.plan.has_value(), ext.plan.has_value());
-  if (mem.plan.has_value()) {
-    EXPECT_EQ(lb::MatchPlanToJson(*mem.plan), lb::MatchPlanToJson(*ext.plan));
-    EXPECT_EQ(mem.plan->stats().total_comparisons,
-              ext.plan->stats().total_comparisons);
-  }
+void ExpectPipelineResultsEqual(const GraphRun& mem, const GraphRun& ext) {
+  testing_util::ExpectSameGraphRun(mem, ext);
   // External mode really ran out-of-core.
-  EXPECT_FALSE(mem.match_metrics.external);
-  EXPECT_TRUE(ext.match_metrics.external);
-  EXPECT_GT(ext.match_metrics.spill_bytes_written, 0);
+  const mr::JobMetrics& ext_match = *ext.report.Find("match")->job;
+  EXPECT_FALSE(mem.report.Find("match")->job->external);
+  EXPECT_TRUE(ext_match.external);
+  EXPECT_GT(ext_match.spill_bytes_written, 0);
 }
 
 class StrategyExternalTest
@@ -241,10 +216,10 @@ TEST_P(StrategyExternalTest, OneSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
-  auto ext = MakePipeline(GetParam(), mr::ExecutionMode::kExternal)
-                 .Deduplicate(entities, blocking, matcher);
+  auto mem = RunInMode(GetParam(), mr::ExecutionMode::kInMemory, entities,
+                       blocking, matcher);
+  auto ext = RunInMode(GetParam(), mr::ExecutionMode::kExternal, entities,
+                       blocking, matcher);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   EXPECT_GT(mem->matches.size(), 0u);
@@ -257,10 +232,10 @@ TEST_P(StrategyExternalTest, TwoSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Link(r_entities, s_entities, blocking, matcher);
-  auto ext = MakePipeline(GetParam(), mr::ExecutionMode::kExternal)
-                 .Link(r_entities, s_entities, blocking, matcher);
+  auto mem = RunInMode(GetParam(), mr::ExecutionMode::kInMemory, r_entities,
+                       blocking, matcher, &s_entities);
+  auto ext = RunInMode(GetParam(), mr::ExecutionMode::kExternal, r_entities,
+                       blocking, matcher, &s_entities);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   EXPECT_GT(mem->matches.size(), 0u);
@@ -281,20 +256,18 @@ TEST(StrategyExternalTest, BlockSplitSubSplitsDifferential) {
   auto entities = SkewedDataset(31);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  auto build = [&](mr::ExecutionMode mode) {
-    core::ErPipelineConfig config;
-    config.strategy = lb::StrategyKind::kBlockSplit;
-    config.num_map_tasks = 4;
-    config.num_reduce_tasks = 6;
-    config.num_workers = 4;
-    config.sub_splits = 3;
-    config.execution.mode = mode;
-    return core::ErPipeline(config);
+  auto run = [&](mr::ExecutionMode mode) {
+    core::DataflowOptions resources;
+    resources.num_workers = 4;
+    resources.execution.mode = mode;
+    core::StandardGraphOptions graph;
+    graph.num_reduce_tasks = 6;
+    graph.sub_splits = 3;
+    return testing_util::RunStandardGraph(resources, graph, 4, entities,
+                                          blocking, matcher);
   };
-  auto mem = build(mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
-  auto ext = build(mr::ExecutionMode::kExternal)
-                 .Deduplicate(entities, blocking, matcher);
+  auto mem = run(mr::ExecutionMode::kInMemory);
+  auto ext = run(mr::ExecutionMode::kExternal);
   ASSERT_TRUE(mem.ok());
   ASSERT_TRUE(ext.ok());
   ExpectPipelineResultsEqual(*mem, *ext);
@@ -306,24 +279,22 @@ TEST(StrategyExternalTest, AutoThresholdSelectsPath) {
   auto entities = SkewedDataset(41, 800);
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
-  auto build = [&](uint64_t threshold) {
-    core::ErPipelineConfig config;
-    config.strategy = lb::StrategyKind::kBlockSplit;
-    config.num_map_tasks = 3;
-    config.num_reduce_tasks = 5;
-    config.num_workers = 4;
-    config.execution.spill_threshold_bytes = threshold;
-    return core::ErPipeline(config);
+  auto run = [&](uint64_t threshold) {
+    core::DataflowOptions resources;
+    resources.num_workers = 4;
+    resources.execution.spill_threshold_bytes = threshold;
+    core::StandardGraphOptions graph;
+    graph.num_reduce_tasks = 5;
+    return testing_util::RunStandardGraph(resources, graph, 3, entities,
+                                          blocking, matcher);
   };
-  auto spilled =
-      build(0).Deduplicate(entities, blocking, matcher);
-  auto in_memory =
-      build(uint64_t{1} << 40).Deduplicate(entities, blocking, matcher);
+  auto spilled = run(0);
+  auto in_memory = run(uint64_t{1} << 40);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
   ASSERT_TRUE(in_memory.ok());
-  EXPECT_TRUE(spilled->match_metrics.external);
-  EXPECT_TRUE(spilled->bdm_metrics.external);
-  EXPECT_FALSE(in_memory->match_metrics.external);
+  EXPECT_TRUE(spilled->report.Find("match")->job->external);
+  EXPECT_TRUE(spilled->report.Find("bdm")->job->external);
+  EXPECT_FALSE(in_memory->report.Find("match")->job->external);
   EXPECT_TRUE(spilled->matches.SameAs(in_memory->matches));
 }
 
@@ -344,41 +315,42 @@ TEST(DeduplicateCsvTest, ChunkedIngestMatchesVectorPath) {
 
   // Tiny splits: the 600 entities become ceil(600/128) = 5 partitions,
   // each ingested as one bounded batch; external mode end to end.
-  core::ErPipelineConfig config;
-  config.strategy = lb::StrategyKind::kBlockSplit;
-  config.num_reduce_tasks = 6;
-  config.num_workers = 4;
-  config.csv_split_records = 128;
-  config.execution.mode = mr::ExecutionMode::kExternal;
-  const core::ErPipeline pipeline(config);
-  auto from_csv = pipeline.DeduplicateCsv(csv_path, schema, blocking,
-                                          matcher);
-  ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
-  EXPECT_TRUE(from_csv->match_metrics.external);
-  EXPECT_EQ(from_csv->match_metrics.TotalMapInputRecords(), 600);
-  ASSERT_EQ(from_csv->bdm_metrics.map_tasks.size(), 5u);
+  core::DataflowOptions resources;
+  resources.num_workers = 4;
+  resources.execution.mode = mr::ExecutionMode::kExternal;
+  core::StandardGraphOptions graph;
+  graph.num_reduce_tasks = 6;
+  core::Dataflow df(resources);
+  df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                   csv_path, schema, 128);
+  ASSERT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+  auto report = df.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const mr::JobMetrics& match = *report->Find("match")->job;
+  EXPECT_TRUE(match.external);
+  EXPECT_EQ(match.TotalMapInputRecords(), 600);
+  EXPECT_EQ(report->Find("source")->output_records, 600u);
+  ASSERT_EQ(report->Find("bdm")->job->map_tasks.size(), 5u);
+  auto from_csv = df.Get<er::MatchResult>(core::kDatasetMatches);
+  ASSERT_TRUE(from_csv.ok());
 
   // Same result as the in-memory vector path over the same partitioning.
-  core::ErPipelineConfig reference_config;
-  reference_config.strategy = lb::StrategyKind::kBlockSplit;
-  reference_config.num_map_tasks = 5;
-  reference_config.num_reduce_tasks = 6;
-  reference_config.num_workers = 4;
-  const core::ErPipeline reference_pipeline(reference_config);
-  auto reference =
-      reference_pipeline.Deduplicate(entities, blocking, matcher);
+  auto reference = testing_util::RunStandardGraph(
+      {}, graph, 5, entities, blocking, matcher);
   ASSERT_TRUE(reference.ok());
   EXPECT_GT(reference->matches.size(), 0u);
-  EXPECT_TRUE(from_csv->matches.SameAs(reference->matches));
+  EXPECT_TRUE((*from_csv)->SameAs(reference->matches));
 }
 
 TEST(DeduplicateCsvTest, MissingFileIsIoError) {
   er::CsvSchema schema;
-  const core::ErPipeline pipeline(core::ErPipelineConfig{});
-  auto result = pipeline.DeduplicateCsv("/nonexistent/file.csv", schema,
-                                        er::ConstantBlocking(),
-                                        er::JaroWinklerMatcher());
-  EXPECT_FALSE(result.ok());
+  er::ConstantBlocking blocking;
+  er::JaroWinklerMatcher matcher;
+  core::Dataflow df;
+  df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                   "/nonexistent/file.csv", schema, 64);
+  ASSERT_TRUE(core::AddStandardGraph(&df, {}, &blocking, &matcher).ok());
+  EXPECT_FALSE(df.Run().ok());
 }
 
 }  // namespace

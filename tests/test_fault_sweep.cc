@@ -22,12 +22,14 @@
 #include "common/io_buffer.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "core/pipeline.h"
+#include "core/dataflow.h"
+#include "core/stages.h"
 #include "er/blocking.h"
 #include "er/entity_io.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
 #include "mr/job.h"
+#include "strategy_test_util.h"
 
 namespace erlb {
 namespace {
@@ -60,30 +62,33 @@ class FaultSweepTest : public ::testing::Test {
   // One checkpointed external run over the chunked CSV ingest path,
   // with a retry budget — the configuration every fault site
   // participates in. `checkpoint_dir` empty means "fresh scratch dir".
-  Result<core::ErPipelineResult> RunPipeline(std::string checkpoint_dir) {
+  Result<testing_util::GraphRun> RunPipeline(std::string checkpoint_dir) {
     static int scratch_seq = 0;
     if (checkpoint_dir.empty()) {
       checkpoint_dir =
           base_->path() + "/scratch-ck-" + std::to_string(scratch_seq++);
     }
-    mr::ExecutionOptions opts;
-    opts.mode = mr::ExecutionMode::kExternal;
-    opts.io_buffer_bytes = 256;
-    opts.max_task_attempts = 3;
-    opts.checkpoint.dir = checkpoint_dir;
+    core::DataflowOptions resources;
+    resources.num_workers = 2;
+    resources.execution.mode = mr::ExecutionMode::kExternal;
+    resources.execution.io_buffer_bytes = 256;
+    resources.execution.max_task_attempts = 3;
+    resources.execution.checkpoint.dir = checkpoint_dir;
     er::CsvSchema schema;
     schema.id_column = 0;
     schema.has_header = true;
-    core::ErPipelineConfig config;
-    config.execution = opts;
-    config.strategy = lb::StrategyKind::kBlockSplit;
-    config.num_reduce_tasks = 5;
-    config.num_workers = 2;
-    config.csv_split_records = 64;
-    const core::ErPipeline pipeline(config);
-    return pipeline.DeduplicateCsv(
-        csv_path_, schema, er::AttributeBlocking(gen::kSkewBlockField),
-        er::JaroWinklerMatcher(0.85, gen::kSkewTitleField));
+    core::StandardGraphOptions graph;
+    graph.num_reduce_tasks = 5;
+    core::Dataflow df(resources);
+    df.Emplace<core::CsvSourceStage>("source", core::kDatasetPartitions,
+                                     csv_path_, schema, 64);
+    ERLB_RETURN_NOT_OK(
+        core::AddStandardGraph(&df, graph, &blocking_, &matcher_));
+    testing_util::GraphRun run;
+    ERLB_ASSIGN_OR_RETURN(run.report, df.Run());
+    ERLB_ASSIGN_OR_RETURN(run.matches,
+                          df.Take<er::MatchResult>(core::kDatasetMatches));
+    return run;
   }
 
   // Runs with the given fault armed and checks the sweep contract;
@@ -101,7 +106,9 @@ class FaultSweepTest : public ::testing::Test {
       // Retries absorbed the fault (or it never triggered): the result
       // must be indistinguishable from the reference.
       EXPECT_TRUE(faulted->matches.SameAs(reference_->matches)) << site;
-      EXPECT_EQ(faulted->comparisons, reference_->comparisons) << site;
+      EXPECT_EQ(faulted->report.TotalComparisons(),
+                reference_->report.TotalComparisons())
+          << site;
     } else {
       // A clean, explained failure — only acceptable if the fault
       // actually fired.
@@ -114,7 +121,9 @@ class FaultSweepTest : public ::testing::Test {
       EXPECT_TRUE(rerun.ok()) << site << ": " << rerun.status().ToString();
       if (rerun.ok()) {
         EXPECT_TRUE(rerun->matches.SameAs(reference_->matches)) << site;
-        EXPECT_EQ(rerun->comparisons, reference_->comparisons) << site;
+        EXPECT_EQ(rerun->report.TotalComparisons(),
+                  reference_->report.TotalComparisons())
+            << site;
       }
     }
     return faulted.ok();
@@ -122,7 +131,9 @@ class FaultSweepTest : public ::testing::Test {
 
   std::optional<ScopedTempDir> base_;
   std::string csv_path_;
-  std::optional<core::ErPipelineResult> reference_;
+  er::AttributeBlocking blocking_{gen::kSkewBlockField};
+  er::JaroWinklerMatcher matcher_{0.85, gen::kSkewTitleField};
+  std::optional<testing_util::GraphRun> reference_;
 };
 
 TEST_F(FaultSweepTest, EveryRegisteredSiteOneShotError) {

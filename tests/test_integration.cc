@@ -6,7 +6,6 @@
 
 #include <string>
 
-#include "core/pipeline.h"
 #include "core/reference.h"
 #include "er/clustering.h"
 #include "er/evaluation.h"
@@ -19,7 +18,15 @@ namespace erlb {
 namespace {
 
 using lb::StrategyKind;
+using testing_util::RunStandardGraph;
 using testing_util::RunStrategy;
+
+core::StandardGraphOptions Graph(StrategyKind kind, uint32_t r) {
+  core::StandardGraphOptions graph;
+  graph.strategy = kind;
+  graph.num_reduce_tasks = r;
+  return graph;
+}
 
 TEST(IntegrationTest, FullDs1SmallPipelineWithClustering) {
   gen::ProductConfig cfg;
@@ -31,12 +38,8 @@ TEST(IntegrationTest, FullDs1SmallPipelineWithClustering) {
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
 
-  core::ErPipelineConfig pcfg;
-  pcfg.strategy = StrategyKind::kBlockSplit;
-  pcfg.num_map_tasks = 6;
-  pcfg.num_reduce_tasks = 24;
-  core::ErPipeline pipeline(pcfg);
-  auto result = pipeline.Deduplicate(*entities, blocking, matcher);
+  auto result = RunStandardGraph({}, Graph(StrategyKind::kBlockSplit, 24), 6,
+                                 *entities, blocking, matcher);
   ASSERT_TRUE(result.ok());
 
   // Clustering the pairwise result yields consistent counts.
@@ -74,19 +77,17 @@ TEST(IntegrationTest, WorkerCountDoesNotChangeAnyCounter) {
   int64_t base_comparisons = -1;
   er::MatchResult base_matches;
   for (uint32_t workers : {1u, 2u, 5u}) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = StrategyKind::kPairRange;
-    pcfg.num_map_tasks = 4;
-    pcfg.num_reduce_tasks = 9;
-    pcfg.num_workers = workers;
-    core::ErPipeline pipeline(pcfg);
-    auto result = pipeline.Deduplicate(*entities, blocking, matcher);
+    core::DataflowOptions resources;
+    resources.num_workers = workers;
+    auto result =
+        RunStandardGraph(resources, Graph(StrategyKind::kPairRange, 9), 4,
+                         *entities, blocking, matcher);
     ASSERT_TRUE(result.ok());
     if (base_comparisons < 0) {
-      base_comparisons = result->comparisons;
+      base_comparisons = result->report.TotalComparisons();
       base_matches = result->matches;
     } else {
-      EXPECT_EQ(result->comparisons, base_comparisons);
+      EXPECT_EQ(result->report.TotalComparisons(), base_comparisons);
       EXPECT_TRUE(result->matches.SameAs(base_matches));
     }
   }
@@ -113,12 +114,8 @@ TEST(IntegrationTest, BinaryBytesInTitlesAreHandled) {
   auto reference = core::ReferenceDeduplicate(entities, blocking, matcher);
 
   for (auto kind : lb::AllStrategyKinds()) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = kind;
-    pcfg.num_map_tasks = 2;
-    pcfg.num_reduce_tasks = 3;
-    core::ErPipeline pipeline(pcfg);
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
+    auto result =
+        RunStandardGraph({}, Graph(kind, 3), 2, entities, blocking, matcher);
     ASSERT_TRUE(result.ok()) << lb::StrategyKindToName(kind);
     EXPECT_TRUE(result->matches.SameAs(reference))
         << lb::StrategyKindToName(kind);
@@ -139,14 +136,11 @@ TEST(IntegrationTest, OneEntityPerBlockProducesNoPairs) {
   er::AttributeBlocking blocking(1);
   er::EditDistanceMatcher matcher(0.8);
   for (auto kind : lb::AllStrategyKinds()) {
-    core::ErPipelineConfig pcfg;
-    pcfg.strategy = kind;
-    pcfg.num_map_tasks = 3;
-    pcfg.num_reduce_tasks = 5;
-    core::ErPipeline pipeline(pcfg);
-    auto result = pipeline.Deduplicate(entities, blocking, matcher);
+    auto result =
+        RunStandardGraph({}, Graph(kind, 5), 3, entities, blocking, matcher);
     ASSERT_TRUE(result.ok()) << lb::StrategyKindToName(kind);
-    EXPECT_EQ(result->comparisons, 0) << lb::StrategyKindToName(kind);
+    EXPECT_EQ(result->report.TotalComparisons(), 0)
+        << lb::StrategyKindToName(kind);
     EXPECT_TRUE(result->matches.empty()) << lb::StrategyKindToName(kind);
   }
 }
@@ -224,8 +218,7 @@ TEST(IntegrationTest, LongTitlesDoNotBreakBandedMatcher) {
   entities[1].fields = {long_b};
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
-  core::ErPipeline pipeline(core::ErPipelineConfig{});
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
+  auto result = RunStandardGraph({}, {}, 4, entities, blocking, matcher);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->matches.size(), 1u);  // 1 edit in 3000 chars
 }

@@ -5,16 +5,15 @@
 // BlockSplit only ever buffers one sub-block side of a match task.
 #include <gtest/gtest.h>
 
-#include "bdm/bdm_job.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
-#include "lb/basic.h"
 #include "lb/reduce_helpers.h"
-#include "lb/strategy.h"
-#include "mr/job.h"
+#include "strategy_test_util.h"
 
 namespace erlb {
 namespace {
+
+using testing_util::RunWithPlan;
 
 /// Max per-task buffer peak across a job's reduce tasks.
 int64_t MaxBufferPeak(const mr::JobMetrics& metrics) {
@@ -39,44 +38,29 @@ TEST(MemoryFootprintTest, BasicBuffersWholeBlocksBalancersDoNot) {
 
   const uint32_t m = 8, r = 16;
   er::Partitions parts = er::SplitIntoPartitions(*entities, m);
-  mr::JobRunner runner(2);
+  auto peak = [&](lb::StrategyKind kind) {
+    return MaxBufferPeak(
+        RunWithPlan(kind, parts, blocking, cheap, r, 2).metrics);
+  };
 
   // Largest block size from the BDM.
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = r;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
-  ASSERT_TRUE(bdm_out.ok());
-  const bdm::Bdm& bdm = bdm_out->bdm;
+  auto basic =
+      RunWithPlan(lb::StrategyKind::kBasic, parts, blocking, cheap, r, 2);
   const int64_t largest_block =
-      static_cast<int64_t>(bdm.view(bdm.LargestBlock()).size());
+      static_cast<int64_t>(basic.bdm.view(basic.bdm.LargestBlock()).size());
   ASSERT_GT(largest_block, 500);
 
-  lb::MatchJobOptions options;
-  options.num_reduce_tasks = r;
-
   // Basic: reduce must hold the entire largest block.
-  auto basic = lb::MakeStrategy(lb::StrategyKind::kBasic)
-                   ->RunMatchJob(*bdm_out->annotated, bdm, cheap, options,
-                                 runner);
-  ASSERT_TRUE(basic.ok());
-  EXPECT_EQ(MaxBufferPeak(basic->metrics), largest_block);
+  EXPECT_EQ(MaxBufferPeak(basic.metrics), largest_block);
 
   // BlockSplit: buffers at most one sub-block of the split block (~1/m of
   // it) or one unsplit block.
-  auto split = lb::MakeStrategy(lb::StrategyKind::kBlockSplit)
-                   ->RunMatchJob(*bdm_out->annotated, bdm, cheap, options,
-                                 runner);
-  ASSERT_TRUE(split.ok());
-  EXPECT_LT(MaxBufferPeak(split->metrics), largest_block / 2);
+  EXPECT_LT(peak(lb::StrategyKind::kBlockSplit), largest_block / 2);
 
   // PairRange: buffers the entities of one (range, block) group. That
   // can be the whole dominant block — the paper's own example sends all
   // of Φ3 to one reduce task — so only an upper bound holds.
-  auto range = lb::MakeStrategy(lb::StrategyKind::kPairRange)
-                   ->RunMatchJob(*bdm_out->annotated, bdm, cheap, options,
-                                 runner);
-  ASSERT_TRUE(range.ok());
-  EXPECT_LE(MaxBufferPeak(range->metrics), largest_block);
+  EXPECT_LE(peak(lb::StrategyKind::kPairRange), largest_block);
 }
 
 TEST(MemoryFootprintTest, SubSplitShrinksBuffersFurther) {
@@ -92,22 +76,12 @@ TEST(MemoryFootprintTest, SubSplitShrinksBuffersFurther) {
   er::LambdaMatcher cheap(
       [](const er::Entity&, const er::Entity&) { return false; }, "none");
   er::Partitions parts = er::SplitIntoPartitions(*entities, 4);
-  mr::JobRunner runner(2);
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = 8;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
-  ASSERT_TRUE(bdm_out.ok());
-
   int64_t peak_s1 = 0, peak_s4 = 0;
   for (uint32_t sub : {1u, 4u}) {
-    lb::MatchJobOptions options;
-    options.num_reduce_tasks = 8;
-    options.sub_splits = sub;
-    auto out = lb::MakeStrategy(lb::StrategyKind::kBlockSplit)
-                   ->RunMatchJob(*bdm_out->annotated, bdm_out->bdm, cheap,
-                                 options, runner);
-    ASSERT_TRUE(out.ok());
-    (sub == 1 ? peak_s1 : peak_s4) = MaxBufferPeak(out->metrics);
+    (sub == 1 ? peak_s1 : peak_s4) = MaxBufferPeak(
+        RunWithPlan(lb::StrategyKind::kBlockSplit, parts, blocking, cheap, 8,
+                    2, nullptr, lb::TaskAssignment::kGreedyLpt, sub)
+            .metrics);
   }
   EXPECT_LT(peak_s4, peak_s1);
 }

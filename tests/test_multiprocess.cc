@@ -23,12 +23,12 @@
 #include "common/fault.h"
 #include "common/io_buffer.h"
 #include "common/random.h"
-#include "core/pipeline.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
 #include "lb/plan_io.h"
 #include "mr/job.h"
+#include "strategy_test_util.h"
 
 namespace erlb {
 
@@ -61,6 +61,8 @@ struct SpillCodec<Agg> {
 }  // namespace mr
 
 namespace {
+
+using testing_util::ExpectTaskMetricsEqual;
 
 class IdentityMapper
     : public mr::Mapper<int, int64_t, std::string, int64_t> {
@@ -126,28 +128,6 @@ std::vector<std::vector<std::pair<int, int64_t>>> RandomInput(uint32_t m,
     }
   }
   return input;
-}
-
-void ExpectTaskMetricsEqual(const mr::JobMetrics& a,
-                            const mr::JobMetrics& b) {
-  ASSERT_EQ(a.map_tasks.size(), b.map_tasks.size());
-  for (size_t i = 0; i < a.map_tasks.size(); ++i) {
-    EXPECT_EQ(a.map_tasks[i].input_records, b.map_tasks[i].input_records);
-    EXPECT_EQ(a.map_tasks[i].output_records, b.map_tasks[i].output_records);
-    EXPECT_EQ(a.map_tasks[i].counters.values(),
-              b.map_tasks[i].counters.values());
-  }
-  ASSERT_EQ(a.reduce_tasks.size(), b.reduce_tasks.size());
-  for (size_t i = 0; i < a.reduce_tasks.size(); ++i) {
-    EXPECT_EQ(a.reduce_tasks[i].input_records,
-              b.reduce_tasks[i].input_records);
-    EXPECT_EQ(a.reduce_tasks[i].groups, b.reduce_tasks[i].groups);
-    EXPECT_EQ(a.reduce_tasks[i].output_records,
-              b.reduce_tasks[i].output_records);
-    EXPECT_EQ(a.reduce_tasks[i].counters.values(),
-              b.reduce_tasks[i].counters.values());
-  }
-  EXPECT_EQ(a.counters.values(), b.counters.values());
 }
 
 template <typename Result>
@@ -331,22 +311,30 @@ TEST(MultiProcessCheckpointTest, RerunAdoptsCommittedMapAndReduceTasks) {
 
 // ---- Strategy-level differential (all three, one- and two-source) -------
 
-core::ErPipeline MakePipeline(lb::StrategyKind kind,
-                              mr::ExecutionMode mode,
-                              uint32_t worker_processes = 0) {
-  core::ErPipelineConfig config;
-  config.strategy = kind;
-  config.num_map_tasks = 5;
-  config.num_reduce_tasks = 7;
-  config.num_workers = 4;
-  config.execution.io_buffer_bytes = 512;
+using testing_util::GraphRun;
+
+/// One standard-graph run over `entities` (R×S when `s` is set): m=5,
+/// r=7, 4 workers, 512-byte I/O buffers; `worker_processes` > 0 selects
+/// multi-process mode with that many workers.
+Result<GraphRun> RunInMode(lb::StrategyKind kind, mr::ExecutionMode mode,
+                           const std::vector<er::Entity>& entities,
+                           const er::BlockingFunction& blocking,
+                           const er::Matcher& matcher,
+                           uint32_t worker_processes = 0,
+                           const std::vector<er::Entity>* s = nullptr) {
+  core::DataflowOptions resources;
+  resources.num_workers = 4;
+  resources.execution.io_buffer_bytes = 512;
+  resources.execution.mode = mode;
   if (worker_processes > 0) {
-    config.execution.mode = mr::ExecutionMode::kMultiProcess;
-    config.execution.num_worker_processes = worker_processes;
-  } else {
-    config.execution.mode = mode;
+    resources.execution.mode = mr::ExecutionMode::kMultiProcess;
+    resources.execution.num_worker_processes = worker_processes;
   }
-  return core::ErPipeline(config);
+  core::StandardGraphOptions graph;
+  graph.strategy = kind;
+  graph.num_reduce_tasks = 7;
+  return testing_util::RunStandardGraph(resources, graph, 5, entities,
+                                        blocking, matcher, s);
 }
 
 std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
@@ -361,20 +349,13 @@ std::vector<er::Entity> SkewedDataset(uint64_t seed, uint64_t n = 1200) {
   return std::move(data).ValueOrDie();
 }
 
-void ExpectPipelineResultsEqual(const core::ErPipelineResult& reference,
-                                const core::ErPipelineResult& mp) {
-  EXPECT_TRUE(reference.matches.SameAs(mp.matches));
-  EXPECT_EQ(reference.comparisons, mp.comparisons);
-  ExpectTaskMetricsEqual(reference.match_metrics, mp.match_metrics);
-  ExpectTaskMetricsEqual(reference.bdm_metrics, mp.bdm_metrics);
-  ASSERT_EQ(reference.plan.has_value(), mp.plan.has_value());
-  if (reference.plan.has_value()) {
-    EXPECT_EQ(lb::MatchPlanToJson(*reference.plan),
-              lb::MatchPlanToJson(*mp.plan));
-  }
-  EXPECT_TRUE(mp.match_metrics.multi_process);
-  EXPECT_TRUE(mp.match_metrics.external);
-  EXPECT_GT(mp.match_metrics.spill_bytes_written, 0);
+void ExpectPipelineResultsEqual(const GraphRun& reference,
+                                const GraphRun& mp) {
+  testing_util::ExpectSameGraphRun(reference, mp);
+  const mr::JobMetrics& mp_match = *mp.report.Find("match")->job;
+  EXPECT_TRUE(mp_match.multi_process);
+  EXPECT_TRUE(mp_match.external);
+  EXPECT_GT(mp_match.spill_bytes_written, 0);
 }
 
 class StrategyMultiProcessTest
@@ -385,13 +366,12 @@ TEST_P(StrategyMultiProcessTest, OneSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
-  auto ext = MakePipeline(GetParam(), mr::ExecutionMode::kExternal)
-                 .Deduplicate(entities, blocking, matcher);
-  auto mp = MakePipeline(GetParam(), mr::ExecutionMode::kMultiProcess,
-                         /*worker_processes=*/3)
-                .Deduplicate(entities, blocking, matcher);
+  auto mem = RunInMode(GetParam(), mr::ExecutionMode::kInMemory, entities,
+                       blocking, matcher);
+  auto ext = RunInMode(GetParam(), mr::ExecutionMode::kExternal, entities,
+                       blocking, matcher);
+  auto mp = RunInMode(GetParam(), mr::ExecutionMode::kMultiProcess, entities,
+                      blocking, matcher, /*worker_processes=*/3);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   ASSERT_TRUE(mp.ok()) << mp.status().ToString();
@@ -406,11 +386,10 @@ TEST_P(StrategyMultiProcessTest, TwoSourceDifferential) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(GetParam(), mr::ExecutionMode::kInMemory)
-                 .Link(r_entities, s_entities, blocking, matcher);
-  auto mp = MakePipeline(GetParam(), mr::ExecutionMode::kMultiProcess,
-                         /*worker_processes=*/3)
-                .Link(r_entities, s_entities, blocking, matcher);
+  auto mem = RunInMode(GetParam(), mr::ExecutionMode::kInMemory, r_entities,
+                       blocking, matcher, 0, &s_entities);
+  auto mp = RunInMode(GetParam(), mr::ExecutionMode::kMultiProcess, r_entities,
+                      blocking, matcher, /*worker_processes=*/3, &s_entities);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_TRUE(mp.ok()) << mp.status().ToString();
   EXPECT_GT(mem->matches.size(), 0u);
@@ -432,14 +411,14 @@ TEST(StrategyMultiProcessTest, DegenerateWorkerCounts) {
   er::AttributeBlocking blocking(gen::kSkewBlockField);
   er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
 
-  auto mem = MakePipeline(lb::StrategyKind::kBlockSplit,
-                          mr::ExecutionMode::kInMemory)
-                 .Deduplicate(entities, blocking, matcher);
+  auto mem = RunInMode(lb::StrategyKind::kBlockSplit,
+                       mr::ExecutionMode::kInMemory, entities, blocking,
+                       matcher);
   ASSERT_TRUE(mem.ok());
   for (uint32_t workers : {1u, 16u}) {  // 16 > m=5 map tasks
-    auto mp = MakePipeline(lb::StrategyKind::kBlockSplit,
-                           mr::ExecutionMode::kMultiProcess, workers)
-                  .Deduplicate(entities, blocking, matcher);
+    auto mp = RunInMode(lb::StrategyKind::kBlockSplit,
+                        mr::ExecutionMode::kMultiProcess, entities, blocking,
+                        matcher, workers);
     ASSERT_TRUE(mp.ok()) << workers << ": " << mp.status().ToString();
     ExpectPipelineResultsEqual(*mem, *mp);
   }

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
+#include "lb/basic.h"
 #include "lb/plan_io.h"
 #include "lb/strategy.h"
 #include "paper_example.h"
@@ -142,21 +143,6 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanRoundTripTest,
                          [](const auto& info) {
                            return lb::StrategyKindToName(info.param);
                          });
-
-TEST(PlanCompatTest, PlanProjectionEqualsBuildPlanStats) {
-  // Strategy::Plan must be exactly the stats() projection of BuildPlan.
-  bdm::Bdm bdm = PaperBdm();
-  MatchJobOptions options;
-  options.num_reduce_tasks = 3;
-  for (auto kind : lb::AllStrategyKinds()) {
-    auto strategy = lb::MakeStrategy(kind);
-    auto stats = strategy->Plan(bdm, options);
-    auto plan = strategy->BuildPlan(bdm, options);
-    ASSERT_TRUE(stats.ok());
-    ASSERT_TRUE(plan.ok());
-    ExpectStatsEqual(*stats, plan->stats());
-  }
-}
 
 TEST(PlanValidationTest, RejectsWrongStrategyAndWrongBdm) {
   bdm::Bdm bdm = PaperBdm();
@@ -329,32 +315,25 @@ TEST_P(OptionValidationTest, BuildPlanRejectsZeroSubSplits) {
   EXPECT_TRUE(plan.status().IsInvalidArgument());
 }
 
-TEST_P(OptionValidationTest, RunMatchJobRejectsInvalidOptions) {
-  auto parts = PaperExamplePartitions();
+TEST_P(OptionValidationTest, StandardGraphRejectsInvalidOptions) {
   auto blocking = ExampleBlocking();
   er::LambdaMatcher matcher(
       [](const er::Entity&, const er::Entity&) { return false; }, "none");
-  mr::JobRunner runner(2);
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = 2;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
-  ASSERT_TRUE(bdm_out.ok());
-
-  auto strategy = lb::MakeStrategy(GetParam());
-  MatchJobOptions options;
-  options.num_reduce_tasks = 0;
-  EXPECT_TRUE(strategy
-                  ->RunMatchJob(*bdm_out->annotated, bdm_out->bdm, matcher,
-                                options, runner)
-                  .status()
-                  .IsInvalidArgument());
-  options.num_reduce_tasks = 2;
-  options.sub_splits = 0;
-  EXPECT_TRUE(strategy
-                  ->RunMatchJob(*bdm_out->annotated, bdm_out->bdm, matcher,
-                                options, runner)
-                  .status()
-                  .IsInvalidArgument());
+  auto run = [&](uint32_t r, uint32_t sub_splits) {
+    core::StandardGraphOptions graph;
+    graph.strategy = GetParam();
+    graph.num_reduce_tasks = r;
+    graph.sub_splits = sub_splits;
+    core::Dataflow df;
+    core::PartitionedEntities input;
+    input.partitions = PaperExamplePartitions();
+    EXPECT_TRUE(
+        df.AddInput(core::kDatasetPartitions, core::Dataset(input)).ok());
+    EXPECT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
+    return df.Run().status();
+  };
+  EXPECT_TRUE(run(0, 1).IsInvalidArgument());
+  EXPECT_TRUE(run(2, 0).IsInvalidArgument());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, OptionValidationTest,

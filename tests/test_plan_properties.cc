@@ -157,12 +157,12 @@ TEST(PairRangePlanTilingTest, RangesTileThePairSpace) {
     for (uint32_t r : {1u, 3u, 11u, 64u}) {
       MatchJobOptions options;
       options.num_reduce_tasks = r;
-      auto plan = strategy->Plan(bdm, options);
+      auto plan = strategy->BuildPlan(bdm, options);
       ASSERT_TRUE(plan.ok());
       uint64_t total = 0;
       uint64_t expected_per = PairsPerRange(bdm.TotalPairs(), r);
       for (uint32_t t = 0; t < r; ++t) {
-        uint64_t c = plan->comparisons_per_reduce_task[t];
+        uint64_t c = plan->stats().comparisons_per_reduce_task[t];
         total += c;
         EXPECT_LE(c, expected_per);
       }
@@ -181,18 +181,18 @@ TEST(PlanImbalanceOrderingTest, PairRangeNeverWorseThanBlockSplit) {
       MatchJobOptions options;
       options.num_reduce_tasks = r;
       auto range_plan =
-          MakeStrategy(StrategyKind::kPairRange)->Plan(bdm, options);
+          MakeStrategy(StrategyKind::kPairRange)->BuildPlan(bdm, options);
       auto split_plan =
-          MakeStrategy(StrategyKind::kBlockSplit)->Plan(bdm, options);
+          MakeStrategy(StrategyKind::kBlockSplit)->BuildPlan(bdm, options);
       auto basic_plan =
-          MakeStrategy(StrategyKind::kBasic)->Plan(bdm, options);
+          MakeStrategy(StrategyKind::kBasic)->BuildPlan(bdm, options);
       ASSERT_TRUE(range_plan.ok());
       ASSERT_TRUE(split_plan.ok());
       ASSERT_TRUE(basic_plan.ok());
-      EXPECT_LE(range_plan->ReduceImbalance(),
-                split_plan->ReduceImbalance() + 1e-9);
-      EXPECT_LE(range_plan->ReduceImbalance(),
-                basic_plan->ReduceImbalance() + 1e-9);
+      EXPECT_LE(range_plan->stats().ReduceImbalance(),
+                split_plan->stats().ReduceImbalance() + 1e-9);
+      EXPECT_LE(range_plan->stats().ReduceImbalance(),
+                basic_plan->stats().ReduceImbalance() + 1e-9);
     }
   }
 }
@@ -203,12 +203,13 @@ TEST(PlanTotalsTest, AllStrategiesAgreeOnTotalComparisons) {
   options.num_reduce_tasks = 9;
   uint64_t expected = bdm.TotalPairs();
   for (auto kind : AllStrategyKinds()) {
-    auto plan = MakeStrategy(kind)->Plan(bdm, options);
+    auto plan = MakeStrategy(kind)->BuildPlan(bdm, options);
     ASSERT_TRUE(plan.ok());
     uint64_t total = 0;
-    for (uint64_t c : plan->comparisons_per_reduce_task) total += c;
+    for (uint64_t c : plan->stats().comparisons_per_reduce_task) total += c;
     EXPECT_EQ(total, expected) << StrategyKindToName(kind);
-    EXPECT_EQ(plan->total_comparisons, expected) << StrategyKindToName(kind);
+    EXPECT_EQ(plan->stats().total_comparisons, expected)
+        << StrategyKindToName(kind);
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/pipeline.h"
-#include "core/report.h"
 #include "er/blocking.h"
 #include "er/matcher.h"
 #include "gen/product_gen.h"
@@ -20,44 +18,6 @@ std::vector<er::Entity> Products(uint64_t n, uint64_t seed = 1) {
   auto e = gen::GenerateProducts(cfg);
   EXPECT_TRUE(e.ok());
   return *e;
-}
-
-TEST(ReportTest, ContainsKeySections) {
-  auto entities = Products(500);
-  er::PrefixBlocking blocking(0, 3);
-  er::EditDistanceMatcher matcher(0.8);
-  core::ErPipelineConfig cfg;
-  cfg.strategy = lb::StrategyKind::kBlockSplit;
-  cfg.num_map_tasks = 2;
-  cfg.num_reduce_tasks = 4;
-  core::ErPipeline pipeline(cfg);
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
-  ASSERT_TRUE(result.ok());
-
-  std::string report = core::FormatRunReport(*result, cfg);
-  EXPECT_NE(report.find("BlockSplit"), std::string::npos);
-  EXPECT_NE(report.find("Job 1 (BDM)"), std::string::npos);
-  EXPECT_NE(report.find("Job 2 (matching)"), std::string::npos);
-  EXPECT_NE(report.find("Comparisons:"), std::string::npos);
-  EXPECT_NE(report.find("straggler ratio"), std::string::npos);
-
-  std::string summary = core::FormatRunSummary(*result, cfg);
-  EXPECT_NE(summary.find("comparisons"), std::string::npos);
-  EXPECT_NE(summary.find("matches"), std::string::npos);
-}
-
-TEST(ReportTest, BasicRunOmitsBdmSection) {
-  auto entities = Products(300, 2);
-  er::PrefixBlocking blocking(0, 3);
-  er::EditDistanceMatcher matcher(0.8);
-  core::ErPipelineConfig cfg;
-  cfg.strategy = lb::StrategyKind::kBasic;
-  core::ErPipeline pipeline(cfg);
-  auto result = pipeline.Deduplicate(entities, blocking, matcher);
-  ASSERT_TRUE(result.ok());
-  std::string report = core::FormatRunReport(*result, cfg);
-  EXPECT_EQ(report.find("Job 1 (BDM)"), std::string::npos);
-  EXPECT_NE(report.find("Basic"), std::string::npos);
 }
 
 TEST(CalibrateTest, ProducesPlausibleCosts) {

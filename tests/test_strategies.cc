@@ -131,16 +131,17 @@ TEST(PairRangePaperTest, PlanReduceInputsMatchFigure7) {
   auto strategy = lb::MakeStrategy(StrategyKind::kPairRange);
   lb::MatchJobOptions options;
   options.num_reduce_tasks = 3;
-  auto plan = strategy->Plan(run.bdm, options);
+  auto plan = strategy->BuildPlan(run.bdm, options);
   ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->input_records_per_reduce_task.size(), 3u);
-  EXPECT_EQ(plan->input_records_per_reduce_task[0], 6u);  // Φ0 + Φ1
-  EXPECT_EQ(plan->input_records_per_reduce_task[1], 8u);  // Φ2 + all of Φ3
-  EXPECT_EQ(plan->input_records_per_reduce_task[2], 4u);  // Φ3 minus F
+  const lb::PlanStats& stats = plan->stats();
+  ASSERT_EQ(stats.input_records_per_reduce_task.size(), 3u);
+  EXPECT_EQ(stats.input_records_per_reduce_task[0], 6u);  // Φ0 + Φ1
+  EXPECT_EQ(stats.input_records_per_reduce_task[1], 8u);  // Φ2 + all of Φ3
+  EXPECT_EQ(stats.input_records_per_reduce_task[2], 4u);  // Φ3 minus F
   // Ranges sized 7,7,6 (P=20, r=3).
-  EXPECT_EQ(plan->comparisons_per_reduce_task[0], 7u);
-  EXPECT_EQ(plan->comparisons_per_reduce_task[1], 7u);
-  EXPECT_EQ(plan->comparisons_per_reduce_task[2], 6u);
+  EXPECT_EQ(stats.comparisons_per_reduce_task[0], 7u);
+  EXPECT_EQ(stats.comparisons_per_reduce_task[1], 7u);
+  EXPECT_EQ(stats.comparisons_per_reduce_task[2], 6u);
 }
 
 // ---------------------------------------------------------------------
@@ -360,16 +361,16 @@ TEST_P(PlanConsistencyTest, PlannedCountsMatchExecution) {
   auto strategy = lb::MakeStrategy(GetParam());
   lb::MatchJobOptions options;
   options.num_reduce_tasks = r;
-  auto plan = strategy->Plan(bdm, options);
+  auto plan = strategy->BuildPlan(bdm, options);
   ASSERT_TRUE(plan.ok());
 
-  EXPECT_EQ(plan->total_comparisons,
+  EXPECT_EQ(plan->stats().total_comparisons,
             static_cast<uint64_t>(run.comparisons));
-  EXPECT_EQ(plan->TotalMapOutputPairs(),
+  EXPECT_EQ(plan->stats().TotalMapOutputPairs(),
             static_cast<uint64_t>(run.map_output_pairs));
   uint64_t planned_sum = 0;
-  for (uint64_t c : plan->comparisons_per_reduce_task) planned_sum += c;
-  EXPECT_EQ(planned_sum, plan->total_comparisons);
+  for (uint64_t c : plan->stats().comparisons_per_reduce_task) planned_sum += c;
+  EXPECT_EQ(planned_sum, plan->stats().total_comparisons);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PlanConsistencyTest,

@@ -58,7 +58,7 @@ import re
 import sys
 
 LINT_DIRS = ("src", "tests", "bench", "examples", "tools")
-CPP_EXTENSIONS = (".h", ".cc")
+CPP_EXTENSIONS = (".h", ".cc", ".cpp")
 
 # The one place raw std synchronization primitives are allowed: the
 # annotated wrappers themselves.
@@ -409,6 +409,8 @@ def _lint_snippet(relpath, snippet):
 
 
 def selftest():
+    import tempfile
+
     failures = []
 
     def expect(name, relpath, snippet, rules):
@@ -447,6 +449,19 @@ def selftest():
     expect("raw lock_guard in .cc", "src/foo/bar.cc",
            "void F() { std::lock_guard<std::mutex> l(mu); }\n",
            ["raw-mutex", "raw-mutex"][:1])
+    # Through the tree walk a full run does, so the file is linted only
+    # if its extension is collected: the example CLIs are .cpp files.
+    with tempfile.TemporaryDirectory() as tmp:
+        os.makedirs(os.path.join(tmp, "examples"))
+        with open(os.path.join(tmp, "examples", "demo.cpp"), "w",
+                  encoding="utf-8") as f:
+            f.write("std::mutex mu;\n")
+        got = [f.rule for relpath in collect_files(tmp, [])
+               for f in lint_file(tmp, relpath)]
+    if got != ["raw-mutex"]:
+        failures.append(
+            f"raw std::mutex in examples/*.cpp: expected ['raw-mutex'], "
+            f"got {got}")
     expect("mutex wrapper header allowed", "src/common/mutex.h",
            "#ifndef ERLB_COMMON_MUTEX_H_\n#define ERLB_COMMON_MUTEX_H_\n"
            "std::mutex mu_;\n#endif\n",
@@ -481,8 +496,6 @@ def selftest():
            'void F() { ERLB_FAULT_POINT(site_name); }\n', [])
 
     def expect_tree(name, files, rules):
-        import tempfile
-
         with tempfile.TemporaryDirectory() as tmp:
             for relpath, content in files.items():
                 full = os.path.join(tmp, relpath)
