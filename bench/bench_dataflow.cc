@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   // The pre-dataflow pipeline body: both jobs on one directly-owned
   // runner, no graph, no report.
-  harness.Run("run/direct_jobs", [&] {
+  auto direct_jobs = [&] {
     mr::JobRunner runner(workers, resources.execution);
     bdm::BdmJobOptions bdm_options;
     bdm_options.num_reduce_tasks = r;
@@ -88,17 +88,22 @@ int main(int argc, char** argv) {
                                      bdm_out->bdm, matcher, runner);
     ERLB_CHECK(out.ok());
     ERLB_CHECK(out->matches.size() > 0);
-  });
+  };
 
   // The graph: same jobs, reached through graph build + validate + run +
   // report assembly.
-  harness.Run("run/pipeline_adapter", [&] {
+  auto graph_run = [&] {
     core::Dataflow df = build();
     auto report = df.Run();
     ERLB_CHECK(report.ok());
     auto matches = df.Get<er::MatchResult>(core::kDatasetMatches);
     ERLB_CHECK(matches.ok() && (*matches)->size() > 0);
-  });
+  };
+
+  // Timed call by call in alternation, so the gated ratio below does not
+  // follow host load that changes between two back-to-back loops.
+  harness.RunInterleaved("run/direct_jobs", direct_jobs,
+                         "run/pipeline_adapter", graph_run);
 
   // direct / graph; ~1.0 means the graph machinery is free at job
   // granularity. Gated (higher is better, so a regression = the graph

@@ -13,7 +13,8 @@
 // to accumulate `min_rep_millis` of wall time. Reported nanos/op is the
 // median repetition's time divided by its iteration count. Before/after
 // pairs are registered with `Speedup`, which derives old/new from two
-// previously added results.
+// previously added results; `RunInterleaved` times such a pair call by
+// call in alternation when its ratio must not follow host load.
 #ifndef ERLB_BENCH_BENCH_JSON_H_
 #define ERLB_BENCH_BENCH_JSON_H_
 
@@ -97,6 +98,49 @@ class MicroBench {
       total_iters += iters;
     }
     Record(name, std::move(nanos_per_op), total_iters);
+  }
+
+  /// Like Run for a before/after pair whose ratio is gated: within each
+  /// repetition the two closures alternate call by call (a b, b a, a b,
+  /// ...), each call timed on its own, and a repetition's nanos/op is its
+  /// median call. Host load that comes and goes during the measurement
+  /// then lands on both results alike, and a call that a load spike
+  /// stretched does not move either result. Each call is timed
+  /// separately, so the closures should take at least microseconds.
+  template <typename FnA, typename FnB>
+  void RunInterleaved(const std::string& name_a, FnA&& fn_a,
+                      const std::string& name_b, FnB&& fn_b) {
+    fn_a();  // warm-ups
+    fn_b();
+    auto timed = [](auto& fn) {
+      Stopwatch watch;
+      fn();
+      return static_cast<double>(watch.ElapsedNanos());
+    };
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    std::vector<double> a_nanos_per_op, b_nanos_per_op;
+    int64_t total_iters = 0;
+    for (int rep = 0; rep < reps_; ++rep) {
+      std::vector<double> a_calls, b_calls;
+      Stopwatch watch;
+      do {
+        if (a_calls.size() % 2 == 0) {
+          a_calls.push_back(timed(fn_a));
+          b_calls.push_back(timed(fn_b));
+        } else {
+          b_calls.push_back(timed(fn_b));
+          a_calls.push_back(timed(fn_a));
+        }
+      } while (watch.ElapsedMillis() < 2 * min_rep_millis_);
+      total_iters += static_cast<int64_t>(a_calls.size());
+      a_nanos_per_op.push_back(median(std::move(a_calls)));
+      b_nanos_per_op.push_back(median(std::move(b_calls)));
+    }
+    Record(name_a, std::move(a_nanos_per_op), total_iters);
+    Record(name_b, std::move(b_nanos_per_op), total_iters);
   }
 
   /// Like Run, but `fn` returns the nanoseconds of the region it timed

@@ -1,6 +1,6 @@
 // Planning-throughput micro benchmark: how fast each strategy turns a BDM
 // into its full MatchPlan, and how fast plans round-trip through JSON
-// (the plan-cache read/write path). Uses the dependency-free bench_json.h
+// (the lb/plan_io save/load path). Uses the dependency-free bench_json.h
 // harness; `--json BENCH_plan.json` emits the machine-readable baseline.
 //
 //   $ ./bench_plan [--json <path>] [--reps N] [--min-rep-ms N]
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                 });
   }
 
-  // ---- Plan cache path: JSON serialize / parse -------------------------
+  // ---- plan_io path: JSON serialize / parse ----------------------------
   for (auto kind : lb::AllStrategyKinds()) {
     auto plan = lb::MakeStrategy(kind)->BuildPlan(bdm, options);
     ERLB_CHECK(plan.ok());

@@ -1,8 +1,7 @@
-// Serving-path micro benchmark: the three costs the erlb_serve daemon
+// Serving-path micro benchmark: the two costs the erlb_serve daemon
 // exists to amortize, each as a before/after ratio gated by
 // tools/bench_compare.py against the committed BENCH_serve.json:
 //
-//   plan/uncached_vs_cached   BuildPlan per request vs a plan-cache hit
 //   probe/batch_vs_per_probe  one linkage run per probe vs one per batch
 //   maintain/delta_vs_rebuild FromKeys rebuild vs Bdm::ApplyDelta
 //
@@ -24,8 +23,6 @@
 #include "er/matcher.h"
 #include "gen/perturb.h"
 #include "gen/product_gen.h"
-#include "lb/strategy.h"
-#include "serve/plan_cache.h"
 #include "serve/session.h"
 
 using namespace erlb;
@@ -65,38 +62,22 @@ int main(int argc, char** argv) {
   }
 
   // ---- micro-batching: one linkage run per probe vs one per batch ----
-  harness.Run("probe/per_probe", [&] {
-    for (const auto& probe : probes) {
-      auto result = session.ProbeBatch({probe});
-      ERLB_CHECK(result.ok());
-    }
-  });
-  harness.Run("probe/batched", [&] {
-    auto result = session.ProbeBatch(probes);
-    ERLB_CHECK(result.ok());
-  });
+  // Interleaved call by call, so the gated ratio does not follow host load.
+  harness.RunInterleaved(
+      "probe/per_probe",
+      [&] {
+        for (const auto& probe : probes) {
+          auto result = session.ProbeBatch({probe});
+          ERLB_CHECK(result.ok());
+        }
+      },
+      "probe/batched",
+      [&] {
+        auto result = session.ProbeBatch(probes);
+        ERLB_CHECK(result.ok());
+      });
   harness.Speedup("probe/batch_vs_per_probe", "probe/per_probe",
                   "probe/batched");
-
-  // ---- plan cache: BuildPlan per request vs a hit ----
-  const bdm::Bdm bdm = session.BdmSnapshot();
-  const auto options = session_options.MatchOptions();
-  harness.Run("plan/build_uncached", [&] {
-    auto plan = lb::MakeStrategy(lb::StrategyKind::kBlockSplit)
-                    ->BuildPlan(bdm, options);
-    ERLB_CHECK(plan.ok());
-  });
-  serve::PlanCache cache(4);
-  ERLB_CHECK(
-      cache.GetOrBuild(bdm, lb::StrategyKind::kBlockSplit, options).ok());
-  harness.Run("plan/cache_hit", [&] {
-    auto plan =
-        cache.GetOrBuild(bdm, lb::StrategyKind::kBlockSplit, options);
-    ERLB_CHECK(plan.ok());
-    ERLB_CHECK(plan->get() != nullptr);
-  });
-  harness.Speedup("plan/uncached_vs_cached", "plan/build_uncached",
-                  "plan/cache_hit");
 
   // ---- incremental maintenance: rebuild vs ApplyDelta ----
   // A bigger synthetic matrix (Zipf keys over 6 partitions) so the
@@ -119,9 +100,10 @@ int main(int argc, char** argv) {
   // The mutation: one small insert batch (16 records).
   std::vector<bdm::BdmDeltaEntry> deltas;
   for (int i = 0; i < 16; ++i) {
-    deltas.push_back(bdm::BdmDeltaEntry{
-        "k" + std::to_string(zipf.Sample(&key_rng)),
-        key_rng.NextBounded(m), 1});
+    std::string key = "k";  // lvalue append, as above
+    key += std::to_string(zipf.Sample(&key_rng));
+    deltas.push_back(
+        bdm::BdmDeltaEntry{std::move(key), key_rng.NextBounded(m), 1});
   }
   auto mutated_keys = keys;
   for (const auto& d : deltas) {

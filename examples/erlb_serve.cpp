@@ -1,15 +1,14 @@
 // erlb_serve: the long-lived ER service — daemon and client CLI in one
-// binary (PR 10). The daemon holds a product corpus resident (entities +
-// CSR BDM + plan cache) and answers probe-linkage and admin requests
-// over a Unix domain socket; the client subcommands speak the
-// serve/protocol.h frames to a running daemon.
+// binary. The daemon holds a product corpus resident (entities + CSR
+// BDM) and answers probe-linkage and admin requests over a Unix domain
+// socket; the client subcommands speak the serve/protocol.h frames to a
+// running daemon.
 //
 //   $ ./erlb_serve serve <socket> [corpus_size]   # prints "LISTENING <socket>"
 //   $ ./erlb_serve probe <socket> <title>...
 //   $ ./erlb_serve insert <socket> <id> <title>
 //   $ ./erlb_serve remove <socket> <id>...
 //   $ ./erlb_serve stats <socket>
-//   $ ./erlb_serve flush <socket>
 //   $ ./erlb_serve shutdown <socket>
 #include <unistd.h>
 
@@ -37,7 +36,7 @@ int Usage() {
       "       erlb_serve probe <socket> <title>...\n"
       "       erlb_serve insert <socket> <id> <title>\n"
       "       erlb_serve remove <socket> <id>...\n"
-      "       erlb_serve stats|flush|shutdown <socket>\n");
+      "       erlb_serve stats|shutdown <socket>\n");
   return 2;
 }
 
@@ -115,27 +114,14 @@ int RunClient(const std::string& socket_path, proc::FrameType type,
                   "batches_run=%llu\n"
                   "probes_skipped=%llu\n"
                   "inserts=%llu\n"
-                  "removes=%llu\n"
-                  "plan_cache_hits=%llu\n"
-                  "plan_cache_misses=%llu\n"
-                  "plan_cache_evictions=%llu\n"
-                  "plan_cache_invalidations=%llu\n"
-                  "plan_cache_entries=%llu\n",
+                  "removes=%llu\n",
                   static_cast<unsigned long long>(stats->corpus_entities),
                   static_cast<unsigned long long>(stats->corpus_blocks),
                   static_cast<unsigned long long>(stats->probes_served),
                   static_cast<unsigned long long>(stats->batches_run),
                   static_cast<unsigned long long>(stats->probes_skipped),
                   static_cast<unsigned long long>(stats->inserts),
-                  static_cast<unsigned long long>(stats->removes),
-                  static_cast<unsigned long long>(stats->plan_cache.hits),
-                  static_cast<unsigned long long>(stats->plan_cache.misses),
-                  static_cast<unsigned long long>(
-                      stats->plan_cache.evictions),
-                  static_cast<unsigned long long>(
-                      stats->plan_cache.invalidations),
-                  static_cast<unsigned long long>(
-                      stats->plan_cache.entries));
+                  static_cast<unsigned long long>(stats->removes));
       return 0;
     }
     default:
@@ -187,10 +173,9 @@ int main(int argc, char** argv) {
     return RunClient(socket_path, proc::FrameType::kServeAdmin,
                      serve::EncodeRemoveRequest(ids));
   }
-  if (command == "stats" || command == "flush" || command == "shutdown") {
-    const auto op = command == "stats"   ? serve::AdminOp::kStats
-                    : command == "flush" ? serve::AdminOp::kFlush
-                                         : serve::AdminOp::kShutdown;
+  if (command == "stats" || command == "shutdown") {
+    const auto op = command == "stats" ? serve::AdminOp::kStats
+                                       : serve::AdminOp::kShutdown;
     return RunClient(socket_path, proc::FrameType::kServeAdmin,
                      serve::EncodeAdminRequest(op));
   }

@@ -1,6 +1,7 @@
 #include "core/stages.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -335,15 +336,17 @@ Status UnionMatchesStage::Run(DataflowContext* ctx) {
 Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
                         const er::BlockingFunction* blocking,
                         const er::Matcher* matcher,
-                        const std::string& dataset_prefix,
-                        const lb::MatchPlan* prebuilt_plan) {
+                        const std::string& dataset_prefix) {
+  // Reject bad job options before any stage exists: BdmStage reads r = 0
+  // as "auto-size", so the BDM job would otherwise run to completion
+  // before PlanStage refused the options.
+  const lb::MatchJobOptions match_options = options.MatchOptions();
+  ERLB_RETURN_NOT_OK(lb::ValidateMatchJobOptions(match_options));
   auto named = [&dataset_prefix](const char* name) {
     return dataset_prefix + name;
   };
-  lb::MatchJobOptions match_options = options.MatchOptions();
 
-  if (prebuilt_plan == nullptr &&
-      options.strategy == lb::StrategyKind::kBasic) {
+  if (options.strategy == lb::StrategyKind::kBasic) {
     // Single job, no BDM (Section III's straightforward approach).
     df->Emplace<BasicMatchStage>(named("match"), named(kDatasetPartitions),
                                  named(kDatasetMatches), blocking, matcher,
@@ -358,39 +361,20 @@ Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
   df->Emplace<BdmStage>(named("bdm"), named(kDatasetPartitions),
                         named(kDatasetBdm), named(kDatasetAnnotated),
                         blocking, bdm_options);
-
-  if (prebuilt_plan == nullptr) {
-    df->Emplace<PlanStage>(named("plan"), named(kDatasetBdm),
-                           named(kDatasetPlan), options.strategy,
-                           match_options);
-  } else {
-    // A pre-built plan enters the graph as an external dataset; it
-    // already fixes the strategy and every matching-job option.
-    ERLB_RETURN_NOT_OK(df->AddInput(
-        named(kDatasetPlan),
-        Dataset(std::make_shared<const lb::MatchPlan>(*prebuilt_plan))));
-  }
-  df->Emplace<MatchStage>(named("match"), named(kDatasetPlan),
-                          named(kDatasetAnnotated), named(kDatasetBdm),
-                          named(kDatasetMatches), matcher);
-  return Status::OK();
+  return AddServeGraph(df, options, matcher, dataset_prefix);
 }
 
 Status AddServeGraph(Dataflow* df, const StandardGraphOptions& options,
                      const er::Matcher* matcher,
-                     const std::string& dataset_prefix,
-                     std::shared_ptr<const lb::MatchPlan> prebuilt_plan) {
+                     const std::string& dataset_prefix) {
+  const lb::MatchJobOptions match_options = options.MatchOptions();
+  ERLB_RETURN_NOT_OK(lb::ValidateMatchJobOptions(match_options));
   auto named = [&dataset_prefix](const char* name) {
     return dataset_prefix + name;
   };
-  if (prebuilt_plan == nullptr) {
-    df->Emplace<PlanStage>(named("plan"), named(kDatasetBdm),
-                           named(kDatasetPlan), options.strategy,
-                           options.MatchOptions());
-  } else {
-    ERLB_RETURN_NOT_OK(
-        df->AddInput(named(kDatasetPlan), Dataset(std::move(prebuilt_plan))));
-  }
+  df->Emplace<PlanStage>(named("plan"), named(kDatasetBdm),
+                         named(kDatasetPlan), options.strategy,
+                         match_options);
   df->Emplace<MatchStage>(named("match"), named(kDatasetPlan),
                           named(kDatasetAnnotated), named(kDatasetBdm),
                           named(kDatasetMatches), matcher);

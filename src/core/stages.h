@@ -4,10 +4,17 @@
 //
 //   * AddStandardGraph: the paper's two-job chain
 //         partitions ──> [bdm] ──> bdm + annotated
-//         bdm ──> [plan] ──> plan            (skipped for pre-built plans)
+//         bdm ──> [plan] ──> plan
 //         plan + annotated + bdm ──> [match] ──> matches
-//     (Basic without a pre-built plan is its paper-faithful single job:
+//     (Basic is its paper-faithful single job:
 //         partitions ──> [match] ──> matches)
+//
+//   * AddServeGraph: the standard chain's last two stages, over a BDM and
+//     annotated store the caller binds (the serve daemon's probe path).
+//
+// A caller that already holds a plan binds it as kDatasetPlan via
+// Dataflow::AddInput and emplaces a MatchStage itself; no builder takes a
+// plan.
 //
 //   * AddMultiPassGraph: multi-pass blocking as a *composition* of
 //     per-pass standard subgraphs ("pass<i>/…") feeding one union stage —
@@ -26,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -244,32 +250,29 @@ struct StandardGraphOptions {
 /// Composes the standard two-job chain into `df`, reading
 /// `dataset_prefix + kDatasetPartitions` (which the caller supplies via
 /// AddInput or a source stage) and producing `prefix + kDatasetMatches`.
-/// Stage names get the same prefix. With a non-null `prebuilt_plan` the
-/// plan stage is skipped and a copy of the plan is bound as the plan
-/// dataset; the plan then decides the matching job's strategy. Basic
-/// without a pre-built plan composes as its single-job form.
+/// Stage names get the same prefix. Basic composes as its single-job
+/// form. Invalid matching-job options (lb::ValidateMatchJobOptions) are
+/// rejected here, before any stage is added.
 [[nodiscard]] Status AddStandardGraph(
     Dataflow* df, const StandardGraphOptions& options,
     const er::BlockingFunction* blocking, const er::Matcher* matcher,
-    const std::string& dataset_prefix = "",
-    const lb::MatchPlan* prebuilt_plan = nullptr);
+    const std::string& dataset_prefix = "");
 
 /// Composes the serving subgraph — the per-request tail of the standard
 /// chain, for callers that hold a resident corpus (serve::ServeSession):
 ///
-///     bdm ──> [plan] ──> plan            (skipped for pre-built plans)
+///     bdm ──> [plan] ──> plan
 ///     plan + annotated + bdm ──> [match] ──> matches
 ///
 /// The caller binds `prefix + kDatasetBdm` and `prefix + kDatasetAnnotated`
 /// via AddInput — no source or BDM stage runs, which is the whole point:
-/// a probe batch re-plans (or reuses a cached plan) and matches against
-/// the already-indexed corpus. A non-null `prebuilt_plan` (typically a
-/// serve::PlanCache hit) is bound as the plan dataset without copying and
-/// skips the plan stage; the plan then decides the matching strategy.
-[[nodiscard]] Status AddServeGraph(
-    Dataflow* df, const StandardGraphOptions& options,
-    const er::Matcher* matcher, const std::string& dataset_prefix = "",
-    std::shared_ptr<const lb::MatchPlan> prebuilt_plan = nullptr);
+/// a probe batch plans over the BDM with its probes staged and matches
+/// against the already-indexed corpus. Invalid matching-job options are
+/// rejected here, before any stage is added.
+[[nodiscard]] Status AddServeGraph(Dataflow* df,
+                                   const StandardGraphOptions& options,
+                                   const er::Matcher* matcher,
+                                   const std::string& dataset_prefix = "");
 
 /// Composes multi-pass blocking over `passes` as per-pass standard
 /// subgraphs ("<name_prefix>pass<i>/…"), each running over the entities

@@ -90,9 +90,9 @@ struct BdmFingerprint {
   uint64_t total_pairs = 0;
   /// The BDM's memoized content hash (bdm::Bdm::ContentHash) over keys,
   /// cells, and source tags; 0 means "unknown" (a fingerprint parsed from
-  /// a pre-content-hash version 1 plan document). Shape alone is unsafe
-  /// as a cache identity — two different BDMs can agree on every count —
-  /// so the serve plan cache keys on this.
+  /// a pre-content-hash version 1 plan document). Shape alone cannot tell
+  /// a plan's BDM from another — two different BDMs can agree on every
+  /// count — so CompatibleWith compares this as well.
   uint64_t content_hash = 0;
 
   static BdmFingerprint Of(const bdm::Bdm& bdm) {

@@ -1,5 +1,5 @@
-// Micro-batching of probe requests — pillar (b) of the serving
-// subsystem. Each probe-linkage run pays a fixed cost (plan lookup,
+// Micro-batching of probe requests for the serving
+// subsystem. Each probe-linkage run pays a fixed cost (planning,
 // dataflow setup, one MR-shaped matching job) that dwarfs the marginal
 // cost of one more probe record, so the daemon never runs a job per
 // probe: requests queue here, and one drainer thread runs a single

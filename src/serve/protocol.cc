@@ -101,13 +101,16 @@ std::string EncodeAdminRequest(AdminOp op) {
 Result<AdminOp> DecodeAdminOp(std::string_view payload,
                               std::string_view* body) {
   if (payload.empty()) return Malformed("empty admin frame");
-  const auto op = static_cast<uint8_t>(payload[0]);
-  if (op < static_cast<uint8_t>(AdminOp::kInsert) ||
-      op > static_cast<uint8_t>(AdminOp::kShutdown)) {
-    return Malformed("unknown admin op");
+  const auto op = static_cast<AdminOp>(static_cast<uint8_t>(payload[0]));
+  switch (op) {
+    case AdminOp::kInsert:
+    case AdminOp::kRemove:
+    case AdminOp::kStats:
+    case AdminOp::kShutdown:
+      *body = payload.substr(1);
+      return op;
   }
-  *body = payload.substr(1);
-  return static_cast<AdminOp>(op);
+  return Malformed("unknown admin op");
 }
 
 Result<std::vector<er::Entity>> DecodeInsertBody(std::string_view body) {

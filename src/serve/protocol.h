@@ -37,7 +37,7 @@ enum class AdminOp : uint8_t {
   kInsert = 1,    // u32 count | count x entity
   kRemove = 2,    // u32 count | count x u64 id
   kStats = 3,     // empty
-  kFlush = 4,     // empty — drop cached plans
+  // 4 was the plan-cache flush; it is retired and rejected as unknown.
   kShutdown = 5,  // empty — daemon acks, then exits
 };
 

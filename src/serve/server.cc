@@ -149,9 +149,6 @@ Status Server::HandleFrame(int fd, const proc::Frame& frame,
         case AdminOp::kStats:
           ack = EncodeStats(session_->Stats());
           break;
-        case AdminOp::kFlush:
-          session_->Flush();
-          break;
         case AdminOp::kShutdown:
           *shutdown = true;
           break;

@@ -16,8 +16,7 @@ ServeSession::ServeSession(const er::BlockingFunction* blocking,
                            SessionOptions options)
     : blocking_(blocking),
       matcher_(matcher),
-      options_(options),
-      cache_(options.plan_cache_capacity) {
+      options_(options) {
   ERLB_CHECK(options_.num_corpus_partitions >= 1);
   // Partitions 0..m-1 hold the corpus (source R); partition m is the
   // reserved probe slot (source S), empty between batches.
@@ -71,9 +70,6 @@ Status ServeSession::Insert(const std::vector<er::Entity>& entities) {
   const Status applied = bdm_.ApplyDelta(deltas);
   ERLB_CHECK(applied.ok());  // positive deltas on valid partitions
   counters_.inserts += entities.size();
-  // The corpus content hash moved: every cached plan's fingerprint is
-  // now unreachable, whatever probe histogram it was combined with.
-  cache_.Clear();
   return Status::OK();
 }
 
@@ -109,15 +105,10 @@ Status ServeSession::Remove(const std::vector<uint64_t>& ids) {
   const Status applied = bdm_.ApplyDelta(deltas);
   ERLB_CHECK(applied.ok());  // every decrement covered by a live record
   counters_.removes += ids.size();
-  cache_.Clear();
   return Status::OK();
 }
 
 Result<er::MatchResult> ServeSession::RunMatchLocked() {
-  ERLB_ASSIGN_OR_RETURN(
-      std::shared_ptr<const lb::MatchPlan> plan,
-      cache_.GetOrBuild(bdm_, options_.strategy, options_.MatchOptions()));
-
   core::DataflowOptions df_options;
   df_options.num_workers = options_.num_workers;
   core::Dataflow df(df_options);
@@ -130,8 +121,7 @@ Result<er::MatchResult> ServeSession::RunMatchLocked() {
   graph.num_reduce_tasks = options_.num_reduce_tasks;
   graph.assignment = options_.assignment;
   graph.sub_splits = options_.sub_splits;
-  ERLB_RETURN_NOT_OK(
-      core::AddServeGraph(&df, graph, matcher_, "", std::move(plan)));
+  ERLB_RETURN_NOT_OK(core::AddServeGraph(&df, graph, matcher_));
   ERLB_RETURN_NOT_OK(df.Run().status());
   ERLB_ASSIGN_OR_RETURN(er::MatchResult matches,
                         df.Take<er::MatchResult>(core::kDatasetMatches));
@@ -187,17 +177,11 @@ Result<er::MatchResult> ServeSession::ProbeBatch(
   return result;
 }
 
-void ServeSession::Flush() { cache_.Clear(); }
-
 SessionStats ServeSession::Stats() const {
-  SessionStats out;
-  {
-    MutexLock lock(&mu_);
-    out = counters_;
-    out.corpus_entities = id_index_.size();
-    out.corpus_blocks = bdm_.num_blocks();
-  }
-  out.plan_cache = cache_.Stats();
+  MutexLock lock(&mu_);
+  SessionStats out = counters_;
+  out.corpus_entities = id_index_.size();
+  out.corpus_blocks = bdm_.num_blocks();
   return out;
 }
 

@@ -8,20 +8,17 @@
 //     that each probe batch transiently occupies;
 //   * the CSR BDM over those m+1 partitions, maintained incrementally
 //     (bdm::Bdm::ApplyDelta) as records are inserted/deleted and as
-//     probe batches come and go — never rebuilt from scratch;
-//   * the plan cache (serve/plan_cache.h), keyed by the BDM content
-//     fingerprint, so a probe batch whose blocking-key histogram was
-//     seen before skips BuildPlan entirely.
+//     probe batches come and go — never rebuilt from scratch.
 //
 // A probe batch is answered as a two-source linkage run: the probe keys
 // enter the BDM at partition m (touched rows only), the probes fill
-// annotated file m, a serve dataflow (core::AddServeGraph — cached plan +
-// match over the resident datasets) produces the matches, and the deltas
-// are reverted. Corpus mutations (Insert/Remove) apply the same deltas to
-// partitions 0..m-1 and invalidate the cache wholesale — every cached
-// plan's fingerprint is unreachable once the corpus content hash moved.
+// annotated file m, a serve dataflow (core::AddServeGraph — plan + match
+// over the resident datasets) produces the matches, and the deltas are
+// reverted. As in the paper, the plan is a function of the BDM the batch
+// just produced, so every batch plans afresh. Corpus mutations
+// (Insert/Remove) apply the same deltas to partitions 0..m-1.
 //
-// One erlb::Mutex serializes the session (PR 6 ground rule); concurrency
+// One annotated erlb::Mutex serializes the session; concurrency
 // comes from micro-batching (serve/batcher.h): many client probes ride
 // one session run, and the matching job inside parallelizes across the
 // session's worker pool.
@@ -42,7 +39,6 @@
 #include "er/match_result.h"
 #include "er/matcher.h"
 #include "lb/plan.h"
-#include "serve/plan_cache.h"
 
 namespace erlb {
 namespace serve {
@@ -58,16 +54,18 @@ struct SessionOptions {
   uint32_t sub_splits = 1;
   /// Worker threads of the per-batch matching dataflow (0 = hardware).
   uint32_t num_workers = 0;
-  /// Resident plans before LRU eviction.
-  size_t plan_cache_capacity = 64;
+};
 
-  lb::MatchJobOptions MatchOptions() const {
-    lb::MatchJobOptions o;
-    o.num_reduce_tasks = num_reduce_tasks;
-    o.assignment = assignment;
-    o.sub_splits = sub_splits;
-    return o;
-  }
+/// Counters of the plan cache the daemon once had. Always zero: a probe
+/// batch stages its probes into the BDM, so no two batches share a plan
+/// and the cache was removed. The fields stay so the stats frame keeps
+/// its layout and existing readers of these counters keep working.
+struct PlanCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t invalidations = 0;
+  uint64_t entries = 0;
 };
 
 /// Counters of one session's lifetime plus a point-in-time corpus shape.
@@ -79,7 +77,7 @@ struct SessionStats {
   uint64_t probes_skipped = 0;  // no valid blocking key
   uint64_t inserts = 0;
   uint64_t removes = 0;
-  PlanCacheStats plan_cache;
+  PlanCacheStats plan_cache;  // always zero, see PlanCacheStats
 };
 
 /// The resident corpus + probe/admin surface. Thread-safe; every public
@@ -110,9 +108,6 @@ class ServeSession {
   [[nodiscard]] Result<er::MatchResult> ProbeBatch(
       const std::vector<er::Entity>& probes);
 
-  /// Drops every cached plan (admin flush).
-  void Flush();
-
   [[nodiscard]] SessionStats Stats() const;
 
   const SessionOptions& options() const { return options_; }
@@ -127,8 +122,8 @@ class ServeSession {
   /// near-equal, mirroring HDFS splits of an append-ordered file).
   uint32_t NextPartition() ERLB_REQUIRES(mu_);
 
-  /// The cached-plan + match dataflow (core::AddServeGraph) over the
-  /// resident BDM/annotated datasets, with the probe rows in place.
+  /// The plan + match dataflow (core::AddServeGraph) over the resident
+  /// BDM/annotated datasets, with the probe rows in place.
   [[nodiscard]] Result<er::MatchResult> RunMatchLocked() ERLB_REQUIRES(mu_);
 
   /// The reserved probe partition index (= m).
@@ -148,8 +143,6 @@ class ServeSession {
       ERLB_GUARDED_BY(mu_);
   uint64_t round_robin_ ERLB_GUARDED_BY(mu_) = 0;
   SessionStats counters_ ERLB_GUARDED_BY(mu_);
-
-  PlanCache cache_;  // internally synchronized
 };
 
 }  // namespace serve

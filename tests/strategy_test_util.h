@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -209,6 +210,27 @@ inline PlanExecutionRun RunWithPlan(
   run.comparisons = out->comparisons;
   run.matches.Canonicalize();
   return run;
+}
+
+/// The standard chain for a caller that already holds `plan`: BdmStage
+/// over kDatasetPartitions, `plan` bound as kDatasetPlan, and MatchStage.
+/// No plan stage runs, and the plan decides the matching strategy.
+[[nodiscard]] inline Status AddHeldPlanGraph(
+    core::Dataflow* df, uint32_t num_reduce_tasks,
+    const er::BlockingFunction* blocking, const er::Matcher* matcher,
+    lb::MatchPlan plan) {
+  core::BdmStageOptions bdm_options;
+  bdm_options.num_reduce_tasks = num_reduce_tasks;
+  df->Emplace<core::BdmStage>("bdm", core::kDatasetPartitions,
+                              core::kDatasetBdm, core::kDatasetAnnotated,
+                              blocking, bdm_options);
+  ERLB_RETURN_NOT_OK(df->AddInput(
+      core::kDatasetPlan,
+      core::Dataset(std::make_shared<const lb::MatchPlan>(std::move(plan)))));
+  df->Emplace<core::MatchStage>("match", core::kDatasetPlan,
+                                core::kDatasetAnnotated, core::kDatasetBdm,
+                                core::kDatasetMatches, matcher);
+  return Status::OK();
 }
 
 /// Runs EntitySourceStage -> AddStandardGraph over `entities` split into

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdm/bdm_job.h"
@@ -165,11 +166,13 @@ class DataflowDifferentialTest
 
   /// Runs `df` — its source already added — as the standard graph.
   void RunStandard(core::Dataflow* df, const er::BlockingFunction& blocking,
-                   const er::Matcher& matcher, const LegacyResult& legacy,
-                   const lb::MatchPlan* plan = nullptr) {
-    ASSERT_TRUE(
-        core::AddStandardGraph(df, graph_, &blocking, &matcher, "", plan)
-            .ok());
+                   const er::Matcher& matcher, const LegacyResult& legacy) {
+    ASSERT_TRUE(core::AddStandardGraph(df, graph_, &blocking, &matcher).ok());
+    RunAndCompare(df, legacy);
+  }
+
+  /// Runs the fully built `df` and compares it with the legacy body.
+  void RunAndCompare(core::Dataflow* df, const LegacyResult& legacy) {
     auto report = df->Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_GT(report->Find("match")->output_records, 0u);
@@ -254,7 +257,11 @@ TEST_P(DataflowDifferentialTest, PrebuiltPlanMatchesLegacyByteForByte) {
   ASSERT_TRUE(
       df.AddInput(core::kDatasetPartitions, core::Dataset(input)).ok());
   // The caller already holds the plan; neither path builds one.
-  RunStandard(&df, blocking, matcher, *legacy, &*plan);
+  ASSERT_TRUE(testing_util::AddHeldPlanGraph(&df, graph_.num_reduce_tasks,
+                                             &blocking, &matcher,
+                                             std::move(*plan))
+                  .ok());
+  RunAndCompare(&df, *legacy);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,6 +18,7 @@ namespace erlb {
 namespace core {
 namespace {
 
+using testing_util::AddHeldPlanGraph;
 using testing_util::RunGraph;
 using testing_util::RunStandardGraph;
 
@@ -79,9 +80,13 @@ TEST_P(PipelineStrategyTest, PrebuiltPlanMatchesFreshRun) {
     PartitionedEntities input;
     input.partitions = parts;
     EXPECT_TRUE(df.AddInput(kDatasetPartitions, Dataset(input)).ok());
-    EXPECT_TRUE(AddStandardGraph(&df, Graph(GetParam(), 7), &blocking,
-                                 &matcher, "", plan)
-                    .ok());
+    if (plan == nullptr) {
+      EXPECT_TRUE(
+          AddStandardGraph(&df, Graph(GetParam(), 7), &blocking, &matcher)
+              .ok());
+    } else {
+      EXPECT_TRUE(AddHeldPlanGraph(&df, 7, &blocking, &matcher, *plan).ok());
+    }
     return RunGraph(&df);
   };
   er::Partitions parts = er::SplitIntoPartitions(entities, 3);
@@ -193,11 +198,13 @@ TEST_P(GraphValidationTest, ZeroKnobsRejected) {
   er::PrefixBlocking blocking(0, 3);
   er::EditDistanceMatcher matcher(0.8);
 
-  // Every rejection comes back from Run() as InvalidArgument naming the
-  // knob — never a CHECK crash inside a job.
+  // Every rejection is InvalidArgument naming the knob — never a CHECK
+  // crash inside a job. Matching-job knobs are refused by the graph
+  // builder itself; the rest come back from Run().
   auto expect_invalid = [&](DataflowOptions resources,
                             StandardGraphOptions graph, uint32_t m,
-                            uint32_t split_records, const char* what) {
+                            uint32_t split_records, const char* what,
+                            bool rejected_by_builder = false) {
     Dataflow df(resources);
     if (split_records == 0) {
       df.Emplace<CsvSourceStage>("source", kDatasetPartitions, csv_path,
@@ -206,8 +213,9 @@ TEST_P(GraphValidationTest, ZeroKnobsRejected) {
       df.Emplace<EntitySourceStage>("source", kDatasetPartitions,
                                     &entities, m);
     }
-    ASSERT_TRUE(AddStandardGraph(&df, graph, &blocking, &matcher).ok());
-    Status status = df.Run().status();
+    const Status built = AddStandardGraph(&df, graph, &blocking, &matcher);
+    ASSERT_EQ(built.ok(), !rejected_by_builder) << built.ToString();
+    const Status status = rejected_by_builder ? built : df.Run().status();
     EXPECT_TRUE(status.IsInvalidArgument()) << what;
     EXPECT_NE(status.ToString().find(what), std::string::npos)
         << status.ToString();
@@ -215,10 +223,12 @@ TEST_P(GraphValidationTest, ZeroKnobsRejected) {
   const StandardGraphOptions graph = Graph(GetParam(), 4);
   StandardGraphOptions zero_r = graph;
   zero_r.num_reduce_tasks = 0;
-  expect_invalid({}, zero_r, 2, 1, "num_reduce_tasks");
+  expect_invalid({}, zero_r, 2, 1, "num_reduce_tasks",
+                 /*rejected_by_builder=*/true);
   StandardGraphOptions zero_sub = graph;
   zero_sub.sub_splits = 0;
-  expect_invalid({}, zero_sub, 2, 1, "sub_splits");
+  expect_invalid({}, zero_sub, 2, 1, "sub_splits",
+                 /*rejected_by_builder=*/true);
   expect_invalid({}, graph, 2, 0, "csv_split_records");
   expect_invalid({}, graph, 0, 1, "num_map_tasks");
   DataflowOptions zero_buffer;

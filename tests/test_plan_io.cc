@@ -315,25 +315,33 @@ TEST_P(OptionValidationTest, BuildPlanRejectsZeroSubSplits) {
   EXPECT_TRUE(plan.status().IsInvalidArgument());
 }
 
-TEST_P(OptionValidationTest, StandardGraphRejectsInvalidOptions) {
+TEST_P(OptionValidationTest, GraphBuildersRejectInvalidOptions) {
   auto blocking = ExampleBlocking();
   er::LambdaMatcher matcher(
       [](const er::Entity&, const er::Entity&) { return false; }, "none");
-  auto run = [&](uint32_t r, uint32_t sub_splits) {
+  // The builders refuse before adding a stage, so no job runs first (the
+  // BDM job would read r = 0 as "auto-size"): the graph stays empty.
+  auto expect_empty = [](core::Dataflow* df) {
+    auto report = df->Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->stages.empty());
+  };
+  auto expect_rejected = [&](uint32_t r, uint32_t sub_splits) {
     core::StandardGraphOptions graph;
     graph.strategy = GetParam();
     graph.num_reduce_tasks = r;
     graph.sub_splits = sub_splits;
-    core::Dataflow df;
-    core::PartitionedEntities input;
-    input.partitions = PaperExamplePartitions();
+    core::Dataflow standard;
+    EXPECT_TRUE(core::AddStandardGraph(&standard, graph, &blocking, &matcher)
+                    .IsInvalidArgument());
+    expect_empty(&standard);
+    core::Dataflow serving;
     EXPECT_TRUE(
-        df.AddInput(core::kDatasetPartitions, core::Dataset(input)).ok());
-    EXPECT_TRUE(core::AddStandardGraph(&df, graph, &blocking, &matcher).ok());
-    return df.Run().status();
+        core::AddServeGraph(&serving, graph, &matcher).IsInvalidArgument());
+    expect_empty(&serving);
   };
-  EXPECT_TRUE(run(0, 1).IsInvalidArgument());
-  EXPECT_TRUE(run(2, 0).IsInvalidArgument());
+  expect_rejected(0, 1);
+  expect_rejected(2, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, OptionValidationTest,

@@ -1,9 +1,10 @@
 // Serving subsystem tests: the resident ServeSession must answer probe
 // batches without perturbing the corpus (differential against snapshots),
-// enforce all-or-nothing admin mutations, and reuse cached plans; the
-// Batcher must coalesce concurrent requests and slice results per caller;
-// the wire codecs must round-trip; and the in-process server must serve
-// the full socket protocol including both serve.* fault sites.
+// enforce all-or-nothing admin mutations, and answer a repeated probe
+// identically until the corpus changes; the Batcher must coalesce
+// concurrent requests and slice results per caller; the wire codecs must
+// round-trip; and the in-process server must serve the full socket
+// protocol including both serve.* fault sites.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,7 +19,6 @@
 #include "er/matcher.h"
 #include "proc/wire.h"
 #include "serve/batcher.h"
-#include "serve/plan_cache.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -133,32 +133,35 @@ TEST_F(ServeTest, InsertAndRemoveAreAllOrNothing) {
   }
 }
 
-TEST_F(ServeTest, RepeatedProbeHitsPlanCacheUntilCorpusChanges) {
+TEST_F(ServeTest, RepeatedProbeIsStableUntilCorpusChanges) {
   serve::ServeSession session(&blocking_, &matcher_, SmallOptions());
   Seed(&session);
-  ASSERT_TRUE(session.ProbeBatch({MakeEntity(100, "alpha one")}).ok());
-  auto stats = session.Stats();
-  EXPECT_EQ(stats.plan_cache.misses, 1u);
-  EXPECT_EQ(stats.plan_cache.hits, 0u);
+  auto first = session.ProbeBatch({MakeEntity(100, "alpha one")});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->empty());
 
-  // Same probe histogram -> same combined fingerprint -> cache hit, even
-  // though the probe id differs.
-  ASSERT_TRUE(session.ProbeBatch({MakeEntity(200, "alpha xxx")}).ok());
-  stats = session.Stats();
-  EXPECT_EQ(stats.plan_cache.misses, 1u);
-  EXPECT_EQ(stats.plan_cache.hits, 1u);
+  // Every batch plans afresh over the same BDM: identical pairs.
+  auto repeat = session.ProbeBatch({MakeEntity(100, "alpha one")});
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat->pairs(), first->pairs());
 
-  // A corpus mutation invalidates; the next probe misses again.
-  ASSERT_TRUE(session.Insert({MakeEntity(7, "alpha four")}).ok());
-  stats = session.Stats();
-  EXPECT_GE(stats.plan_cache.invalidations, 1u);
-  ASSERT_TRUE(session.ProbeBatch({MakeEntity(300, "alpha one")}).ok());
-  stats = session.Stats();
-  EXPECT_EQ(stats.plan_cache.misses, 2u);
+  // A record that blocks (and matches) with the probe adds exactly one
+  // pair, and keeps every earlier one.
+  ASSERT_TRUE(session.Insert({MakeEntity(7, "alpha one")}).ok());
+  auto after_insert = session.ProbeBatch({MakeEntity(100, "alpha one")});
+  ASSERT_TRUE(after_insert.ok());
+  ASSERT_EQ(after_insert->size(), first->size() + 1);
+  er::MatchResult expected = *first;
+  expected.Add(7, 100);
+  EXPECT_TRUE(after_insert->SameAs(expected));
 
-  // Flush drops the cache too.
-  session.Flush();
-  EXPECT_EQ(session.Stats().plan_cache.entries, 0u);
+  // There is no plan cache: its counters stay zero.
+  const serve::PlanCacheStats cache = session.Stats().plan_cache;
+  EXPECT_EQ(cache.hits, 0u);
+  EXPECT_EQ(cache.misses, 0u);
+  EXPECT_EQ(cache.evictions, 0u);
+  EXPECT_EQ(cache.invalidations, 0u);
+  EXPECT_EQ(cache.entries, 0u);
 }
 
 TEST_F(ServeTest, BatcherCoalescesAndSlicesPerCaller) {
@@ -296,6 +299,14 @@ TEST_F(ServeTest, ProtocolCodecsRoundTrip) {
   EXPECT_TRUE(serve::DecodeMatches("x").status().IsInvalidArgument());
   EXPECT_TRUE(serve::DecodeAdminOp("", &body).status()
                   .IsInvalidArgument());
+  // Op bytes outside the enum, and the retired plan-cache flush (4), are
+  // unknown ops.
+  for (const char op_byte : {'\x00', '\x04', '\x06'}) {
+    EXPECT_TRUE(serve::DecodeAdminOp(std::string(1, op_byte), &body)
+                    .status()
+                    .IsInvalidArgument())
+        << static_cast<int>(op_byte);
+  }
   EXPECT_TRUE(serve::DecodeError("").IsInvalidArgument());
 }
 
@@ -387,6 +398,19 @@ TEST_F(ServeTest, ServerServesProtocolOverSocket) {
   auto error = serve::RoundTrip(*fd, &parser, proc::FrameType::kServeAdmin,
                                 serve::EncodeRemoveRequest({12345}));
   EXPECT_TRUE(error.status().IsNotFound()) << error.status().ToString();
+
+  // The retired admin op 4 (plan-cache flush) is a typed error, sent as a
+  // raw frame, and the session is left as it was.
+  const uint64_t hash_before = session.BdmSnapshot().ContentHash();
+  ASSERT_TRUE(proc::SendFrame(*fd, proc::FrameType::kServeAdmin,
+                              std::string(1, '\x04'))
+                  .ok());
+  proc::Frame retired;
+  ASSERT_TRUE(proc::RecvFrame(*fd, &parser, &retired).ok());
+  EXPECT_EQ(retired.type, proc::FrameType::kServeError);
+  EXPECT_TRUE(serve::DecodeError(retired.payload).IsInvalidArgument());
+  EXPECT_EQ(session.BdmSnapshot().ContentHash(), hash_before);
+  EXPECT_EQ(session.Stats().corpus_entities, 6u);
 
   // Stats over the wire reflect the traffic.
   response = serve::RoundTrip(
