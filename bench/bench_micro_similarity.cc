@@ -15,10 +15,18 @@
 //    makes at t = 0.85 (a byte-count upper bound rejects most pairs
 //    before the kernel) vs. the bit-parallel similarity over the same
 //    pairs; the share of pairs the bound lets through is printed.
+//  * jaro_winkler/sketched_block: the same decisions over every pair of
+//    one block of the Fig-9 skew s=1 corpus (the first 300 titles of its
+//    largest block), the way a reduce group makes them: each title is
+//    sketched once (er::SketchField, counted in the time) and every pair
+//    reads the two sketches, vs. jaro_winkler/at_least_block, which
+//    rebuilds the byte counts per pair. Both report ns per block, timed
+//    call by call in alternation.
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -27,6 +35,7 @@
 #include "bench_json.h"
 #include "common/random.h"
 #include "er/similarity.h"
+#include "gen/skew_gen.h"
 
 namespace {
 
@@ -214,6 +223,61 @@ void BenchJaroWinkler(erlb::bench::MicroBench* mb) {
               survivors, pairs.size());
 }
 
+/// The first `limit` titles of the largest block of the Fig-9 skew s=1
+/// corpus (2000 entities, 100 blocks, seed 1).
+std::vector<std::string> SkewBlockTitles(size_t limit) {
+  erlb::gen::SkewConfig cfg;
+  cfg.num_entities = 2000;
+  cfg.num_blocks = 100;
+  cfg.skew = 1.0;
+  cfg.seed = 1;
+  auto entities = erlb::gen::GenerateSkewed(cfg);
+  ERLB_CHECK(entities.ok()) << entities.status().ToString();
+  std::map<std::string, std::vector<std::string>> blocks;
+  for (const auto& e : *entities) {
+    blocks[e.fields[erlb::gen::kSkewBlockField]].push_back(
+        e.fields[erlb::gen::kSkewTitleField]);
+  }
+  std::vector<std::string> largest;
+  for (auto& [key, titles] : blocks) {
+    if (titles.size() > largest.size()) largest = std::move(titles);
+  }
+  if (largest.size() > limit) largest.resize(limit);
+  return largest;
+}
+
+void BenchJaroWinklerBlock(erlb::bench::MicroBench* mb) {
+  constexpr double kThreshold = 0.85;
+  const std::vector<std::string> titles = SkewBlockTitles(300);
+  std::vector<erlb::er::FieldSketch> sketches(titles.size());
+  size_t matches = 0;
+  mb->RunInterleaved(
+      "jaro_winkler/at_least_block",
+      [&] {
+        for (size_t i = 0; i < titles.size(); ++i) {
+          for (size_t j = 0; j < i; ++j) {
+            matches += erlb::er::JaroWinklerAtLeast(titles[j], titles[i],
+                                                    kThreshold);
+          }
+        }
+      },
+      "jaro_winkler/sketched_block",
+      [&] {
+        for (size_t i = 0; i < titles.size(); ++i) {
+          sketches[i] = erlb::er::SketchField(titles[i]);
+          for (size_t j = 0; j < i; ++j) {
+            matches += erlb::er::JaroWinklerAtLeast(
+                titles[j], sketches[j], titles[i], sketches[i], kThreshold);
+          }
+        }
+      });
+  mb->Speedup("jaro_winkler/sketched_block_speedup",
+              "jaro_winkler/at_least_block", "jaro_winkler/sketched_block");
+  g_sink = g_sink + static_cast<double>(matches);
+  std::printf("jaro_winkler/sketched_block: %zu titles, %zu pairs\n",
+              titles.size(), titles.size() * (titles.size() - 1) / 2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,5 +287,6 @@ int main(int argc, char** argv) {
   BenchNgram(&mb);
   BenchEdit(&mb);
   BenchJaroWinkler(&mb);
+  BenchJaroWinklerBlock(&mb);
   return mb.Finish();
 }

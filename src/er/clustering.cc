@@ -1,61 +1,68 @@
 #include "er/clustering.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <numeric>
+
+#include "common/logging.h"
 
 namespace erlb {
 namespace er {
 
-void UnionFind::Add(uint64_t id) {
-  if (parent_.emplace(id, id).second) {
-    size_[id] = 1;
-  }
-}
-
-uint64_t UnionFind::Find(uint64_t id) {
-  Add(id);
-  uint64_t root = id;
-  while (parent_[root] != root) {
-    // Path halving.
-    parent_[root] = parent_[parent_[root]];
-    root = parent_[root];
-  }
-  return root;
-}
-
-void UnionFind::Union(uint64_t a, uint64_t b) {
-  uint64_t ra = Find(a), rb = Find(b);
-  if (ra == rb) return;
-  if (size_[ra] < size_[rb]) std::swap(ra, rb);
-  parent_[rb] = ra;
-  size_[ra] += size_[rb];
-}
-
-bool UnionFind::Connected(uint64_t a, uint64_t b) {
-  if (!parent_.count(a) || !parent_.count(b)) return false;
-  return Find(a) == Find(b);
-}
-
 Clusters ClusterMatches(const MatchResult& matches) {
-  UnionFind uf;
-  for (const auto& p : matches.pairs()) {
-    uf.Union(p.first, p.second);
+  const std::vector<MatchPair>& pairs = matches.pairs();
+  std::vector<uint64_t> ids;
+  ids.reserve(2 * pairs.size());
+  for (const MatchPair& p : pairs) {
+    ids.push_back(p.first);
+    ids.push_back(p.second);
   }
-  std::map<uint64_t, std::vector<uint64_t>> by_root;
-  for (const auto& p : matches.pairs()) {
-    by_root[uf.Find(p.first)].push_back(p.first);
-    by_root[uf.Find(p.second)].push_back(p.second);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  ERLB_CHECK(ids.size() < std::numeric_limits<uint32_t>::max());
+  auto dense = [&ids](uint64_t id) {
+    return static_cast<uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  };
+
+  // Union by size with path halving over dense indices.
+  std::vector<uint32_t> parent(ids.size());
+  std::iota(parent.begin(), parent.end(), 0u);
+  std::vector<uint32_t> size(ids.size(), 1);
+  auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (const MatchPair& p : pairs) {
+    uint32_t ra = find(dense(p.first));
+    uint32_t rb = find(dense(p.second));
+    if (ra == rb) continue;
+    if (size[ra] < size[rb]) std::swap(ra, rb);
+    parent[rb] = ra;
+    size[ra] += size[rb];
   }
+
+  // In ascending id order, each root's cluster is opened by its smallest
+  // member and filled in ascending order: no sort is needed.
+  constexpr uint32_t kNoCluster = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> cluster_of_root(ids.size(), kNoCluster);
   Clusters clusters;
-  clusters.reserve(by_root.size());
-  for (auto& [root, members] : by_root) {
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()),
-                  members.end());
-    if (members.size() >= 2) clusters.push_back(std::move(members));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    uint32_t& c = cluster_of_root[find(static_cast<uint32_t>(i))];
+    if (c == kNoCluster) {
+      c = static_cast<uint32_t>(clusters.size());
+      clusters.emplace_back();
+    }
+    clusters[c].push_back(ids[i]);
   }
-  std::sort(clusters.begin(), clusters.end(),
-            [](const auto& a, const auto& b) { return a[0] < b[0]; });
+  // A self-pair (a, a) makes a one-member component; it is not a
+  // duplicate cluster.
+  std::erase_if(clusters, [](const std::vector<uint64_t>& members) {
+    return members.size() < 2;
+  });
   return clusters;
 }
 

@@ -6,7 +6,6 @@
 #define ERLB_ER_CLUSTERING_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "er/match_result.h"
@@ -14,35 +13,14 @@
 namespace erlb {
 namespace er {
 
-/// Union-find over sparse 64-bit entity ids (path halving + union by
-/// size).
-class UnionFind {
- public:
-  /// Ensures `id` exists as a singleton set.
-  void Add(uint64_t id);
-
-  /// Unions the sets of `a` and `b` (adding them if absent).
-  void Union(uint64_t a, uint64_t b);
-
-  /// Representative of `id`'s set (adds `id` if absent).
-  uint64_t Find(uint64_t id);
-
-  /// True iff both ids are known and in the same set.
-  bool Connected(uint64_t a, uint64_t b);
-
-  size_t num_elements() const { return parent_.size(); }
-
- private:
-  std::unordered_map<uint64_t, uint64_t> parent_;
-  std::unordered_map<uint64_t, uint64_t> size_;
-};
-
 /// A clustering of entity ids: each inner vector is one duplicate
 /// cluster with >= 2 members, sorted ascending; clusters sorted by their
 /// smallest member. Entities that matched nothing do not appear.
 using Clusters = std::vector<std::vector<uint64_t>>;
 
-/// Computes the connected components of `matches`.
+/// Computes the connected components of `matches`: a union-find over
+/// dense indices of the sorted distinct ids, then one pass in id order,
+/// so clusters come out sorted. O(P log N) for P pairs over N ids.
 Clusters ClusterMatches(const MatchResult& matches);
 
 /// Expands a clustering back to its full pairwise form (every within-

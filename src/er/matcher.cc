@@ -13,6 +13,16 @@ const std::string& FieldOrEmpty(const Entity& e, size_t field) {
 }
 }  // namespace
 
+FieldSketch Matcher::Sketch(const Entity& /*e*/) const {
+  return FieldSketch{};
+}
+
+bool Matcher::MatchSketched(const Entity& a, const FieldSketch& /*sa*/,
+                            const Entity& b,
+                            const FieldSketch& /*sb*/) const {
+  return Match(a, b);
+}
+
 EditDistanceMatcher::EditDistanceMatcher(double threshold, size_t field)
     : threshold_(threshold), field_(field) {}
 
@@ -73,6 +83,18 @@ JaroWinklerMatcher::JaroWinklerMatcher(double threshold, size_t field,
 bool JaroWinklerMatcher::Match(const Entity& a, const Entity& b) const {
   return JaroWinklerAtLeast(FieldOrEmpty(a, field_), FieldOrEmpty(b, field_),
                             threshold_, prefix_scale_);
+}
+
+FieldSketch JaroWinklerMatcher::Sketch(const Entity& e) const {
+  return SketchField(FieldOrEmpty(e, field_));
+}
+
+bool JaroWinklerMatcher::MatchSketched(const Entity& a, const FieldSketch& sa,
+                                       const Entity& b,
+                                       const FieldSketch& sb) const {
+  return JaroWinklerAtLeast(FieldOrEmpty(a, field_), sa,
+                            FieldOrEmpty(b, field_), sb, threshold_,
+                            prefix_scale_);
 }
 
 double JaroWinklerMatcher::Similarity(const Entity& a,

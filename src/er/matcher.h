@@ -1,6 +1,7 @@
 // Matchers decide whether two entities refer to the same real-world
-// object. The reduce phase of the matching job calls Match() for every
-// candidate pair of a block.
+// object. The reduce phase of the matching job sketches each entity of a
+// block once (Sketch()) and calls MatchSketched() for every candidate
+// pair; Match() is the same decision without sketches.
 #ifndef ERLB_ER_MATCHER_H_
 #define ERLB_ER_MATCHER_H_
 
@@ -9,6 +10,7 @@
 #include <string>
 
 #include "er/entity.h"
+#include "er/similarity.h"
 
 namespace erlb {
 namespace er {
@@ -20,6 +22,15 @@ class Matcher {
   virtual ~Matcher() = default;
   /// True iff `a` and `b` are considered the same real-world object.
   virtual bool Match(const Entity& a, const Entity& b) const = 0;
+  /// A per-entity summary that MatchSketched may read instead of
+  /// recomputing it for every pair. The default is an unusable sketch.
+  virtual FieldSketch Sketch(const Entity& e) const;
+  /// Match(a, b), given sa = Sketch(a) and sb = Sketch(b) of this
+  /// matcher. The default ignores the sketches and calls Match, so a
+  /// matcher (or decorator) that overrides only Match keeps its exact
+  /// decisions and call count.
+  virtual bool MatchSketched(const Entity& a, const FieldSketch& sa,
+                             const Entity& b, const FieldSketch& sb) const;
   /// Similarity score in [0,1] (diagnostic; Match need not derive from it).
   virtual double Similarity(const Entity& a, const Entity& b) const = 0;
   virtual std::string Describe() const = 0;
@@ -71,12 +82,17 @@ class NgramMatcher : public Matcher {
 };
 
 /// Jaro-Winkler similarity of one field (standard record-linkage
-/// matcher, well suited to short name-like attributes).
+/// matcher, well suited to short name-like attributes). Its sketch is the
+/// field's SketchField, so a sketched pair is rejected by the byte-count
+/// bound without rereading either field's bytes.
 class JaroWinklerMatcher : public Matcher {
  public:
   explicit JaroWinklerMatcher(double threshold = 0.9, size_t field = 0,
                               double prefix_scale = 0.1);
   bool Match(const Entity& a, const Entity& b) const override;
+  FieldSketch Sketch(const Entity& e) const override;
+  bool MatchSketched(const Entity& a, const FieldSketch& sa, const Entity& b,
+                     const FieldSketch& sb) const override;
   double Similarity(const Entity& a, const Entity& b) const override;
   std::string Describe() const override;
 

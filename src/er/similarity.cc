@@ -336,10 +336,11 @@ double WinklerBoost(double jaro, size_t prefix, double prefix_scale) {
   return std::min(jw, 1.0);
 }
 
-/// Byte -> one of 64 count buckets for the Jaro-Winkler upper bound.
-/// a-z and 0-9 get a bucket each (36 in all); every other byte folds
-/// into the remaining 28. Sharing a bucket only loosens the bound.
-constexpr std::array<uint8_t, 256> MakeJaroBuckets() {
+/// Byte -> one of the kJaroBuckets count buckets of the Jaro-Winkler
+/// upper bound. a-z and 0-9 get a bucket each (36 in all); every other
+/// byte folds into the remaining 28. Sharing a bucket only loosens the
+/// bound.
+constexpr std::array<uint8_t, 256> MakeJaroBucketOf() {
   std::array<uint8_t, 256> t{};
   for (int c = 0; c < 256; ++c) {
     if (c >= 'a' && c <= 'z') {
@@ -353,7 +354,7 @@ constexpr std::array<uint8_t, 256> MakeJaroBuckets() {
   return t;
 }
 
-constexpr std::array<uint8_t, 256> kJaroBuckets = MakeJaroBuckets();
+constexpr std::array<uint8_t, 256> kJaroBucketOf = MakeJaroBucketOf();
 
 /// Strings shorter than this cannot overflow a uint8 bucket count.
 constexpr size_t kJaroBoundMaxLen = 256;
@@ -366,39 +367,57 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b,
                       prefix_scale);
 }
 
-double JaroWinklerUpperBound(std::string_view a, std::string_view b,
+FieldSketch SketchField(std::string_view s) {
+  FieldSketch sketch;
+  if (s.empty() || s.size() >= kJaroBoundMaxLen) return sketch;
+  for (char c : s) {
+    ++sketch.counts[kJaroBucketOf[static_cast<unsigned char>(c)]];
+  }
+  sketch.length = static_cast<uint32_t>(s.size());
+  sketch.usable = true;
+  return sketch;
+}
+
+double JaroWinklerUpperBound(std::string_view a, const FieldSketch& sa,
+                             std::string_view b, const FieldSketch& sb,
                              double prefix_scale) {
   // Written with ! so that a NaN prefix_scale also steps aside.
-  if (a.empty() || b.empty() || a.size() >= kJaroBoundMaxLen ||
-      b.size() >= kJaroBoundMaxLen || !(prefix_scale >= 0.0) ||
+  if (!sa.usable || !sb.usable || !(prefix_scale >= 0.0) ||
       !(prefix_scale <= 0.25)) {
     return 1.0;
   }
   // The Jaro match count m is at most the multiset overlap of the two
-  // strings' bytes, counted here per bucket: a's bytes go in, and each
-  // byte of b takes one out of its bucket if any is left.
-  uint8_t counts[64] = {};
-  for (char c : a) ++counts[kJaroBuckets[static_cast<unsigned char>(c)]];
-  size_t overlap = 0;
-  for (char c : b) {
-    uint8_t& n = counts[kJaroBuckets[static_cast<unsigned char>(c)]];
-    const uint8_t hit = n != 0;
-    n -= hit;
-    overlap += hit;
+  // strings' bytes, counted here per bucket.
+  uint32_t overlap = 0;
+  for (size_t k = 0; k < kJaroBuckets; ++k) {
+    overlap += std::min(sa.counts[k], sb.counts[k]);
   }
   // With m <= overlap, Jaro <= (overlap/|a| + overlap/|b| + 1) / 3, and
   // JW is nondecreasing in Jaro for prefix_scale in [0, 0.25].
   const double m = static_cast<double>(overlap);
-  const double jaro = (m / a.size() + m / b.size() + 1.0) / 3.0;
+  const double jaro = (m / sa.length + m / sb.length + 1.0) / 3.0;
   return WinklerBoost(jaro, WinklerPrefix(a, b), prefix_scale);
+}
+
+double JaroWinklerUpperBound(std::string_view a, std::string_view b,
+                             double prefix_scale) {
+  return JaroWinklerUpperBound(a, SketchField(a), b, SketchField(b),
+                               prefix_scale);
+}
+
+bool JaroWinklerAtLeast(std::string_view a, const FieldSketch& sa,
+                        std::string_view b, const FieldSketch& sb,
+                        double threshold, double prefix_scale) {
+  if (JaroWinklerUpperBound(a, sa, b, sb, prefix_scale) < threshold - 1e-9) {
+    return false;
+  }
+  return JaroWinklerSimilarity(a, b, prefix_scale) >= threshold;
 }
 
 bool JaroWinklerAtLeast(std::string_view a, std::string_view b,
                         double threshold, double prefix_scale) {
-  if (JaroWinklerUpperBound(a, b, prefix_scale) < threshold - 1e-9) {
-    return false;
-  }
-  return JaroWinklerSimilarity(a, b, prefix_scale) >= threshold;
+  return JaroWinklerAtLeast(a, SketchField(a), b, SketchField(b), threshold,
+                            prefix_scale);
 }
 
 }  // namespace er

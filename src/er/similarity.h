@@ -4,7 +4,9 @@
 #ifndef ERLB_ER_SIMILARITY_H_
 #define ERLB_ER_SIMILARITY_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,22 +84,49 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 double JaroWinklerSimilarity(std::string_view a, std::string_view b,
                              double prefix_scale = 0.1);
 
+/// Number of byte-count buckets of the Jaro-Winkler upper bound. a-z and
+/// 0-9 get a bucket each; every other byte folds into the other 28.
+inline constexpr size_t kJaroBuckets = 64;
+
+/// What the Jaro-Winkler upper bound needs of one string, computed once
+/// per string (per entity, in the reduce phase) and read by every pair it
+/// takes part in: its bytes counted per bucket, and its length.
+/// `usable` is false where the bound steps aside: the string is empty or
+/// 256 bytes or longer. A default-constructed sketch is unusable.
+struct FieldSketch {
+  std::array<uint8_t, kJaroBuckets> counts{};
+  uint32_t length = 0;
+  bool usable = false;
+};
+
+/// Sketches `s` for the bound. O(|s|), no allocation.
+FieldSketch SketchField(std::string_view s);
+
 /// An upper bound on JaroWinklerSimilarity(a, b, prefix_scale) from byte
-/// counts alone: the Jaro match count is at most the multiset overlap of
-/// the two strings' bytes (counted in 64 buckets; a-z and 0-9 each have
-/// their own), and the exact common prefix gives the Winkler bonus. It
-/// returns 1.0 when the bound does not apply: either string is empty or
-/// 256 bytes or longer, or `prefix_scale` is outside [0, 0.25].
-/// O(|a| + |b|), no allocation.
+/// counts alone, given sa = SketchField(a) and sb = SketchField(b): the
+/// Jaro match count is at most the multiset overlap
+/// Σ_k min(sa.counts[k], sb.counts[k]) of the two strings' bytes, and the
+/// exact common prefix of `a` and `b` gives the Winkler bonus. It returns
+/// 1.0 when either sketch is unusable or `prefix_scale` is outside
+/// [0, 0.25] or NaN (there JW is not monotone in Jaro).
+/// O(kJaroBuckets), no allocation.
+double JaroWinklerUpperBound(std::string_view a, const FieldSketch& sa,
+                             std::string_view b, const FieldSketch& sb,
+                             double prefix_scale = 0.1);
+
+/// The same bound, sketching both strings first. O(|a| + |b|).
 double JaroWinklerUpperBound(std::string_view a, std::string_view b,
                              double prefix_scale = 0.1);
 
-/// True iff JaroWinklerSimilarity(a, b, prefix_scale) >= threshold; the
-/// decision is exact for every input. When both strings are non-empty and
-/// shorter than 256 bytes and `prefix_scale` is in [0, 0.25], a pair
-/// whose JaroWinklerUpperBound is below `threshold` (less 1e-9 of
-/// rounding slack) is rejected in O(|a| + |b|) without allocation. Every
-/// other pair runs the Jaro kernel.
+/// True iff JaroWinklerSimilarity(a, b, prefix_scale) >= threshold, given
+/// the two strings' sketches; the decision is exact for every input. A pair whose JaroWinklerUpperBound is below `threshold`
+/// (less 1e-9 of rounding slack) is rejected from the sketches alone.
+/// Every other pair runs the Jaro kernel.
+bool JaroWinklerAtLeast(std::string_view a, const FieldSketch& sa,
+                        std::string_view b, const FieldSketch& sb,
+                        double threshold, double prefix_scale = 0.1);
+
+/// The same decision, sketching both strings first.
 bool JaroWinklerAtLeast(std::string_view a, std::string_view b,
                         double threshold, double prefix_scale = 0.1);
 

@@ -52,26 +52,22 @@ class BasicReducer
 
   void Reduce(std::span<const std::pair<BasicKey, MatchValue>> group,
               MatchReduceContext* ctx) override {
+    // One source: each entity meets every earlier one, then is buffered.
+    // Two sources: R entities arrive first (key sorts by source after
+    // block key) and are only buffered; each S entity meets all of them.
+    const bool self_join = !two_source_;
     buffer_.clear();
-    if (!two_source_) {
-      for (const auto& [k, v] : group) {
+    for (const auto& [k, v] : group) {
+      const SketchedEntity e2{v.entity.get(), matcher_->Sketch(*v.entity)};
+      const bool is_r = v.entity->source == er::Source::kR;
+      if (self_join || !is_r) {
         for (const auto& e1 : buffer_) {
-          CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
+          CompareAndEmit(*matcher_, e1, e2, ctx, &stats_);
         }
-        buffer_.push_back(v.entity);
-        stats_.NoteBuffer(buffer_.size());
       }
-    } else {
-      // R entities arrive first (key sorts by source after block key).
-      for (const auto& [k, v] : group) {
-        if (v.entity->source == er::Source::kR) {
-          buffer_.push_back(v.entity);
-          stats_.NoteBuffer(buffer_.size());
-        } else {
-          for (const auto& e1 : buffer_) {
-            CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
-          }
-        }
+      if (self_join || is_r) {
+        buffer_.push_back(e2);
+        stats_.NoteBuffer(buffer_.size());
       }
     }
   }
@@ -83,7 +79,7 @@ class BasicReducer
  private:
   const er::Matcher* matcher_;
   bool two_source_;
-  std::vector<er::EntityRef> buffer_;
+  std::vector<SketchedEntity> buffer_;
   CompareStats stats_;
 };
 

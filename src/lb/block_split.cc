@@ -107,47 +107,28 @@ class BlockSplitReducer
   void Reduce(std::span<const std::pair<BlockSplitKey, MatchValue>> group,
               MatchReduceContext* ctx) override {
     const BlockSplitKey& key = group.front().first;
-    buffer_.clear();
-
-    if (two_source_) {
-      // Both unsplit blocks and cross tasks: R entities sort first;
-      // buffer them and compare each S entity against the buffer.
-      for (const auto& [k, v] : group) {
-        if (v.entity->source == er::Source::kR) {
-          buffer_.push_back(v.entity);
-          stats_.NoteBuffer(buffer_.size());
-        } else {
-          for (const auto& e1 : buffer_) {
-            CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
-          }
-        }
-      }
-      return;
-    }
-
+    // Self-join (k.* and k.i tasks of one source): each entity meets every
+    // earlier one, then is buffered. Otherwise the buffered side arrives
+    // first and contiguously, and every later entity meets all of it: the
+    // R entities of two sources, or the first-seen partition of a k.i×j
+    // task (equal keys preserve map-task order in the shuffle).
     const bool self_join =
-        !plan_->IsSplit(key.block) || key.pi == key.pj;
-    if (self_join) {
-      for (const auto& [k, v] : group) {
+        !two_source_ && (!plan_->IsSplit(key.block) || key.pi == key.pj);
+    const uint32_t first_partition = group.front().second.partition;
+    buffer_.clear();
+    for (const auto& [k, v] : group) {
+      const SketchedEntity e2{v.entity.get(), matcher_->Sketch(*v.entity)};
+      const bool buffered_side = two_source_
+                                     ? v.entity->source == er::Source::kR
+                                     : v.partition == first_partition;
+      if (self_join || !buffered_side) {
         for (const auto& e1 : buffer_) {
-          CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
+          CompareAndEmit(*matcher_, e1, e2, ctx, &stats_);
         }
-        buffer_.push_back(v.entity);
-        stats_.NoteBuffer(buffer_.size());
       }
-    } else {
-      // k.i×j: entities of the first-seen partition arrive contiguously
-      // (equal keys preserve map-task order in the shuffle).
-      const uint32_t first_partition = group.front().second.partition;
-      for (const auto& [k, v] : group) {
-        if (v.partition == first_partition) {
-          buffer_.push_back(v.entity);
-          stats_.NoteBuffer(buffer_.size());
-        } else {
-          for (const auto& e1 : buffer_) {
-            CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
-          }
-        }
+      if (self_join || buffered_side) {
+        buffer_.push_back(e2);
+        stats_.NoteBuffer(buffer_.size());
       }
     }
   }
@@ -160,7 +141,7 @@ class BlockSplitReducer
   const er::Matcher* matcher_;
   const BlockSplitPlan* plan_;
   bool two_source_;
-  std::vector<er::EntityRef> buffer_;
+  std::vector<SketchedEntity> buffer_;
   CompareStats stats_;
 };
 

@@ -94,17 +94,29 @@ class PairRangeReducer
     ERLB_CHECK(k < bdm_->num_blocks()) << "block index out of range: " << k;
     const bdm::Bdm::BlockView block = bdm_->view(k);
     const uint64_t off = block.pair_offset();
+    // One source: entity x2 meets every earlier x1 < x2 at cell
+    // (x1, x2), then is buffered. Two sources: R entities (sorted by
+    // index) arrive first and are only buffered; S entity y meets them at
+    // cell (x1, y). The mapper sends an entity only to ranges that hold
+    // one of its pairs, so every group entity is compared and is sketched
+    // once, on arrival.
+    const bool self_join = !bdm_->two_source();
+    const uint64_t n = block.size();
+    const uint64_t ns = block.size_s();
     buffer_.clear();
-
-    if (!bdm_->two_source()) {
-      const uint64_t n = block.size();
-      for (const auto& [kk, v] : group) {
-        const uint64_t x2 = v.entity_index;
-        for (const auto& [e1, x1] : buffer_) {
-          uint32_t rho = RangeOfPair(off + CellIndex(x1, x2, n),
-                                     total_pairs_, num_ranges_);
+    for (const auto& [kk, v] : group) {
+      const Buffered e2{{v.entity.get(), matcher_->Sketch(*v.entity)},
+                        v.entity_index};
+      const bool is_r = v.entity->source == er::Source::kR;
+      if (self_join || !is_r) {
+        for (const Buffered& e1 : buffer_) {
+          const uint64_t cell = self_join
+                                    ? CellIndex(e1.index, e2.index, n)
+                                    : CellIndexDual(e1.index, e2.index, ns);
+          const uint32_t rho =
+              RangeOfPair(off + cell, total_pairs_, num_ranges_);
           if (rho == range) {
-            CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
+            CompareAndEmit(*matcher_, e1.e, e2.e, ctx, &stats_);
           } else if (rho > range) {
             // For fixed x2 the pair index grows with x1, so the rest of
             // the buffer is past this range too. (Algorithm 2 writes
@@ -114,28 +126,10 @@ class PairRangeReducer
             break;
           }
         }
-        buffer_.emplace_back(v.entity, x2);
-        stats_.NoteBuffer(buffer_.size());
       }
-    } else {
-      const uint64_t ns = block.size_s();
-      // R entities (sorted by index) first, then S entities.
-      for (const auto& [kk, v] : group) {
-        if (v.entity->source == er::Source::kR) {
-          buffer_.emplace_back(v.entity, v.entity_index);
-          stats_.NoteBuffer(buffer_.size());
-          continue;
-        }
-        const uint64_t y = v.entity_index;
-        for (const auto& [e1, x1] : buffer_) {
-          uint32_t rho = RangeOfPair(off + CellIndexDual(x1, y, ns),
-                                     total_pairs_, num_ranges_);
-          if (rho == range) {
-            CompareAndEmit(*matcher_, *e1, *v.entity, ctx, &stats_);
-          } else if (rho > range) {
-            break;  // larger x1 only increases the pair index
-          }
-        }
+      if (self_join || is_r) {
+        buffer_.push_back(e2);
+        stats_.NoteBuffer(buffer_.size());
       }
     }
   }
@@ -145,11 +139,17 @@ class PairRangeReducer
   }
 
  private:
+  /// A group entity with its sketch and its entity index.
+  struct Buffered {
+    SketchedEntity e;
+    uint64_t index = 0;
+  };
+
   const er::Matcher* matcher_;
   const bdm::Bdm* bdm_;
   uint32_t num_ranges_;
   uint64_t total_pairs_;
-  std::vector<std::pair<er::EntityRef, uint64_t>> buffer_;
+  std::vector<Buffered> buffer_;
   CompareStats stats_;
 };
 

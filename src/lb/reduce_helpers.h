@@ -76,15 +76,24 @@ struct CompareStats {
   }
 };
 
+/// An entity of a reduce group with its matcher sketch, computed once
+/// per group and read by every pair the entity takes part in. `entity`
+/// is kept alive by the group's EntityRef for the whole Reduce call;
+/// reducers clear their buffers of these at the start of each call.
+struct SketchedEntity {
+  const er::Entity* entity = nullptr;
+  er::FieldSketch sketch;
+};
+
 /// Evaluates one candidate pair: tallies the comparison, invokes the
-/// matcher, and emits the pair on a match.
-inline void CompareAndEmit(const er::Matcher& matcher, const er::Entity& a,
-                           const er::Entity& b, MatchReduceContext* ctx,
-                           CompareStats* stats) {
+/// matcher on the two sketched entities, and emits the pair on a match.
+inline void CompareAndEmit(const er::Matcher& matcher,
+                           const SketchedEntity& a, const SketchedEntity& b,
+                           MatchReduceContext* ctx, CompareStats* stats) {
   ++stats->comparisons;
-  if (matcher.Match(a, b)) {
+  if (matcher.MatchSketched(*a.entity, a.sketch, *b.entity, b.sketch)) {
     ++stats->matches;
-    ctx->Emit(er::MatchPair(a.id, b.id), 1);
+    ctx->Emit(er::MatchPair(a.entity->id, b.entity->id), 1);
   }
 }
 

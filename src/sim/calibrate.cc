@@ -39,22 +39,53 @@ Result<Calibration> CalibrateCostModel(
         "no block with >= 2 entities to sample pairs from");
   }
 
-  // Sample within-block pairs and time the matcher.
+  // Sample within-block pairs, then time them the way the match job's
+  // reducers run them: each sampled block's entities are sketched once
+  // (Matcher::Sketch), and every pair goes through MatchSketched. The
+  // sketching time is spread over all pairs of the sampled blocks, as a
+  // reduce group spreads it over the pairs it compares.
+  struct SampledPair {
+    uint32_t block, a, b;
+  };
   Pcg32 rng(options.seed);
+  std::vector<SampledPair> samples(options.sample_pairs);
+  for (SampledPair& s : samples) {
+    s.block = rng.NextBounded(static_cast<uint32_t>(usable.size()));
+    const uint32_t n = static_cast<uint32_t>(usable[s.block]->size());
+    s.a = rng.NextBounded(n);
+    s.b = rng.NextBounded(n);
+    if (s.a == s.b) s.b = (s.b + 1) % n;
+  }
+  std::vector<std::vector<er::FieldSketch>> sketches(usable.size());
+  uint64_t sketched_block_pairs = 0;
+  Stopwatch sketch_watch;
+  for (const SampledPair& s : samples) {
+    std::vector<er::FieldSketch>& block_sketches = sketches[s.block];
+    if (!block_sketches.empty()) continue;
+    const std::vector<const er::Entity*>& block = *usable[s.block];
+    block_sketches.reserve(block.size());
+    for (const er::Entity* e : block) {
+      block_sketches.push_back(matcher.Sketch(*e));
+    }
+    sketched_block_pairs += block.size() * (block.size() - 1) / 2;
+  }
+  const double sketch_ns = static_cast<double>(sketch_watch.ElapsedNanos());
+
   volatile uint64_t sink = 0;  // keep the matcher call alive
   Stopwatch pair_watch;
-  for (uint32_t i = 0; i < options.sample_pairs; ++i) {
-    const auto& block =
-        *usable[rng.NextBounded(static_cast<uint32_t>(usable.size()))];
-    uint32_t a = rng.NextBounded(static_cast<uint32_t>(block.size()));
-    uint32_t b = rng.NextBounded(static_cast<uint32_t>(block.size()));
-    if (a == b) b = (b + 1) % block.size();
+  for (const SampledPair& s : samples) {
+    const std::vector<const er::Entity*>& block = *usable[s.block];
+    const std::vector<er::FieldSketch>& block_sketches = sketches[s.block];
+    const bool match =
+        matcher.MatchSketched(*block[s.a], block_sketches[s.a], *block[s.b],
+                              block_sketches[s.b]);
     // Plain assignment: compound assignment to a volatile is deprecated
     // in C++20 (-Wvolatile).
-    sink = sink + (matcher.Match(*block[a], *block[b]) ? 1 : 0);
+    sink = sink + (match ? 1 : 0);
   }
-  double pair_ns =
-      pair_watch.ElapsedNanos() / static_cast<double>(options.sample_pairs);
+  const double pair_ns =
+      pair_watch.ElapsedNanos() / static_cast<double>(options.sample_pairs) +
+      sketch_ns / static_cast<double>(sketched_block_pairs);
   (void)sink;
 
   Calibration cal;

@@ -35,7 +35,9 @@ struct CalibrationOptions {
 /// Measured calibration result.
 struct Calibration {
   CostModel model;
-  /// Raw measured cost of one matcher invocation on this machine (ns).
+  /// Raw measured cost of one pair on this machine (ns): a
+  /// Matcher::MatchSketched call plus the sketching of its block,
+  /// amortized per pair, as the match job's reducers pay it.
   double measured_pair_ns = 0;
   /// Raw measured per-record blocking-key cost (ns).
   double measured_record_ns = 0;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <vector>
+
 #include "common/random.h"
 #include "er/entity.h"
 #include "er/matcher.h"
@@ -11,44 +16,97 @@ namespace erlb {
 namespace er {
 namespace {
 
-TEST(UnionFindTest, SingletonsDisconnected) {
-  UnionFind uf;
-  uf.Add(1);
-  uf.Add(2);
-  EXPECT_FALSE(uf.Connected(1, 2));
-  EXPECT_EQ(uf.num_elements(), 2u);
+TEST(ClusterMatchesTest, SelfPairsAreSingletonsAndDropped) {
+  MatchResult m;
+  m.Add(1, 1);
+  m.Add(2, 2);
+  EXPECT_TRUE(ClusterMatches(m).empty());  // 1 and 2 stay apart
+  m.Add(5, 5);
+  m.Add(5, 6);
+  auto clusters = ClusterMatches(m);
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0], (std::vector<uint64_t>{5, 6}));
 }
 
-TEST(UnionFindTest, UnionConnects) {
-  UnionFind uf;
-  uf.Union(1, 2);
-  uf.Union(2, 3);
-  EXPECT_TRUE(uf.Connected(1, 3));
-  EXPECT_FALSE(uf.Connected(1, 4));  // 4 unknown
+TEST(ClusterMatchesTest, ChainOfUnionsIsOneCluster) {
+  MatchResult m;
+  m.Add(1, 2);
+  m.Add(2, 3);
+  m.Add(4, 5);
+  auto clusters = ClusterMatches(m);
+  ASSERT_EQ(clusters.size(), 2u);
+  EXPECT_EQ(clusters[0], (std::vector<uint64_t>{1, 2, 3}));  // 4 apart
+  EXPECT_EQ(clusters[1], (std::vector<uint64_t>{4, 5}));
 }
 
-TEST(UnionFindTest, FindIsIdempotentRepresentative) {
-  UnionFind uf;
-  uf.Union(10, 20);
-  uf.Union(20, 30);
-  uint64_t r = uf.Find(10);
-  EXPECT_EQ(uf.Find(20), r);
-  EXPECT_EQ(uf.Find(30), r);
-  EXPECT_EQ(uf.Find(r), r);
+TEST(ClusterMatchesTest, ReclusteringIsIdempotent) {
+  MatchResult m;
+  m.Add(20, 30);
+  m.Add(10, 20);
+  const Clusters once = ClusterMatches(m);
+  ASSERT_EQ(once.size(), 1u);
+  EXPECT_EQ(once[0], (std::vector<uint64_t>{10, 20, 30}));
+  EXPECT_EQ(ClusterMatches(ClustersToPairs(once)), once);
 }
 
-TEST(UnionFindTest, SelfUnionIsNoop) {
-  UnionFind uf;
-  uf.Union(5, 5);
-  EXPECT_EQ(uf.num_elements(), 1u);
-  EXPECT_TRUE(uf.Connected(5, 5));
+TEST(ClusterMatchesTest, LongChainInBothOrders) {
+  for (bool reversed : {false, true}) {
+    MatchResult m;
+    for (uint64_t i = 0; i + 1 < 10000; ++i) {
+      const uint64_t a = reversed ? 9998 - i : i;
+      m.Add(a, a + 1);
+    }
+    auto clusters = ClusterMatches(m);
+    ASSERT_EQ(clusters.size(), 1u);
+    ASSERT_EQ(clusters[0].size(), 10000u);
+    for (uint64_t i = 0; i < 10000; ++i) EXPECT_EQ(clusters[0][i], i);
+  }
 }
 
-TEST(UnionFindTest, LargeChain) {
-  UnionFind uf;
-  for (uint64_t i = 0; i + 1 < 10000; ++i) uf.Union(i, i + 1);
-  EXPECT_TRUE(uf.Connected(0, 9999));
-  EXPECT_EQ(uf.num_elements(), 10000u);
+/// The components as the former map-based clustering computed them: a
+/// breadth-first search per unvisited id, members sorted, clusters sorted
+/// by their smallest member.
+Clusters ReferenceClusters(const MatchResult& m) {
+  std::map<uint64_t, std::vector<uint64_t>> adjacent;
+  for (const auto& p : m.pairs()) {
+    adjacent[p.first].push_back(p.second);
+    adjacent[p.second].push_back(p.first);
+  }
+  std::set<uint64_t> seen;
+  Clusters clusters;
+  for (const auto& [start, unused] : adjacent) {
+    if (!seen.insert(start).second) continue;
+    std::vector<uint64_t> members{start};
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (uint64_t next : adjacent[members[i]]) {
+        if (seen.insert(next).second) members.push_back(next);
+      }
+    }
+    std::sort(members.begin(), members.end());
+    if (members.size() >= 2) clusters.push_back(std::move(members));
+  }
+  std::sort(clusters.begin(), clusters.end(),
+            [](const auto& a, const auto& b) { return a[0] < b[0]; });
+  return clusters;
+}
+
+TEST(ClusterMatchesTest, EqualsReferenceOnSparseRandomIds) {
+  Pcg32 rng(101);
+  for (int iter = 0; iter < 50; ++iter) {
+    // Sparse 64-bit ids (high bits set) in shuffled pair order, with
+    // repeated and self pairs.
+    const uint32_t n = 1 + rng.NextBounded(200);
+    std::vector<uint64_t> ids(n);
+    for (auto& id : ids) {
+      id = (uint64_t{rng.NextBounded(1u << 20)} << 40) | rng.NextBounded(n);
+    }
+    MatchResult m;
+    const uint32_t edges = rng.NextBounded(2 * n);
+    for (uint32_t e = 0; e < edges; ++e) {
+      m.Add(ids[rng.NextBounded(n)], ids[rng.NextBounded(n)]);
+    }
+    EXPECT_EQ(ClusterMatches(m), ReferenceClusters(m)) << "iter " << iter;
+  }
 }
 
 TEST(ClusterMatchesTest, TransitiveClosure) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -620,6 +621,140 @@ TEST(JaroOracleTest, ThresholdDecisionEdgeCases) {
     EXPECT_TRUE(JaroWinklerAtLeast(s, s, 1.0)) << s;
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+/// The decision of `matcher` on (x, y) three ways: Match, MatchSketched
+/// over the matcher's own sketches, and the exact similarity against the
+/// threshold. Returns 1 (and reports) if they disagree.
+size_t CountSketchedMismatch(const JaroWinklerMatcher& matcher, double t,
+                             double jw, const Entity& x, const FieldSketch& sx,
+                             const Entity& y, const FieldSketch& sy) {
+  const bool exact = jw >= t;
+  const bool match = matcher.Match(x, y);
+  const bool sketched = matcher.MatchSketched(x, sx, y, sy);
+  if (match == exact && sketched == exact) return 0;
+  ADD_FAILURE() << matcher.Describe() << " t=" << t << " jw=" << jw
+                << " match=" << match << " sketched=" << sketched << " ids "
+                << x.id << "," << y.id;
+  return 1;
+}
+
+TEST(JaroOracleTest, SketchedDecisionsOnSkewedPairs) {
+  const SkewedPairs skewed = SkewedSameBlockPairs();
+  const Entity* base = skewed.entities.data();
+  size_t mismatches = 0;
+  for (double scale : {0.0, 0.1, 0.25}) {
+    std::vector<std::pair<double, JaroWinklerMatcher>> matchers;
+    std::vector<std::vector<FieldSketch>> sketches;
+    for (double t : {0.7, 0.85, 0.95}) {
+      matchers.emplace_back(t, JaroWinklerMatcher(t, gen::kSkewTitleField,
+                                                  scale));
+      sketches.emplace_back();
+      for (const Entity& e : skewed.entities) {
+        sketches.back().push_back(matchers.back().second.Sketch(e));
+      }
+    }
+    for (const auto& [x, y] : skewed.pairs) {
+      const double jw =
+          JaroWinklerSimilarity(x->fields[gen::kSkewTitleField],
+                                y->fields[gen::kSkewTitleField], scale);
+      for (size_t m = 0; m < matchers.size() && mismatches < 10; ++m) {
+        const auto& [t, matcher] = matchers[m];
+        mismatches += CountSketchedMismatch(
+            matcher, t, jw, *x, sketches[m][x - base], *y,
+            sketches[m][y - base]);
+      }
+    }
+  }
+  EXPECT_GT(skewed.pairs.size(), 500000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JaroOracleTest, SketchedDecisionEdgeCases) {
+  Pcg32 rng(89);
+  const auto bytes = RandomAlphabet(&rng, 256);  // '\0' and >= 0x80 too
+  std::vector<Entity> entities;
+  for (const std::string& field :
+       {std::string(), std::string("a"), std::string(255, 'a'),
+        std::string(256, 'a'), RandomBytes(&rng, 255, bytes),
+        RandomBytes(&rng, 256, bytes),
+        std::string{'\x80', '\xff', '\0', 'a'},
+        std::string{'\xff', '\x80', 'a', '\0'}, std::string("MARTHA"),
+        std::string("MARHTA"), std::string("abcdxyz"),
+        std::string("abcdwvu")}) {
+    Entity e;
+    e.id = entities.size();
+    e.fields = {field};
+    entities.push_back(std::move(e));
+  }
+  // A 255-byte field one byte off another: the bound applies and is
+  // tight; a field index past the entity's fields reads as empty.
+  Entity near = entities[4];
+  near.id = entities.size();
+  near.fields[0][100] = near.fields[0][101];
+  entities.push_back(std::move(near));
+  Entity missing;
+  missing.id = entities.size();
+  entities.push_back(std::move(missing));
+
+  size_t mismatches = 0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double scale : {0.0, 0.1, 0.25, 0.3, -0.1, nan}) {
+    const JaroWinklerMatcher probe(0.5, 0, scale);
+    for (const Entity& x : entities) {
+      for (const Entity& y : entities) {
+        const double jw = probe.Similarity(x, y);
+        for (double t : DecisionThresholds(jw)) {
+          const JaroWinklerMatcher matcher(t, 0, scale);
+          mismatches += CountSketchedMismatch(matcher, t, jw, x,
+                                              matcher.Sketch(x), y,
+                                              matcher.Sketch(y));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JaroOracleTest, SketchStepsAside) {
+  EXPECT_FALSE(FieldSketch{}.usable);
+  EXPECT_FALSE(SketchField("").usable);
+  EXPECT_FALSE(SketchField(std::string(256, 'a')).usable);
+  // A sketch summarizes one string and knows no prefix scale: the bound
+  // itself steps aside for a scale outside [0, 0.25] or NaN, even on
+  // usable sketches. With prefix 4 and scale 0.3 the Winkler boost falls
+  // as Jaro rises, so a byte-count bound there could reject a match.
+  const FieldSketch sa = SketchField("abcdxyz");
+  const FieldSketch sb = SketchField("abcdwvu");
+  ASSERT_TRUE(sa.usable && sb.usable);
+  EXPECT_LT(JaroWinklerUpperBound("abcdxyz", sa, "abcdwvu", sb, 0.1), 1.0);
+  for (double scale :
+       {0.3, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(JaroWinklerUpperBound("abcdxyz", sa, "abcdwvu", sb, scale),
+              1.0)
+        << scale;
+  }
+  const FieldSketch full = SketchField(std::string(255, '\xff'));
+  EXPECT_TRUE(full.usable);
+  EXPECT_EQ(full.length, 255u);
+  size_t total = 0;
+  for (uint8_t c : full.counts) total += c;
+  EXPECT_EQ(total, 255u);
+  // Field 3 does not exist: it reads as empty, so no sketch applies.
+  Entity e;
+  e.fields = {"abc"};
+  EXPECT_FALSE(JaroWinklerMatcher(0.8, 3).Sketch(e).usable);
+  EXPECT_TRUE(JaroWinklerMatcher(0.8, 0).Sketch(e).usable);
+  // A matcher without a sketch override: unusable sketches, and
+  // MatchSketched is Match.
+  const LambdaMatcher lambda(
+      [](const Entity& a, const Entity& b) { return a.id + 1 == b.id; },
+      "next-id");
+  Entity f;
+  f.id = 1;
+  EXPECT_FALSE(lambda.Sketch(e).usable);
+  EXPECT_TRUE(lambda.MatchSketched(e, lambda.Sketch(e), f, lambda.Sketch(f)));
+  EXPECT_FALSE(lambda.MatchSketched(f, lambda.Sketch(f), e, lambda.Sketch(e)));
 }
 
 TEST(JaroOracleTest, UpperBoundStepsAside) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/reference.h"
+#include "core/stages.h"
 #include "er/matcher.h"
 #include "gen/skew_gen.h"
 #include "lb/strategy.h"
@@ -399,6 +401,154 @@ TEST(BlockSplitSortedInputTest, SortedDataStillCorrect) {
                          matcher, 6);
   EXPECT_TRUE(run.matches.SameAs(reference));
 }
+
+// ---------------------------------------------------------------------
+// Sketched matching: the reducers sketch each entity once per group and
+// call Matcher::MatchSketched per pair. A matcher or decorator that
+// overrides only Match must keep its exact call count and decisions.
+// ---------------------------------------------------------------------
+
+/// Overrides only Match, counting its calls.
+class MatchOnlyCountingMatcher : public er::Matcher {
+ public:
+  explicit MatchOnlyCountingMatcher(const er::Matcher* inner)
+      : inner_(inner) {}
+  bool Match(const er::Entity& a, const er::Entity& b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->Match(a, b);
+  }
+  double Similarity(const er::Entity& a,
+                    const er::Entity& b) const override {
+    return inner_->Similarity(a, b);
+  }
+  std::string Describe() const override { return inner_->Describe(); }
+  int64_t calls() const { return calls_.load(); }
+
+ private:
+  const er::Matcher* inner_;
+  mutable std::atomic<int64_t> calls_{0};
+};
+
+/// Skewed one-source input (a large block that BlockSplit splits) with
+/// near-duplicates, for a matcher that reads the title field.
+std::vector<er::Entity> SketchTestEntities(uint64_t seed, uint64_t id_base,
+                                           er::Source source) {
+  gen::SkewConfig cfg;
+  cfg.num_entities = 300;
+  cfg.num_blocks = 8;
+  cfg.skew = 1.0;
+  cfg.duplicate_fraction = 0.3;
+  cfg.seed = seed;
+  auto entities = gen::GenerateSkewed(cfg);
+  EXPECT_TRUE(entities.ok());
+  if (!entities.ok()) return {};
+  for (auto& e : *entities) {
+    e.id += id_base;
+    e.source = source;
+  }
+  return std::move(*entities);
+}
+
+class SketchedMatchingTest : public ::testing::TestWithParam<StrategyKind> {
+};
+
+TEST_P(SketchedMatchingTest, MatchOnlyDecoratorKeepsCallsAndMatches) {
+  const StrategyKind kind = GetParam();
+  er::AttributeBlocking blocking(gen::kSkewBlockField);
+  er::JaroWinklerMatcher jw(0.85, gen::kSkewTitleField);
+  for (bool two_source : {false, true}) {
+    std::vector<er::Entity> r = SketchTestEntities(5, 0, er::Source::kR);
+    std::vector<er::Entity> s;
+    if (two_source) {
+      // Unrelated S entities, plus a copy of every third R entity so
+      // that the link has matches.
+      s = SketchTestEntities(6, 1000000, er::Source::kS);
+      for (size_t i = 0; i < r.size(); i += 3) {
+        er::Entity copy = r[i];
+        copy.id += 2000000;
+        copy.source = er::Source::kS;
+        s.push_back(std::move(copy));
+      }
+    }
+    er::Partitions parts = er::SplitIntoPartitions(r, 3);
+    std::vector<er::Source> layout(parts.size(), er::Source::kR);
+    if (two_source) {
+      for (auto& part : er::SplitIntoPartitions(s, 2)) {
+        parts.push_back(std::move(part));
+        layout.push_back(er::Source::kS);
+      }
+    }
+    const std::vector<er::Source>* sources = two_source ? &layout : nullptr;
+    const er::MatchResult reference =
+        two_source ? core::ReferenceLink(r, s, blocking, jw)
+                   : core::ReferenceDeduplicate(r, blocking, jw);
+    ASSERT_GT(reference.size(), 0u);
+
+    MatchOnlyCountingMatcher counting(&jw);
+    auto plain = RunStrategy(kind, parts, blocking, jw, 5, 4, sources);
+    auto decorated =
+        RunStrategy(kind, parts, blocking, counting, 5, 4, sources);
+    const std::string label = std::string(lb::StrategyKindToName(kind)) +
+                              (two_source ? " two-source" : " one-source");
+    EXPECT_GT(plain.comparisons, 0) << label;
+    EXPECT_EQ(counting.calls(), decorated.comparisons) << label;
+    EXPECT_EQ(decorated.comparisons, plain.comparisons) << label;
+    EXPECT_EQ(decorated.map_output_pairs, plain.map_output_pairs) << label;
+    // Canonicalized, so equal vectors are the same bytes.
+    EXPECT_EQ(decorated.matches.pairs(), plain.matches.pairs()) << label;
+    EXPECT_TRUE(plain.matches.SameAs(reference)) << label;
+  }
+}
+
+TEST_P(SketchedMatchingTest, MultiPassSuppressesTheSamePairs) {
+  std::vector<er::Entity> entities =
+      SketchTestEntities(9, 0, er::Source::kR);
+  er::AttributeBlocking pass0(gen::kSkewBlockField);
+  er::PrefixBlocking pass1(gen::kSkewTitleField, 2);
+  std::vector<const er::BlockingFunction*> passes{&pass0, &pass1};
+  er::JaroWinklerMatcher jw(0.85, gen::kSkewTitleField);
+
+  // Every pass-1 block pair that shares a pass-0 key is suppressed once.
+  std::map<std::string, std::vector<const er::Entity*>> pass1_blocks;
+  for (const auto& e : entities) {
+    const std::string key = pass1.Key(e);
+    if (!key.empty()) pass1_blocks[key].push_back(&e);
+  }
+  int64_t expected_suppressed = 0;
+  for (const auto& [key, members] : pass1_blocks) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = i + 1; j < members.size(); ++j) {
+        const std::string k0 = pass0.Key(*members[i]);
+        if (!k0.empty() && k0 == pass0.Key(*members[j])) {
+          ++expected_suppressed;
+        }
+      }
+    }
+  }
+  ASSERT_GT(expected_suppressed, 0);
+
+  core::StandardGraphOptions graph;
+  graph.strategy = GetParam();
+  graph.num_reduce_tasks = 5;
+  core::Dataflow df;
+  std::atomic<int64_t> suppressed{0};
+  ASSERT_TRUE(core::AddMultiPassGraph(&df, graph, 3, &entities, &passes,
+                                      &jw, &suppressed)
+                  .ok());
+  auto result = testing_util::RunGraph(&df);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(suppressed.load(), expected_suppressed);
+  EXPECT_TRUE(result->matches.SameAs(
+      core::ReferenceMultiPassDeduplicate(entities, passes, jw)));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, SketchedMatchingTest,
+                         ::testing::Values(StrategyKind::kBasic,
+                                           StrategyKind::kBlockSplit,
+                                           StrategyKind::kPairRange),
+                         [](const auto& info) {
+                           return lb::StrategyKindToName(info.param);
+                         });
 
 }  // namespace
 }  // namespace erlb
