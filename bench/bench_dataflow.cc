@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
 
   // Timed call by call in alternation, so the gated ratio below does not
   // follow host load that changes between two back-to-back loops.
-  harness.RunInterleaved("run/direct_jobs", direct_jobs,
-                         "run/pipeline_adapter", graph_run);
+  harness.RunInterleaved({"run/direct_jobs", "run/pipeline_adapter"}, 1,
+                         direct_jobs, graph_run);
 
   // direct / graph; ~1.0 means the graph machinery is free at job
   // granularity. Gated (higher is better, so a regression = the graph

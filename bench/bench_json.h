@@ -13,12 +13,14 @@
 // to accumulate `min_rep_millis` of wall time. Reported nanos/op is the
 // median repetition's time divided by its iteration count. Before/after
 // pairs are registered with `Speedup`, which derives old/new from two
-// previously added results; `RunInterleaved` times such a pair call by
-// call in alternation when its ratio must not follow host load.
+// previously added results; `RunInterleaved` times such a pair (or a
+// larger set) call by call in alternation when its ratio must not follow
+// host load.
 #ifndef ERLB_BENCH_BENCH_JSON_H_
 #define ERLB_BENCH_BENCH_JSON_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -100,47 +102,52 @@ class MicroBench {
     Record(name, std::move(nanos_per_op), total_iters);
   }
 
-  /// Like Run for a before/after pair whose ratio is gated: within each
-  /// repetition the two closures alternate call by call (a b, b a, a b,
-  /// ...), each call timed on its own, and a repetition's nanos/op is its
-  /// median call. Host load that comes and goes during the measurement
-  /// then lands on both results alike, and a call that a load spike
-  /// stretched does not move either result. Each call is timed
-  /// separately, so the closures should take at least microseconds.
-  template <typename FnA, typename FnB>
-  void RunInterleaved(const std::string& name_a, FnA&& fn_a,
-                      const std::string& name_b, FnB&& fn_b) {
-    fn_a();  // warm-ups
-    fn_b();
-    auto timed = [](auto& fn) {
+  /// Like Run for closures whose ratios are gated: within each repetition
+  /// the closures take turns call by call, each round starting one closure
+  /// later (a b c, b c a, c a b, ...; a b, b a for a pair), each call
+  /// timed on its own, and a repetition's nanos/op is its median call;
+  /// `names[i]` names `fns`' i-th closure. Host load that comes and goes
+  /// during the measurement then lands on all results alike, and a call
+  /// that a load spike stretched does not move any result. Each call is
+  /// timed separately, so the closures should take at least microseconds;
+  /// closures that sweep `ops_per_call` operations per call (e.g. every
+  /// pair of a fixed input set) are reported per operation, and their
+  /// iterations count operations.
+  template <typename... Fns>
+  void RunInterleaved(const std::array<std::string, sizeof...(Fns)>& names,
+                      int64_t ops_per_call, Fns&&... fns) {
+    constexpr size_t n = sizeof...(Fns);
+    (fns(), ...);  // warm-ups
+    auto timed = [&](size_t i) {
       Stopwatch watch;
-      fn();
+      size_t k = 0;
+      ((k++ == i ? fns() : void()), ...);
       return static_cast<double>(watch.ElapsedNanos());
     };
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    std::vector<double> a_nanos_per_op, b_nanos_per_op;
+    std::array<std::vector<double>, n> nanos_per_op;
     int64_t total_iters = 0;
     for (int rep = 0; rep < reps_; ++rep) {
-      std::vector<double> a_calls, b_calls;
+      std::array<std::vector<double>, n> calls;
+      size_t rounds = 0;
       Stopwatch watch;
       do {
-        if (a_calls.size() % 2 == 0) {
-          a_calls.push_back(timed(fn_a));
-          b_calls.push_back(timed(fn_b));
-        } else {
-          b_calls.push_back(timed(fn_b));
-          a_calls.push_back(timed(fn_a));
+        for (size_t k = 0; k < n; ++k) {
+          const size_t i = (rounds + k) % n;
+          calls[i].push_back(timed(i));
         }
-      } while (watch.ElapsedMillis() < 2 * min_rep_millis_);
-      total_iters += static_cast<int64_t>(a_calls.size());
-      a_nanos_per_op.push_back(median(std::move(a_calls)));
-      b_nanos_per_op.push_back(median(std::move(b_calls)));
+        ++rounds;
+      } while (watch.ElapsedMillis() <
+               static_cast<double>(n) * min_rep_millis_);
+      total_iters += static_cast<int64_t>(rounds) * ops_per_call;
+      for (size_t i = 0; i < n; ++i) {
+        std::sort(calls[i].begin(), calls[i].end());
+        nanos_per_op[i].push_back(calls[i][calls[i].size() / 2] /
+                                  static_cast<double>(ops_per_call));
+      }
     }
-    Record(name_a, std::move(a_nanos_per_op), total_iters);
-    Record(name_b, std::move(b_nanos_per_op), total_iters);
+    for (size_t i = 0; i < n; ++i) {
+      Record(names[i], std::move(nanos_per_op[i]), total_iters);
+    }
   }
 
   /// Like Run, but `fn` returns the nanoseconds of the region it timed

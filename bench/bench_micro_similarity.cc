@@ -1,10 +1,6 @@
 // Micro-benchmarks for the similarity kernels, with explicit before/after
 // comparisons for the kernel rewrites:
 //
-//  * jaccard: the former per-call std::set<std::string> kernel (rebuilt
-//    here as the baseline) vs. er::JaccardTokenSimilarity's thread-local
-//    sort-and-intersect.
-//  * ngram: same comparison for trigram similarity.
 //  * edit: full Levenshtein vs. the banded threshold kernel the matcher
 //    uses (no old/new pair — both are current kernels).
 //  * jaro_winkler: the former scalar Jaro kernel (two std::vector<bool>
@@ -15,6 +11,8 @@
 //    makes at t = 0.85 (a byte-count upper bound rejects most pairs
 //    before the kernel) vs. the bit-parallel similarity over the same
 //    pairs; the share of pairs the bound lets through is printed.
+//    All three per-pair kernels are timed in alternation, each call
+//    sweeping all 256 pairs, and reported in ns per pair.
 //  * jaro_winkler/sketched_block: the same decisions over every pair of
 //    one block of the Fig-9 skew s=1 corpus (the first 300 titles of its
 //    largest block), the way a reduce group makes them: each title is
@@ -25,9 +23,9 @@
 //
 // `--json <path>` writes the results as BENCH_*.json (see bench_json.h).
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,31 +65,6 @@ std::vector<std::pair<std::string, std::string>> MakeTitlePairs(
     pairs.emplace_back(std::move(a), std::move(b));
   }
   return pairs;
-}
-
-// ---------------------------------------------------------------------
-// The kernels as they were before the rewrite: per-call std::set builds.
-// ---------------------------------------------------------------------
-
-double OldJaccardOfSets(const std::set<std::string>& sa,
-                        const std::set<std::string>& sb) {
-  if (sa.empty() && sb.empty()) return 1.0;
-  size_t inter = 0;
-  for (const auto& t : sa) inter += sb.count(t);
-  size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
-}
-
-double OldJaccardTokenSimilarity(std::string_view a, std::string_view b) {
-  auto ta = erlb::er::TokenizeWords(a);
-  auto tb = erlb::er::TokenizeWords(b);
-  return OldJaccardOfSets({ta.begin(), ta.end()}, {tb.begin(), tb.end()});
-}
-
-double OldNgramSimilarity(std::string_view a, std::string_view b, size_t n) {
-  auto ga = erlb::er::CharNgrams(a, n);
-  auto gb = erlb::er::CharNgrams(b, n);
-  return OldJaccardOfSets({ga.begin(), ga.end()}, {gb.begin(), gb.end()});
 }
 
 // The Jaro kernel as it was before the bit-parallel rewrite.
@@ -140,38 +113,6 @@ double OldJaroWinklerSimilarity(std::string_view a, std::string_view b) {
   return std::min(jaro + prefix * 0.1 * (1.0 - jaro), 1.0);
 }
 
-void BenchJaccard(erlb::bench::MicroBench* mb) {
-  auto pairs = MakeTitlePairs(256, true);
-  size_t i = 0;
-  mb->Run("jaccard/old_set_based", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + OldJaccardTokenSimilarity(a, b);
-  });
-  i = 0;
-  mb->Run("jaccard/new_sorted_vectors", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + erlb::er::JaccardTokenSimilarity(a, b);
-  });
-  mb->Speedup("jaccard/speedup", "jaccard/old_set_based",
-              "jaccard/new_sorted_vectors");
-}
-
-void BenchNgram(erlb::bench::MicroBench* mb) {
-  auto pairs = MakeTitlePairs(256, true);
-  size_t i = 0;
-  mb->Run("ngram/old_set_based", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + OldNgramSimilarity(a, b, 3);
-  });
-  i = 0;
-  mb->Run("ngram/new_sorted_vectors", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + erlb::er::NgramSimilarity(a, b, 3);
-  });
-  mb->Speedup("ngram/speedup", "ngram/old_set_based",
-              "ngram/new_sorted_vectors");
-}
-
 void BenchEdit(erlb::bench::MicroBench* mb) {
   for (bool similar : {false, true}) {
     auto pairs = MakeTitlePairs(256, similar);
@@ -196,23 +137,28 @@ void BenchJaroWinkler(erlb::bench::MicroBench* mb) {
   auto pairs = MakeTitlePairs(128, true);
   auto dissimilar = MakeTitlePairs(128, false);
   pairs.insert(pairs.end(), dissimilar.begin(), dissimilar.end());
-  size_t i = 0;
-  mb->Run("jaro_winkler/scalar_reference", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + OldJaroWinklerSimilarity(a, b);
-  });
-  i = 0;
-  mb->Run("jaro_winkler/bit_parallel", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + erlb::er::JaroWinklerSimilarity(a, b);
-  });
+  mb->RunInterleaved(
+      {"jaro_winkler/scalar_reference", "jaro_winkler/bit_parallel",
+       "jaro_winkler/at_least"},
+      static_cast<int64_t>(pairs.size()),
+      [&] {
+        for (const auto& [a, b] : pairs) {
+          g_sink = g_sink + OldJaroWinklerSimilarity(a, b);
+        }
+      },
+      [&] {
+        for (const auto& [a, b] : pairs) {
+          g_sink = g_sink + erlb::er::JaroWinklerSimilarity(a, b);
+        }
+      },
+      [&] {
+        for (const auto& [a, b] : pairs) {
+          g_sink =
+              g_sink + (erlb::er::JaroWinklerAtLeast(a, b, 0.85) ? 1.0 : 0.0);
+        }
+      });
   mb->Speedup("jaro_winkler/speedup", "jaro_winkler/scalar_reference",
               "jaro_winkler/bit_parallel");
-  i = 0;
-  mb->Run("jaro_winkler/at_least", [&] {
-    const auto& [a, b] = pairs[i++ & 255];
-    g_sink = g_sink + (erlb::er::JaroWinklerAtLeast(a, b, 0.85) ? 1.0 : 0.0);
-  });
   mb->Speedup("jaro_winkler/at_least_speedup", "jaro_winkler/bit_parallel",
               "jaro_winkler/at_least");
   size_t survivors = 0;
@@ -252,7 +198,7 @@ void BenchJaroWinklerBlock(erlb::bench::MicroBench* mb) {
   std::vector<erlb::er::FieldSketch> sketches(titles.size());
   size_t matches = 0;
   mb->RunInterleaved(
-      "jaro_winkler/at_least_block",
+      {"jaro_winkler/at_least_block", "jaro_winkler/sketched_block"}, 1,
       [&] {
         for (size_t i = 0; i < titles.size(); ++i) {
           for (size_t j = 0; j < i; ++j) {
@@ -261,7 +207,6 @@ void BenchJaroWinklerBlock(erlb::bench::MicroBench* mb) {
           }
         }
       },
-      "jaro_winkler/sketched_block",
       [&] {
         for (size_t i = 0; i < titles.size(); ++i) {
           sketches[i] = erlb::er::SketchField(titles[i]);
@@ -283,8 +228,6 @@ void BenchJaroWinklerBlock(erlb::bench::MicroBench* mb) {
 int main(int argc, char** argv) {
   erlb::bench::MicroBench mb("bench_micro_similarity");
   if (!mb.ParseArgs(argc, argv)) return 1;
-  BenchJaccard(&mb);
-  BenchNgram(&mb);
   BenchEdit(&mb);
   BenchJaroWinkler(&mb);
   BenchJaroWinklerBlock(&mb);

@@ -64,14 +64,13 @@ int main(int argc, char** argv) {
   // ---- micro-batching: one linkage run per probe vs one per batch ----
   // Interleaved call by call, so the gated ratio does not follow host load.
   harness.RunInterleaved(
-      "probe/per_probe",
+      {"probe/per_probe", "probe/batched"}, 1,
       [&] {
         for (const auto& probe : probes) {
           auto result = session.ProbeBatch({probe});
           ERLB_CHECK(result.ok());
         }
       },
-      "probe/batched",
       [&] {
         auto result = session.ProbeBatch(probes);
         ERLB_CHECK(result.ok());

@@ -32,7 +32,7 @@ Result<Bdm> Bdm::Build(std::vector<BdmTriple> triples,
   // derives from Job 1's sorted reduce output, and makes duplicate
   // (block, partition) triples adjacent. Job 1's output arrives in that
   // order, so the sort is only a fix-up for other callers (FromKeys,
-  // bdm_io, two-source jobs whose S partitions precede R partitions).
+  // two-source jobs whose S partitions precede R partitions).
   const auto less = [](const BdmTriple& a, const BdmTriple& b) {
     const int c = a.block_key.compare(b.block_key);
     return c != 0 ? c < 0 : a.partition < b.partition;

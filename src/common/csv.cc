@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "common/fault.h"
 
@@ -86,29 +85,12 @@ std::string FormatCsvRow(const std::vector<std::string>& fields,
   return out;
 }
 
-Result<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path, char delim) {
-  // One code path for both APIs: the whole-file reader is the chunked
-  // reader drained in one loop.
-  ERLB_ASSIGN_OR_RETURN(CsvChunkReader reader,
-                        CsvChunkReader::Open(path, delim));
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::vector<std::string>> chunk;
-  while (true) {
-    ERLB_ASSIGN_OR_RETURN(bool more, reader.NextChunk(4096, &chunk));
-    if (!more) break;
-    for (auto& row : chunk) rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 Result<CsvChunkReader> CsvChunkReader::Open(const std::string& path,
-                                            char delim,
                                             size_t buffer_bytes) {
   if (buffer_bytes == 0) {
     return Status::InvalidArgument("buffer_bytes must be >= 1");
   }
-  CsvChunkReader reader(delim, buffer_bytes);
+  CsvChunkReader reader(buffer_bytes);
   // block_ is the real read buffer: every Read is block_-sized, which
   // takes BufferedFileReader's large-read bypass, so give the reader
   // only a token buffer instead of doubling the allocation.
@@ -155,19 +137,6 @@ Result<size_t> CsvChunkReader::NextSplit(size_t max_lines,
     block_pos_ += static_cast<size_t>(p - start);
   }
   return lines;
-}
-
-Result<bool> CsvChunkReader::NextChunk(
-    size_t max_rows, std::vector<std::vector<std::string>>* rows) {
-  rows->clear();
-  ERLB_ASSIGN_OR_RETURN(size_t lines, NextSplit(max_rows, &split_));
-  rows->reserve(lines);
-  std::string_view rest = split_;
-  std::string_view line;
-  while (NextCsvLine(&rest, &line)) {
-    rows->push_back(ParseCsvLine(line, delim_));
-  }
-  return lines > 0;
 }
 
 Status WriteCsvFile(const std::string& path,

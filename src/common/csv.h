@@ -49,39 +49,27 @@ std::string EscapeCsvField(std::string_view field, char delim = ',');
 std::string FormatCsvRow(const std::vector<std::string>& fields,
                          char delim = ',');
 
-/// Reads an entire CSV file into rows of fields.
-/// Returns IOError if the file cannot be opened.
-Result<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path, char delim = ',');
-
-/// Streams a CSV file in bounded-memory batches read through a
-/// fixed-size buffer (common/io_buffer.h), so memory holds one batch plus
-/// one I/O buffer — never the whole file. Line-based like ReadCsvFile:
-/// records are separated by '\n' (trailing '\r' stripped); quoted fields
-/// may not span lines, so every batch boundary is a record boundary.
-/// A batch comes either parsed (NextChunk) or as raw text (NextSplit) for
-/// a caller that parses it elsewhere, e.g. on another thread.
+/// Streams a CSV file in bounded-memory splits read through a
+/// fixed-size buffer (common/io_buffer.h), so memory holds one split plus
+/// one I/O buffer — never the whole file. Records are separated by '\n'
+/// (trailing '\r' stripped); quoted fields may not span lines, so every
+/// split boundary is a record boundary. A split comes as raw text, for a
+/// caller that parses it elsewhere, e.g. on another thread.
 ///
 /// \code
 ///   ERLB_ASSIGN_OR_RETURN(CsvChunkReader reader, CsvChunkReader::Open(p));
-///   std::vector<std::vector<std::string>> rows;
+///   std::string split;
 ///   while (true) {
-///     ERLB_ASSIGN_OR_RETURN(bool more, reader.NextChunk(4096, &rows));
-///     if (!more) break;
-///     Consume(rows);
+///     ERLB_ASSIGN_OR_RETURN(size_t lines, reader.NextSplit(4096, &split));
+///     if (lines == 0) break;
+///     std::string_view rest = split, line;
+///     while (NextCsvLine(&rest, &line)) Consume(ParseCsvLine(line));
 ///   }
 /// \endcode
 class CsvChunkReader {
  public:
   [[nodiscard]] static Result<CsvChunkReader> Open(
-      const std::string& path, char delim = ',',
-      size_t buffer_bytes = 1 << 16);
-
-  /// Replaces `*rows` with up to `max_rows` parsed rows. Returns false
-  /// when the file was already exhausted (rows is then empty). This is
-  /// NextSplit followed by parsing each of the split's lines.
-  [[nodiscard]] Result<bool> NextChunk(
-      size_t max_rows, std::vector<std::vector<std::string>>* rows);
+      const std::string& path, size_t buffer_bytes = 1 << 16);
 
   /// Replaces `*bytes` with the raw text of the next up-to-`max_lines`
   /// lines, '\n' terminators included (only the file's last line may
@@ -96,15 +84,12 @@ class CsvChunkReader {
   bool done() const { return done_; }
 
  private:
-  CsvChunkReader(char delim, size_t buffer_bytes)
-      : delim_(delim), block_(buffer_bytes) {}
+  explicit CsvChunkReader(size_t buffer_bytes) : block_(buffer_bytes) {}
 
   BufferedFileReader reader_;
-  char delim_;
   std::vector<char> block_;  // one read block
   size_t block_pos_ = 0;
   size_t block_len_ = 0;
-  std::string split_;  // NextChunk's reusable split buffer
   bool eof_ = false;
   bool done_ = false;
 };

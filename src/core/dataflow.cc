@@ -11,8 +11,8 @@ namespace core {
 
 namespace {
 
-// Stage names become checkpoint subdirectory names; multi-pass graphs
-// use names like "pass-0/bdm", so anything outside the portable
+// Stage names become checkpoint subdirectory names; composed graphs
+// use names like "term0/bdm", so anything outside the portable
 // filename alphabet is flattened to '_'.
 std::string StageCheckpointDirName(std::string_view stage_name) {
   std::string out(stage_name);

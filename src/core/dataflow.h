@@ -3,13 +3,13 @@
 //
 // KolbTR12's architecture is a chain of MR jobs — analysis Job 1 computes
 // the BDM, Job 2 redistributes and matches — and every extension since
-// (multi-pass blocking, chunked CSV ingest, pre-built plans, clustering)
-// is another job chained before, after, or around that pair. A Dataflow
-// models the chain the way MR/dataflow systems do: a DAG of stages, each
-// consuming and producing *named datasets* (entity partitions, BDMs,
-// annotated stores, match plans, match results, clusters). New workloads
-// become graph compositions — add a stage, wire a dataset — rather than
-// new entry points.
+// (missing-key decompositions, chunked CSV ingest, pre-built plans,
+// clustering) is another job chained before, after, or around that pair.
+// A Dataflow models the chain the way MR/dataflow systems do: a DAG of
+// stages, each consuming and producing *named datasets* (entity
+// partitions, BDMs, annotated stores, match plans, match results,
+// clusters). New workloads become graph compositions — add a stage, wire
+// a dataset — rather than new entry points.
 //
 // The graph owns the shared execution resources that each job previously
 // re-derived per run:
@@ -24,7 +24,7 @@
 // spill bytes, comparisons, executed plans — consumable by the cluster
 // simulator, the recommender, and the benches.
 //
-// Concrete stages and the standard, multi-pass and missing-key graph
+// Concrete stages and the standard, serve and missing-key graph
 // builders live in core/stages.h; every caller — CLIs, benches, tests —
 // builds its graph from them and runs it here.
 #ifndef ERLB_CORE_DATAFLOW_H_

@@ -1,7 +1,7 @@
 // Batch-run configuration shared outside the library. The ER workflow
 // itself (Figure 2: BDM job -> plan -> match job, and the missing-key
-// and multi-pass compositions) runs as a core::Dataflow built with the
-// builders of core/stages.h; this header only keeps the default CSV
+// compositions) runs as a core::Dataflow built with the builders of
+// core/stages.h; this header only keeps the default CSV
 // input split size, which the repository benchmark reads.
 #ifndef ERLB_CORE_PIPELINE_H_
 #define ERLB_CORE_PIPELINE_H_

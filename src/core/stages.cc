@@ -381,101 +381,6 @@ Status AddServeGraph(Dataflow* df, const StandardGraphOptions& options,
   return Status::OK();
 }
 
-namespace {
-
-/// Matcher adapter of the multi-pass composition: inside pass `p`'s
-/// subgraph, suppresses pairs that already co-occur under an earlier
-/// pass's key — those were (or will be) evaluated in that pass's
-/// subgraph, so evaluating them again would duplicate work, not results.
-class EarlierPassSuppressingMatcher : public er::Matcher {
- public:
-  EarlierPassSuppressingMatcher(
-      const std::vector<const er::BlockingFunction*>* passes, size_t pass,
-      const er::Matcher* inner, std::atomic<int64_t>* suppressed)
-      : passes_(passes), pass_(pass), inner_(inner),
-        suppressed_(suppressed) {}
-
-  bool Match(const er::Entity& a, const er::Entity& b) const override {
-    for (size_t q = 0; q < pass_; ++q) {
-      std::string ka = (*passes_)[q]->Key(a);
-      if (ka.empty()) continue;
-      if (ka == (*passes_)[q]->Key(b)) {
-        suppressed_->fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    return inner_->Match(a, b);
-  }
-
-  double Similarity(const er::Entity& a,
-                    const er::Entity& b) const override {
-    return inner_->Similarity(a, b);
-  }
-
-  std::string Describe() const override {
-    return "multi-pass(" + inner_->Describe() + ")";
-  }
-
- private:
-  const std::vector<const er::BlockingFunction*>* passes_;
-  size_t pass_;
-  const er::Matcher* inner_;
-  std::atomic<int64_t>* suppressed_;
-};
-
-}  // namespace
-
-Status AddMultiPassGraph(Dataflow* df, const StandardGraphOptions& options,
-                         uint32_t num_map_tasks,
-                         const std::vector<er::Entity>* entities,
-                         const std::vector<const er::BlockingFunction*>* passes,
-                         const er::Matcher* matcher,
-                         std::atomic<int64_t>* suppressed,
-                         const std::string& out_matches,
-                         const std::string& name_prefix) {
-  if (passes->empty()) {
-    return Status::InvalidArgument("need at least one blocking pass");
-  }
-  if (entities->empty()) {
-    return Status::InvalidArgument("input is empty");
-  }
-
-  std::vector<std::string> pass_outputs;
-  for (size_t p = 0; p < passes->size(); ++p) {
-    const er::BlockingFunction* pass = (*passes)[p];
-    // A pass under which no entity has a valid key contributes no blocks;
-    // composing its subgraph would only fail on empty input.
-    bool any_keyed = false;
-    for (const auto& e : *entities) {
-      if (!pass->Key(e).empty()) {
-        any_keyed = true;
-        break;
-      }
-    }
-    if (!any_keyed) continue;
-
-    const std::string prefix =
-        name_prefix + "pass" + std::to_string(p) + "/";
-    df->Emplace<EntitySourceStage>(
-        prefix + "source", prefix + kDatasetPartitions, entities,
-        num_map_tasks, [pass](const er::Entity& e) {
-          return !pass->Key(e).empty();
-        });
-    const er::Matcher* wrapped =
-        df->Own(std::make_unique<EarlierPassSuppressingMatcher>(
-            passes, p, matcher, suppressed));
-    ERLB_RETURN_NOT_OK(
-        AddStandardGraph(df, options, pass, wrapped, prefix));
-    pass_outputs.push_back(prefix + kDatasetMatches);
-  }
-  if (pass_outputs.empty()) {
-    return Status::InvalidArgument("no entity has a valid key in any pass");
-  }
-  df->Emplace<UnionMatchesStage>(name_prefix + "union",
-                                 std::move(pass_outputs), out_matches);
-  return Status::OK();
-}
-
 Status AddMissingKeyGraph(Dataflow* df, const StandardGraphOptions& options,
                           uint32_t num_map_tasks,
                           const std::vector<er::Entity>* entities,

@@ -16,22 +16,16 @@
 // Dataflow::AddInput and emplaces a MatchStage itself; no builder takes a
 // plan.
 //
-//   * AddMultiPassGraph: multi-pass blocking as a *composition* of
-//     per-pass standard subgraphs ("pass<i>/…") feeding one union stage —
-//     replacing the former bespoke entity-replication path.
-//
 //   * AddMissingKeyGraph: the missing-key decompositions of Section III
-//     and Appendix I, the same shape — one standard subgraph per term
+//     and Appendix I as a *composition* — one standard subgraph per term
 //     ("term<i>/…") feeding one union stage.
 //
 // Blocking functions and matchers are taken by pointer and not owned;
 // they must outlive Dataflow::Run(). Helper objects a builder creates
-// (suppressing matchers, the ⊥ blocking function) are owned by the
-// graph via Dataflow::Own.
+// (the ⊥ blocking function) are owned by the graph via Dataflow::Own.
 #ifndef ERLB_CORE_STAGES_H_
 #define ERLB_CORE_STAGES_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -215,7 +209,7 @@ class ClusterStage : public Stage {
 };
 
 /// Canonicalized union of N match results — the join point of composed
-/// subgraphs (multi-pass, missing-key decompositions).
+/// subgraphs (the missing-key decompositions).
 class UnionMatchesStage : public Stage {
  public:
   UnionMatchesStage(std::string name, std::vector<std::string> in_matches,
@@ -273,23 +267,6 @@ struct StandardGraphOptions {
                                    const StandardGraphOptions& options,
                                    const er::Matcher* matcher,
                                    const std::string& dataset_prefix = "");
-
-/// Composes multi-pass blocking over `passes` as per-pass standard
-/// subgraphs ("<name_prefix>pass<i>/…"), each running over the entities
-/// with a valid key in that pass and a matcher that suppresses pairs
-/// already covered by an earlier pass, joined by one union stage
-/// ("<name_prefix>union") producing `out_matches`. `suppressed`
-/// (graph-owned, e.g. via Dataflow::Own) counts the suppressed
-/// duplicate evaluations across all passes. A distinct `name_prefix`
-/// per call lets several multi-pass subgraphs coexist in one graph.
-/// `entities` and `passes` are not owned and must outlive Run().
-[[nodiscard]] Status AddMultiPassGraph(
-    Dataflow* df, const StandardGraphOptions& options, uint32_t num_map_tasks,
-    const std::vector<er::Entity>* entities,
-    const std::vector<const er::BlockingFunction*>* passes,
-    const er::Matcher* matcher, std::atomic<int64_t>* suppressed,
-    const std::string& out_matches = kDatasetMatches,
-    const std::string& name_prefix = "");
 
 /// Composes matching when some entities lack a blocking key (an empty
 /// Key under `blocking`). Entities without a key are compared against

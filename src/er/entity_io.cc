@@ -198,22 +198,5 @@ Status SaveMatchesToCsv(const std::string& path,
   return WriteCsvFile(path, rows);
 }
 
-Result<MatchResult> LoadMatchesFromCsv(const std::string& path) {
-  ERLB_ASSIGN_OR_RETURN(auto rows, ReadCsvFile(path));
-  MatchResult result;
-  for (size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    if (row.size() == 1 && row[0].empty()) continue;
-    if (row.size() < 2) {
-      return Status::InvalidArgument("row " + std::to_string(i) +
-                                     ": expected id1,id2");
-    }
-    ERLB_ASSIGN_OR_RETURN(uint64_t a, ParseId(row[0], i));
-    ERLB_ASSIGN_OR_RETURN(uint64_t b, ParseId(row[1], i));
-    result.Add(a, b);
-  }
-  return result;
-}
-
 }  // namespace er
 }  // namespace erlb

@@ -111,9 +111,6 @@ class CsvSplitReader {
 [[nodiscard]] Status SaveMatchesToCsv(const std::string& path,
                                       const MatchResult& matches);
 
-/// Reads a match result written by SaveMatchesToCsv.
-[[nodiscard]] Result<MatchResult> LoadMatchesFromCsv(const std::string& path);
-
 }  // namespace er
 }  // namespace erlb
 

@@ -41,41 +41,6 @@ std::string EditDistanceMatcher::Describe() const {
          ", field=" + std::to_string(field_) + ")";
 }
 
-JaccardMatcher::JaccardMatcher(double threshold, size_t field)
-    : threshold_(threshold), field_(field) {}
-
-bool JaccardMatcher::Match(const Entity& a, const Entity& b) const {
-  return Similarity(a, b) >= threshold_;
-}
-
-double JaccardMatcher::Similarity(const Entity& a, const Entity& b) const {
-  return JaccardTokenSimilarity(FieldOrEmpty(a, field_),
-                                FieldOrEmpty(b, field_));
-}
-
-std::string JaccardMatcher::Describe() const {
-  return "jaccard(threshold=" + FormatDouble(threshold_, 2) +
-         ", field=" + std::to_string(field_) + ")";
-}
-
-NgramMatcher::NgramMatcher(double threshold, size_t n, size_t field)
-    : threshold_(threshold), n_(n), field_(field) {}
-
-bool NgramMatcher::Match(const Entity& a, const Entity& b) const {
-  return Similarity(a, b) >= threshold_;
-}
-
-double NgramMatcher::Similarity(const Entity& a, const Entity& b) const {
-  return NgramSimilarity(FieldOrEmpty(a, field_), FieldOrEmpty(b, field_),
-                         n_);
-}
-
-std::string NgramMatcher::Describe() const {
-  return "ngram(threshold=" + FormatDouble(threshold_, 2) +
-         ", n=" + std::to_string(n_) + ", field=" + std::to_string(field_) +
-         ")";
-}
-
 JaroWinklerMatcher::JaroWinklerMatcher(double threshold, size_t field,
                                        double prefix_scale)
     : threshold_(threshold), field_(field), prefix_scale_(prefix_scale) {}

@@ -53,34 +53,6 @@ class EditDistanceMatcher : public Matcher {
   size_t field_;
 };
 
-/// Jaccard similarity of word tokens of one field.
-class JaccardMatcher : public Matcher {
- public:
-  explicit JaccardMatcher(double threshold = 0.5, size_t field = 0);
-  bool Match(const Entity& a, const Entity& b) const override;
-  double Similarity(const Entity& a, const Entity& b) const override;
-  std::string Describe() const override;
-
- private:
-  double threshold_;
-  size_t field_;
-};
-
-/// Character trigram Jaccard similarity of one field.
-class NgramMatcher : public Matcher {
- public:
-  explicit NgramMatcher(double threshold = 0.5, size_t n = 3,
-                        size_t field = 0);
-  bool Match(const Entity& a, const Entity& b) const override;
-  double Similarity(const Entity& a, const Entity& b) const override;
-  std::string Describe() const override;
-
- private:
-  double threshold_;
-  size_t n_;
-  size_t field_;
-};
-
 /// Jaro-Winkler similarity of one field (standard record-linkage
 /// matcher, well suited to short name-like attributes). Its sketch is the
 /// field's SketchField, so a sketched pair is rejected by the byte-count

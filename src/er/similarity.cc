@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -101,131 +100,6 @@ bool EditSimilarityAtLeast(std::string_view a, std::string_view b,
   double allowed = (1.0 - threshold) * static_cast<double>(max_len);
   size_t bound = static_cast<size_t>(std::floor(allowed + 1e-9));
   return EditDistanceBounded(a, b, bound) <= bound;
-}
-
-void AppendTokenViews(std::string_view s, std::string* buf,
-                      std::vector<std::string_view>* tokens) {
-  buf->clear();
-  tokens->clear();
-  // The lowered token characters never exceed |s|; reserving up front
-  // pins the buffer so the views below stay valid while we append.
-  buf->reserve(s.size());
-  size_t token_start = 0;
-  for (char c : s) {
-    bool alnum = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                 (c >= '0' && c <= '9');
-    if (alnum) {
-      buf->push_back((c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a')
-                                            : c);
-    } else if (buf->size() > token_start) {
-      tokens->emplace_back(buf->data() + token_start,
-                           buf->size() - token_start);
-      token_start = buf->size();
-    }
-  }
-  if (buf->size() > token_start) {
-    tokens->emplace_back(buf->data() + token_start, buf->size() - token_start);
-  }
-}
-
-std::vector<std::string> TokenizeWords(std::string_view s) {
-  std::string buf;
-  std::vector<std::string_view> views;
-  AppendTokenViews(s, &buf, &views);
-  return {views.begin(), views.end()};
-}
-
-namespace {
-
-/// Reused per-thread scratch for one string's tokens/grams: the matchers
-/// call the token and n-gram kernels millions of times from parallel
-/// reduce tasks, and per-call set/string allocation serializes on the
-/// allocator.
-struct ViewScratch {
-  std::string buf;
-  std::vector<std::string_view> views;
-};
-
-ViewScratch& TlsScratchA() {
-  thread_local ViewScratch s;
-  return s;
-}
-
-ViewScratch& TlsScratchB() {
-  thread_local ViewScratch s;
-  return s;
-}
-
-/// Sorts and dedups both view vectors, then returns the Jaccard
-/// similarity of the two sets via a linear two-pointer intersection.
-/// Identical values to the former std::set<std::string>-based kernel.
-double SortedJaccard(std::vector<std::string_view>* va,
-                     std::vector<std::string_view>* vb) {
-  std::sort(va->begin(), va->end());
-  va->erase(std::unique(va->begin(), va->end()), va->end());
-  std::sort(vb->begin(), vb->end());
-  vb->erase(std::unique(vb->begin(), vb->end()), vb->end());
-  if (va->empty() && vb->empty()) return 1.0;
-  size_t inter = 0;
-  size_t i = 0, j = 0;
-  while (i < va->size() && j < vb->size()) {
-    const std::string_view x = (*va)[i], y = (*vb)[j];
-    if (x < y) {
-      ++i;
-    } else if (y < x) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
-  }
-  size_t uni = va->size() + vb->size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
-}
-
-}  // namespace
-
-double JaccardTokenSimilarity(std::string_view a, std::string_view b) {
-  ViewScratch& sa = TlsScratchA();
-  ViewScratch& sb = TlsScratchB();
-  AppendTokenViews(a, &sa.buf, &sa.views);
-  AppendTokenViews(b, &sb.buf, &sb.views);
-  return SortedJaccard(&sa.views, &sb.views);
-}
-
-void AppendCharNgramViews(std::string_view s, size_t n, std::string* buf,
-                          std::vector<std::string_view>* grams) {
-  buf->clear();
-  grams->clear();
-  buf->reserve(s.size());
-  for (char c : s) {
-    buf->push_back((c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a')
-                                          : c);
-  }
-  if (buf->empty() || n == 0) return;
-  if (buf->size() <= n) {
-    grams->emplace_back(buf->data(), buf->size());
-    return;
-  }
-  for (size_t i = 0; i + n <= buf->size(); ++i) {
-    grams->emplace_back(buf->data() + i, n);
-  }
-}
-
-std::vector<std::string> CharNgrams(std::string_view s, size_t n) {
-  std::string buf;
-  std::vector<std::string_view> views;
-  AppendCharNgramViews(s, n, &buf, &views);
-  return {views.begin(), views.end()};
-}
-
-double NgramSimilarity(std::string_view a, std::string_view b, size_t n) {
-  ViewScratch& sa = TlsScratchA();
-  ViewScratch& sb = TlsScratchB();
-  AppendCharNgramViews(a, n, &sa.buf, &sa.views);
-  AppendCharNgramViews(b, n, &sb.buf, &sb.views);
-  return SortedJaccard(&sa.views, &sb.views);
 }
 
 namespace {

@@ -1,15 +1,13 @@
 // String similarity measures. The paper matches entities by normalized
-// edit distance on titles with threshold 0.8; Jaccard and n-gram measures
-// are provided for library completeness (they are standard ER measures).
+// edit distance on titles with threshold 0.8; Jaro-Winkler is the
+// record-linkage measure for short name-like attributes.
 #ifndef ERLB_ER_SIMILARITY_H_
 #define ERLB_ER_SIMILARITY_H_
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace erlb {
 namespace er {
@@ -34,38 +32,6 @@ double EditSimilarity(std::string_view a, std::string_view b);
 /// non-matches.
 bool EditSimilarityAtLeast(std::string_view a, std::string_view b,
                            double threshold);
-
-/// Whitespace tokenization (lowercased tokens, punctuation stripped).
-std::vector<std::string> TokenizeWords(std::string_view s);
-
-/// Allocation-lean tokenization: appends the lowercased token characters
-/// of `s` to `*buf` (cleared first) and fills `*tokens` (cleared first)
-/// with views into `*buf`. `*buf`'s capacity is reserved up front, so the
-/// views stay valid until the next mutation of `*buf`. Same token
-/// semantics as TokenizeWords.
-void AppendTokenViews(std::string_view s, std::string* buf,
-                      std::vector<std::string_view>* tokens);
-
-/// Jaccard similarity of the token sets of `a` and `b`. Computed by
-/// sort-and-intersect over thread-local reused buffers — no per-call heap
-/// allocation in steady state.
-double JaccardTokenSimilarity(std::string_view a, std::string_view b);
-
-/// Character n-grams of `s` (lowercased); n >= 1. Strings shorter than n
-/// yield a single gram equal to the whole string (if non-empty).
-std::vector<std::string> CharNgrams(std::string_view s, size_t n);
-
-/// Allocation-lean n-grams: lowers `s` into `*buf` (cleared first) and
-/// fills `*grams` (cleared first) with views into `*buf` — one lowered
-/// buffer instead of a heap string per gram. Same gram semantics as
-/// CharNgrams; views stay valid until the next mutation of `*buf`.
-void AppendCharNgramViews(std::string_view s, size_t n, std::string* buf,
-                          std::vector<std::string_view>* grams);
-
-/// Jaccard similarity over character n-gram sets (trigram similarity for
-/// n = 3). Sort-and-intersect over thread-local reused buffers, like
-/// JaccardTokenSimilarity.
-double NgramSimilarity(std::string_view a, std::string_view b, size_t n);
 
 /// Jaro similarity in [0,1]: the classic record-linkage measure based on
 /// matching characters within a window and transpositions. Each a[i]

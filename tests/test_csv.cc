@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -60,25 +58,6 @@ TEST(CsvTest, RowRoundTrip) {
   std::vector<std::string> row{"plain", "with,comma", "with\"quote"};
   auto parsed = ParseCsvLine(FormatCsvRow(row));
   EXPECT_EQ(parsed, row);
-}
-
-TEST(CsvTest, FileRoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "erlb_csv_test.csv")
-          .string();
-  std::vector<std::vector<std::string>> rows{
-      {"id", "title"}, {"1", "camera, digital"}, {"2", "phone"}};
-  ASSERT_TRUE(WriteCsvFile(path, rows).ok());
-  auto read = ReadCsvFile(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, rows);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, ReadMissingFileIsIOError) {
-  auto r = ReadCsvFile("/nonexistent/dir/file.csv");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
 // ---- Split ingest vs. a serial reference ---------------------------------
@@ -382,13 +361,6 @@ TEST_F(CsvIngestTest, BlankOnlyAndEmptyFilesMatchReference) {
   ExpectAllMatchReference(Write("header_only.csv", "id,title\n"), schema);
 }
 
-TEST_F(CsvIngestTest, ReadCsvFileMatchesReferenceRows) {
-  const std::string path = Write("mixed.csv", MixedCsv(true, false, 5));
-  auto rows = ReadCsvFile(path);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, ReferenceReadRows(path));
-}
-
 TEST_F(CsvIngestTest, FirstBadRowInFileWinsAcrossParallelSplits) {
   // Seven lines per split: a bad id in split 3 and a missing column in
   // split 5 (0-based), parsed concurrently on 4 workers. Whichever comes
@@ -480,7 +452,7 @@ TEST(CsvLineTest, NextSplitCutsWholeLinesAndCountsAnUnterminatedLast) {
   const std::string path = dir->path() + "/lines.csv";
   std::ofstream(path, std::ios::binary) << "a\nb\r\nc\n\nd";
   // A tiny read buffer so lines straddle block boundaries.
-  auto reader = CsvChunkReader::Open(path, ',', 3);
+  auto reader = CsvChunkReader::Open(path, 3);
   ASSERT_TRUE(reader.ok());
   std::string bytes;
   std::vector<std::string> splits;

@@ -111,21 +111,6 @@ TEST(MatcherTest, MatchIsSymmetric) {
   EXPECT_DOUBLE_EQ(m.Similarity(a, b), m.Similarity(b, a));
 }
 
-TEST(MatcherTest, JaccardMatcher) {
-  JaccardMatcher m(0.5);
-  EXPECT_TRUE(m.Match(MakeEntity(1, "big data systems"),
-                      MakeEntity(2, "data systems")));
-  EXPECT_FALSE(m.Match(MakeEntity(1, "alpha beta"),
-                       MakeEntity(2, "gamma delta")));
-}
-
-TEST(MatcherTest, NgramMatcher) {
-  NgramMatcher m(0.5, 3);
-  EXPECT_TRUE(m.Match(MakeEntity(1, "database"),
-                      MakeEntity(2, "databases")));
-  EXPECT_FALSE(m.Match(MakeEntity(1, "abc"), MakeEntity(2, "xyz")));
-}
-
 TEST(MatcherTest, LambdaMatcher) {
   LambdaMatcher m(
       [](const Entity& a, const Entity& b) { return a.id + b.id == 10; },

@@ -242,6 +242,65 @@ TEST_P(StrategyExternalTest, TwoSourceDifferential) {
   ExpectPipelineResultsEqual(*mem, *ext);
 }
 
+// A union-composed graph: both missing-key decompositions (dedup and
+// link, up to three standard subgraphs each, joined by a union stage) in
+// one graph must run stage by stage the same out of core as in memory.
+TEST_P(StrategyExternalTest, MissingKeyGraphDifferential) {
+  // Every seventh entity loses its block label, hence its blocking key.
+  auto blank_some = [](std::vector<er::Entity> entities) {
+    for (size_t i = 0; i < entities.size(); i += 7) {
+      entities[i].fields[gen::kSkewBlockField] = "";
+    }
+    return entities;
+  };
+  const auto r = blank_some(SkewedDataset(51, 600));
+  auto s = blank_some(SkewedDataset(52, 400));
+  for (auto& e : s) e.id += 1000000;
+  er::AttributeBlocking blocking(gen::kSkewBlockField);
+  er::JaroWinklerMatcher matcher(0.85, gen::kSkewTitleField);
+
+  auto run = [&](mr::ExecutionMode mode,
+                 er::MatchResult* link) -> Result<GraphRun> {
+    core::DataflowOptions resources;
+    resources.num_workers = 4;
+    resources.execution.mode = mode;
+    resources.execution.io_buffer_bytes = 512;
+    core::StandardGraphOptions graph;
+    graph.strategy = GetParam();
+    graph.num_reduce_tasks = 7;
+    core::Dataflow df(resources);
+    ERLB_RETURN_NOT_OK(core::AddMissingKeyGraph(&df, graph, 3, &r, nullptr,
+                                                &blocking, &matcher,
+                                                core::kDatasetMatches,
+                                                "dedup/"));
+    ERLB_RETURN_NOT_OK(core::AddMissingKeyGraph(
+        &df, graph, 3, &r, &s, &blocking, &matcher, "link", "link/"));
+    ERLB_ASSIGN_OR_RETURN(GraphRun out, testing_util::RunGraph(&df));
+    ERLB_ASSIGN_OR_RETURN(*link, df.Take<er::MatchResult>("link"));
+    return out;
+  };
+  er::MatchResult mem_link, ext_link;
+  auto mem = run(mr::ExecutionMode::kInMemory, &mem_link);
+  auto ext = run(mr::ExecutionMode::kExternal, &ext_link);
+  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+  ASSERT_NE(mem->report.Find("dedup/union"), nullptr);
+  ASSERT_NE(mem->report.Find("link/union"), nullptr);
+  EXPECT_GT(mem->matches.size(), 0u);
+  EXPECT_GT(mem_link.size(), 0u);
+  EXPECT_EQ(mem_link.pairs(), ext_link.pairs());
+  testing_util::ExpectSameGraphRun(*mem, *ext);
+
+  // Every MR stage of the external run really went out of core.
+  bool spilled = false;
+  for (const core::StageReport& stage : ext->report.stages) {
+    if (!stage.job.has_value()) continue;
+    EXPECT_TRUE(stage.job->external) << stage.stage;
+    spilled |= stage.spill_bytes > 0;
+  }
+  EXPECT_TRUE(spilled);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyExternalTest,
                          ::testing::Values(lb::StrategyKind::kBasic,
                                            lb::StrategyKind::kBlockSplit,

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -128,46 +127,7 @@ TEST(EditSimilarityAtLeastTest, AgreesWithDirectComputation) {
   }
 }
 
-TEST(TokenizeTest, LowercasesAndStripsPunctuation) {
-  auto t = TokenizeWords("The Quick, brown FOX!");
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "the");
-  EXPECT_EQ(t[1], "quick");
-  EXPECT_EQ(t[3], "fox");
-}
-
-TEST(TokenizeTest, EmptyAndPunctuationOnly) {
-  EXPECT_TRUE(TokenizeWords("").empty());
-  EXPECT_TRUE(TokenizeWords("... !!!").empty());
-}
-
-TEST(JaccardTest, IdenticalAndDisjoint) {
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("a b c", "c b a"), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("a b", "c d"), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("", ""), 1.0);
-}
-
-TEST(JaccardTest, PartialOverlap) {
-  // {a,b,c} vs {b,c,d}: 2/4.
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("a b c", "b c d"), 0.5);
-}
-
-TEST(NgramTest, GramExtraction) {
-  auto g = CharNgrams("abcd", 3);
-  ASSERT_EQ(g.size(), 2u);
-  EXPECT_EQ(g[0], "abc");
-  EXPECT_EQ(g[1], "bcd");
-  EXPECT_EQ(CharNgrams("ab", 3).size(), 1u);  // short string -> whole
-  EXPECT_TRUE(CharNgrams("", 3).empty());
-}
-
-TEST(NgramTest, SimilarityBasics) {
-  EXPECT_DOUBLE_EQ(NgramSimilarity("abcd", "abcd", 3), 1.0);
-  EXPECT_DOUBLE_EQ(NgramSimilarity("abc", "xyz", 3), 0.0);
-  EXPECT_GT(NgramSimilarity("database", "databases", 3), 0.6);
-}
-
-// Parameterized sweep: similarity measures are symmetric and in [0,1].
+// Parameterized sweep: edit similarity is symmetric and in [0,1].
 class SimilarityPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -184,13 +144,10 @@ TEST_P(SimilarityPropertyTest, SymmetricAndBounded) {
   };
   for (int iter = 0; iter < 50; ++iter) {
     std::string a = random_str(len), b = random_str(len);
-    for (double s : {EditSimilarity(a, b), JaccardTokenSimilarity(a, b),
-                     NgramSimilarity(a, b, 3)}) {
-      EXPECT_GE(s, 0.0);
-      EXPECT_LE(s, 1.0);
-    }
-    EXPECT_DOUBLE_EQ(EditSimilarity(a, b), EditSimilarity(b, a));
-    EXPECT_DOUBLE_EQ(NgramSimilarity(a, b, 2), NgramSimilarity(b, a, 2));
+    const double s = EditSimilarity(a, b);
+    EXPECT_GE(s, 0.0);
+    EXPECT_LE(s, 1.0);
+    EXPECT_DOUBLE_EQ(s, EditSimilarity(b, a));
   }
 }
 
@@ -198,106 +155,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SimilarityPropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 3),
                        ::testing::Values(4, 12, 24)));
-
-// ---------------------------------------------------------------------
-// Regression pins for the set -> sorted-vector rewrite: exact values the
-// former std::set<std::string>-based kernels produced, plus a randomized
-// differential against an in-test set-based reference.
-// ---------------------------------------------------------------------
-
-double ReferenceSetJaccard(const std::set<std::string>& sa,
-                           const std::set<std::string>& sb) {
-  if (sa.empty() && sb.empty()) return 1.0;
-  size_t inter = 0;
-  for (const auto& t : sa) inter += sb.count(t);
-  size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
-}
-
-double ReferenceJaccardTokens(std::string_view a, std::string_view b) {
-  auto ta = TokenizeWords(a);
-  auto tb = TokenizeWords(b);
-  return ReferenceSetJaccard({ta.begin(), ta.end()}, {tb.begin(), tb.end()});
-}
-
-double ReferenceNgram(std::string_view a, std::string_view b, size_t n) {
-  auto ga = CharNgrams(a, n);
-  auto gb = CharNgrams(b, n);
-  return ReferenceSetJaccard({ga.begin(), ga.end()}, {gb.begin(), gb.end()});
-}
-
-TEST(SimilarityRegressionTest, PinnedJaccardValues) {
-  // {fuzzy,wuzzy,was,a,bear} vs {fuzzy,wuzzy,had,hair}: 2 / 7.
-  EXPECT_DOUBLE_EQ(
-      JaccardTokenSimilarity("Fuzzy Wuzzy was a bear", "fuzzy wuzzy had hair"),
-      2.0 / 7.0);
-  // Duplicate tokens collapse (set semantics): {a,b} vs {a,b}.
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("a a b", "a b b"), 1.0);
-  // Case and punctuation are normalized away.
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("Hello, World!", "hello world"),
-                   1.0);
-}
-
-TEST(SimilarityRegressionTest, PinnedNgramValues) {
-  // {abc,bcd,cde} vs {abc,bcd,cdf}: 2 / 4.
-  EXPECT_DOUBLE_EQ(NgramSimilarity("abcde", "abcdf", 3), 0.5);
-  // Repeated grams collapse; lowering applies: {aa} vs {aa}.
-  EXPECT_DOUBLE_EQ(NgramSimilarity("AAAA", "aaaa", 2), 1.0);
-  // n = 0 produces no grams on either side -> both empty -> 1.
-  EXPECT_DOUBLE_EQ(NgramSimilarity("abc", "xyz", 0), 1.0);
-  // One side empty: 0 / 1.
-  EXPECT_DOUBLE_EQ(NgramSimilarity("", "ab", 3), 0.0);
-}
-
-TEST(SimilarityRegressionTest, DifferentialAgainstSetBasedReference) {
-  Pcg32 rng(31);
-  const std::string alphabet = "aAbBcC dD-,.12 xyZ";
-  auto random_str = [&] {
-    std::string s;
-    size_t n = rng.NextBounded(40);
-    for (size_t i = 0; i < n; ++i) {
-      s += alphabet[rng.NextBounded(static_cast<uint32_t>(alphabet.size()))];
-    }
-    return s;
-  };
-  for (int iter = 0; iter < 300; ++iter) {
-    std::string a = random_str(), b = random_str();
-    EXPECT_DOUBLE_EQ(JaccardTokenSimilarity(a, b),
-                     ReferenceJaccardTokens(a, b))
-        << "a=\"" << a << "\" b=\"" << b << "\"";
-    for (size_t n : {2u, 3u}) {
-      EXPECT_DOUBLE_EQ(NgramSimilarity(a, b, n), ReferenceNgram(a, b, n))
-          << "n=" << n << " a=\"" << a << "\" b=\"" << b << "\"";
-    }
-  }
-}
-
-TEST(SimilarityViewApiTest, TokenViewsMatchTokenizeWords) {
-  std::string buf;
-  std::vector<std::string_view> views;
-  AppendTokenViews(" Hello, World! 42 ", &buf, &views);
-  ASSERT_EQ(views.size(), 3u);
-  EXPECT_EQ(views[0], "hello");
-  EXPECT_EQ(views[1], "world");
-  EXPECT_EQ(views[2], "42");
-  // Reuse: the buffers are cleared, not reallocated.
-  AppendTokenViews("", &buf, &views);
-  EXPECT_TRUE(views.empty());
-}
-
-TEST(SimilarityViewApiTest, NgramViewsMatchCharNgrams) {
-  std::string buf;
-  std::vector<std::string_view> views;
-  AppendCharNgramViews("AbCd", 3, &buf, &views);
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_EQ(views[0], "abc");
-  EXPECT_EQ(views[1], "bcd");
-  AppendCharNgramViews("ab", 3, &buf, &views);
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_EQ(views[0], "ab");
-  AppendCharNgramViews("abc", 0, &buf, &views);
-  EXPECT_TRUE(views.empty());
-}
 
 // ---------------------------------------------------------------------
 // Differential oracle for the bit-parallel Jaro kernel: the former

@@ -500,48 +500,6 @@ TEST_P(SketchedMatchingTest, MatchOnlyDecoratorKeepsCallsAndMatches) {
   }
 }
 
-TEST_P(SketchedMatchingTest, MultiPassSuppressesTheSamePairs) {
-  std::vector<er::Entity> entities =
-      SketchTestEntities(9, 0, er::Source::kR);
-  er::AttributeBlocking pass0(gen::kSkewBlockField);
-  er::PrefixBlocking pass1(gen::kSkewTitleField, 2);
-  std::vector<const er::BlockingFunction*> passes{&pass0, &pass1};
-  er::JaroWinklerMatcher jw(0.85, gen::kSkewTitleField);
-
-  // Every pass-1 block pair that shares a pass-0 key is suppressed once.
-  std::map<std::string, std::vector<const er::Entity*>> pass1_blocks;
-  for (const auto& e : entities) {
-    const std::string key = pass1.Key(e);
-    if (!key.empty()) pass1_blocks[key].push_back(&e);
-  }
-  int64_t expected_suppressed = 0;
-  for (const auto& [key, members] : pass1_blocks) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      for (size_t j = i + 1; j < members.size(); ++j) {
-        const std::string k0 = pass0.Key(*members[i]);
-        if (!k0.empty() && k0 == pass0.Key(*members[j])) {
-          ++expected_suppressed;
-        }
-      }
-    }
-  }
-  ASSERT_GT(expected_suppressed, 0);
-
-  core::StandardGraphOptions graph;
-  graph.strategy = GetParam();
-  graph.num_reduce_tasks = 5;
-  core::Dataflow df;
-  std::atomic<int64_t> suppressed{0};
-  ASSERT_TRUE(core::AddMultiPassGraph(&df, graph, 3, &entities, &passes,
-                                      &jw, &suppressed)
-                  .ok());
-  auto result = testing_util::RunGraph(&df);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(suppressed.load(), expected_suppressed);
-  EXPECT_TRUE(result->matches.SameAs(
-      core::ReferenceMultiPassDeduplicate(entities, passes, jw)));
-}
-
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SketchedMatchingTest,
                          ::testing::Values(StrategyKind::kBasic,
                                            StrategyKind::kBlockSplit,
