@@ -47,7 +47,6 @@ void AppendixExample() {
   mr::JobRunner runner(4);
   er::AttributeBlocking blocking(1);
   bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = 3;
   bdm_options.partition_sources = tags;
   auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
   ERLB_CHECK(bdm_out.ok());

@@ -8,7 +8,7 @@
 // tools/bench_compare.py against the committed BENCH_dataflow.json
 // baseline. Two serial steps of the wide_external shape are timed on
 // their own as well, each with a gated ratio: CSV ingest on one worker
-// vs. four, and BDM assembly from the job's reduce output vs. from
+// vs. four, and BDM assembly from the job's per-partition runs vs. from
 // shuffled triples.
 //
 //   $ ./bench_dataflow [--json <path>] [--reps N] [--min-rep-ms N]
@@ -75,9 +75,7 @@ int main(int argc, char** argv) {
   // runner, no graph, no report.
   auto direct_jobs = [&] {
     mr::JobRunner runner(workers, resources.execution);
-    bdm::BdmJobOptions bdm_options;
-    bdm_options.num_reduce_tasks = r;
-    auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
+    auto bdm_out = bdm::RunBdmJob(parts, blocking, {}, runner);
     ERLB_CHECK(bdm_out.ok());
     auto strategy = lb::MakeStrategy(graph.strategy);
     lb::MatchJobOptions match_options;
@@ -154,10 +152,10 @@ int main(int argc, char** argv) {
   harness.Speedup("ingest/csv_200k/parallel_speedup",
                   "ingest/csv_200k/workers1", "ingest/csv_200k/workers4");
 
-  // BDM assembly over 50k blocks (~188k cells, m = 25 splits, r = 32):
-  // from Job 1's per-task sorted reduce output (the groups are merged,
-  // no cell is sorted) against FromTriples over the same triples
-  // shuffled (a full sort). Assembly consumes its input, so each call
+  // BDM assembly over 50k blocks (~188k cells, m = 25 splits): from
+  // Job 1's output, one run per split sorted by block key (the runs are
+  // merged, no cell is sorted), against FromTriples over the same
+  // triples shuffled (a full sort). Assembly consumes its input, so each call
   // gets a fresh copy, made (and the result freed) outside the timing.
   // Gated.
   {
@@ -173,10 +171,9 @@ int main(int argc, char** argv) {
     auto reference = bdm::Bdm::FromKeys(keys);
     ERLB_CHECK(reference.ok());
     const std::vector<bdm::BdmTriple> sorted = reference->ToTriples();
-    constexpr uint32_t kReduceTasks = 32;
-    bdm::BdmReduceOutput job_output(kReduceTasks);
+    bdm::BdmRuns job_output(splits);
     for (const auto& t : sorted) {
-      job_output[Fnv1a64(t.block_key) % kReduceTasks].emplace_back(0u, t);
+      job_output[t.partition].emplace_back(t.block_key, t.count);
     }
     std::vector<bdm::BdmTriple> shuffled = sorted;
     Pcg32 rng(7);
@@ -186,9 +183,9 @@ int main(int argc, char** argv) {
     }
     const uint64_t expected = reference->ContentHash();
     harness.RunSelfTimed("bdm/assemble_50k/from_job_output", [&] {
-      bdm::BdmReduceOutput input = job_output;
+      bdm::BdmRuns input = job_output;
       Stopwatch watch;
-      auto bdm = bdm::AssembleBdm(std::move(input), splits, {});
+      auto bdm = bdm::AssembleBdm(std::move(input), {});
       const int64_t nanos = watch.ElapsedNanos();
       ERLB_CHECK(bdm.ok() && bdm->ContentHash() == expected);
       return nanos;

@@ -230,12 +230,10 @@ int RunAuto(const Cli& cli, const er::CsvSchema& schema,
   core::Dataflow analysis(DataflowOptionsFor(cli));
   analysis.Emplace<core::CsvSourceStage>("ingest", core::kDatasetPartitions,
                                          cli.input, schema, kSplitRecords);
-  core::BdmStageOptions bdm_options;
-  bdm_options.num_reduce_tasks = kReduceTasks;
   analysis.Emplace<core::BdmStage>("bdm", core::kDatasetPartitions,
                                    core::kDatasetBdm,
                                    core::kDatasetAnnotated, &blocking,
-                                   bdm_options);
+                                   core::BdmStageOptions{});
   auto analysis_report = analysis.Run();
   if (!analysis_report.ok()) return Fail(analysis_report.status());
   std::printf("%s", core::FormatDataflowReport(*analysis_report).c_str());

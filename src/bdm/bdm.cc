@@ -29,10 +29,9 @@ Result<Bdm> Bdm::Build(std::vector<BdmTriple> triples,
     }
   }
   // (key, partition) order is the lexicographic block order the paper
-  // derives from Job 1's sorted reduce output, and makes duplicate
-  // (block, partition) triples adjacent. Job 1's output arrives in that
-  // order, so the sort is only a fix-up for other callers (FromKeys,
-  // two-source jobs whose S partitions precede R partitions).
+  // derives from Job 1's sorted output, and makes duplicate (block,
+  // partition) triples adjacent. AssembleBdm delivers that order, so the
+  // sort is only a fix-up for other callers (FromKeys).
   const auto less = [](const BdmTriple& a, const BdmTriple& b) {
     const int c = a.block_key.compare(b.block_key);
     return c != 0 ? c < 0 : a.partition < b.partition;
@@ -341,13 +340,6 @@ Result<uint32_t> Bdm::BlockIndex(std::string_view key) const {
     return Status::NotFound("no block for key '" + std::string(key) + "'");
   }
   return static_cast<uint32_t>(it - block_keys_.begin());
-}
-
-bool Bdm::HasBlock(std::string_view key) const {
-  return std::binary_search(block_keys_.begin(), block_keys_.end(), key,
-                            [](std::string_view a, std::string_view b) {
-                              return a < b;
-                            });
 }
 
 Result<std::string_view> Bdm::BlockKeyChecked(uint32_t k) const {

@@ -27,8 +27,9 @@
 namespace erlb {
 namespace bdm {
 
-/// One reduce output row of the BDM job: "(blocking key, partition index,
-/// number of entities)" (two-source runs also carry the source tag).
+/// One BDM cell as the paper's Job 1 writes it: "(blocking key, partition
+/// index, number of entities)" (two-source runs also carry the source
+/// tag).
 struct BdmTriple {
   std::string block_key;
   er::Source source = er::Source::kR;
@@ -112,7 +113,7 @@ class Bdm {
 
   /// Builds a one-source BDM from Job 1's output triples, taking their
   /// keys (pass an rvalue to avoid copying them).
-  /// \param triples        reduce outputs, in any order; each (block key,
+  /// \param triples        cells, in any order; each (block key,
   ///                       partition) pair may occur at most once, else
   ///                       AlreadyExists
   /// \param num_partitions m, the number of input partitions
@@ -172,8 +173,6 @@ class Bdm {
 
   /// Index of `key`, or NotFound. O(log b) over the sorted dictionary.
   [[nodiscard]] Result<uint32_t> BlockIndex(std::string_view key) const;
-  /// True iff `key` occurs in the input.
-  bool HasBlock(std::string_view key) const;
 
   /// Blocking key of block `k`. Requires k < num_blocks() (debug-checked);
   /// use BlockKeyChecked for untrusted indices.

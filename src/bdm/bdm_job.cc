@@ -1,61 +1,17 @@
 #include "bdm/bdm_job.h"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string_view>
-#include <tuple>
 
-#include "common/string_util.h"
 #include "er/entity_spill.h"
-#include "mr/presplit.h"
+#include "mr/merge.h"
 
 namespace erlb {
 namespace bdm {
 
 namespace {
-
-/// Composite map output key of Algorithm 3: (blocking key ∘ partition
-/// index), with the source tag added in two-source runs (Appendix I).
-struct BdmKey {
-  std::string block_key;
-  er::Source source = er::Source::kR;
-  uint32_t partition = 0;
-};
-
-/// comp: by the entire composite key.
-struct BdmKeyLessFn {
-  bool operator()(const BdmKey& a, const BdmKey& b) const {
-    return std::tie(a.block_key, a.source, a.partition) <
-           std::tie(b.block_key, b.source, b.partition);
-  }
-};
-
-/// group: by the entire composite key.
-struct BdmKeyEqualFn {
-  bool operator()(const BdmKey& a, const BdmKey& b) const {
-    return std::tie(a.block_key, a.source, a.partition) ==
-           std::tie(b.block_key, b.source, b.partition);
-  }
-};
-
-/// part: repartition by blocking key only, so every (block, partition)
-/// cell of one block lands in one reduce task.
-struct BdmPartitionFn {
-  uint32_t operator()(const BdmKey& k, uint32_t r) const {
-    return static_cast<uint32_t>(Fnv1a64(k.block_key) % r);
-  }
-};
-
-/// The first 8 bytes of `key`, big-endian and zero-padded: where two
-/// keys' prefixes differ, they order the keys as the keys themselves do.
-uint64_t KeyPrefix(std::string_view key) {
-  uint64_t prefix = 0;
-  const size_t n = std::min<size_t>(key.size(), 8);
-  for (size_t i = 0; i < n; ++i) {
-    prefix |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
-              << (56 - 8 * i);
-  }
-  return prefix;
-}
 
 // Skipped / missing-key tallies live in the task counters (not shared
 // atomics): counters are assigned per attempt, merged into the job
@@ -64,20 +20,20 @@ uint64_t KeyPrefix(std::string_view key) {
 constexpr char kCounterSkipped[] = "bdm.skipped_entities";
 constexpr char kCounterMissingKey[] = "bdm.missing_key_entities";
 
-class BdmMapper : public mr::Mapper<uint32_t, er::EntityRef, BdmKey,
+// Algorithm 3's map: emit (blocking key, 1). The partition index of the
+// paper's composite key is the map task's run index in the job output.
+class BdmMapper : public mr::Mapper<uint32_t, er::EntityRef, std::string,
                                     uint64_t> {
  public:
   BdmMapper(const er::BlockingFunction* blocking, AnnotatedStore* side,
-            uint32_t partition, er::Source source,
-            MissingKeyPolicy missing_policy)
+            uint32_t partition, MissingKeyPolicy missing_policy)
       : blocking_(blocking),
         side_(side),
         partition_(partition),
-        source_(source),
         missing_policy_(missing_policy) {}
 
   void Map(const uint32_t& /*key*/, const er::EntityRef& entity,
-           mr::MapContext<BdmKey, uint64_t>* ctx) override {
+           mr::MapContext<std::string, uint64_t>* ctx) override {
     std::string key = blocking_->Key(*entity);
     if (key.empty()) {
       switch (missing_policy_) {
@@ -94,134 +50,111 @@ class BdmMapper : public mr::Mapper<uint32_t, er::EntityRef, BdmKey,
     }
     // additionalOutput: entity annotated with its blocking key, to DFS.
     side_->Append(partition_, key, entity);
-    ctx->Emit(BdmKey{key, source_, partition_}, 1);
+    ctx->Emit(std::move(key), 1);
   }
 
  private:
   const er::BlockingFunction* blocking_;
   AnnotatedStore* side_;
   uint32_t partition_;
-  er::Source source_;
   MissingKeyPolicy missing_policy_;
 };
 
-class BdmReducer
-    : public mr::Reducer<BdmKey, uint64_t, uint32_t, BdmTriple> {
- public:
-  void Reduce(std::span<const std::pair<BdmKey, uint64_t>> group,
-              mr::ReduceContext<uint32_t, BdmTriple>* ctx) override {
-    uint64_t sum = 0;
-    for (const auto& [k, v] : group) sum += v;
-    const BdmKey& key = group.front().first;
-    BdmTriple t;
-    t.block_key = key.block_key;
-    t.source = key.source;
-    t.partition = key.partition;
-    t.count = sum;
-    ctx->Emit(0, std::move(t));
+/// The first 8 bytes of `key`, big-endian and zero-padded.
+uint64_t KeyPrefix(std::string_view key) {
+  uint64_t prefix = 0;
+  const size_t n = std::min<size_t>(key.size(), 8);
+  for (size_t i = 0; i < n; ++i) {
+    prefix |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
+              << (56 - 8 * i);
   }
+  return prefix;
+}
+
+/// The next cell of one run of Job 1's output, with its key's prefix
+/// and length: where two prefixes differ they order the keys, and where
+/// they tie over keys of at most 8 bytes the shorter key is the smaller,
+/// so the merge reads a key only for longer keys with equal prefixes.
+struct CellHead {
+  uint64_t prefix = 0;
+  size_t key_size = 0;
+  uint32_t run = 0;
+  std::pair<std::string, uint64_t>* cell = nullptr;
+
+  friend bool operator<(const CellHead& a, const CellHead& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    if (a.key_size <= 8 && b.key_size <= 8) return a.key_size < b.key_size;
+    return a.cell->first < b.cell->first;
+  }
+};
+
+/// A cursor over one run for mr::LoserTreeMergeCursors.
+class CellCursor {
+ public:
+  using value_type = CellHead;
+
+  CellCursor(uint32_t run,
+             std::vector<std::pair<std::string, uint64_t>>* cells)
+      : next_(cells->data()), end_(cells->data() + cells->size()) {
+    head_.run = run;
+    Load();
+  }
+  bool exhausted() const { return next_ == end_; }
+  const CellHead& head() const { return head_; }
+  CellHead Pop() {
+    const CellHead popped = head_;
+    ++next_;
+    Load();
+    return popped;
+  }
+
+ private:
+  void Load() {
+    if (exhausted()) return;
+    head_.prefix = KeyPrefix(next_->first);
+    head_.key_size = next_->first.size();
+    head_.cell = next_;
+  }
+
+  std::pair<std::string, uint64_t>* next_;
+  std::pair<std::string, uint64_t>* end_;
+  CellHead head_;
 };
 
 }  // namespace
-}  // namespace bdm
 
-/// Spill codec for the BDM job's composite map output key, so Job 1 can
-/// run out-of-core alongside the matching job.
-namespace mr {
-template <>
-struct SpillCodec<bdm::BdmKey> {
-  static void Encode(const bdm::BdmKey& k, std::string* out) {
-    SpillCodec<std::string>::Encode(k.block_key, out);
-    SpillCodec<er::Source>::Encode(k.source, out);
-    SpillCodec<uint32_t>::Encode(k.partition, out);
-  }
-  static bool Decode(const char** p, const char* end, bdm::BdmKey* k) {
-    return SpillCodec<std::string>::Decode(p, end, &k->block_key) &&
-           SpillCodec<er::Source>::Decode(p, end, &k->source) &&
-           SpillCodec<uint32_t>::Decode(p, end, &k->partition);
-  }
-  static size_t ApproxBytes(const bdm::BdmKey& k) {
-    return SpillCodec<std::string>::ApproxBytes(k.block_key) +
-           sizeof(er::Source) + sizeof(uint32_t);
-  }
-};
-
-/// Output-value codec: BdmTriples are the BDM job's reduce output, which
-/// multi-process mode ships back through out-<t>.run spill files.
-template <>
-struct SpillCodec<bdm::BdmTriple> {
-  static void Encode(const bdm::BdmTriple& t, std::string* out) {
-    SpillCodec<std::string>::Encode(t.block_key, out);
-    SpillCodec<er::Source>::Encode(t.source, out);
-    SpillCodec<uint32_t>::Encode(t.partition, out);
-    SpillCodec<uint64_t>::Encode(t.count, out);
-  }
-  static bool Decode(const char** p, const char* end, bdm::BdmTriple* t) {
-    return SpillCodec<std::string>::Decode(p, end, &t->block_key) &&
-           SpillCodec<er::Source>::Decode(p, end, &t->source) &&
-           SpillCodec<uint32_t>::Decode(p, end, &t->partition) &&
-           SpillCodec<uint64_t>::Decode(p, end, &t->count);
-  }
-  static size_t ApproxBytes(const bdm::BdmTriple& t) {
-    return SpillCodec<std::string>::ApproxBytes(t.block_key) +
-           sizeof(er::Source) + sizeof(uint32_t) + sizeof(uint64_t);
-  }
-};
-}  // namespace mr
-
-namespace bdm {
-
-Result<Bdm> AssembleBdm(BdmReduceOutput outputs, uint32_t num_partitions,
+Result<Bdm> AssembleBdm(BdmRuns runs,
                         const std::vector<er::Source>& partition_sources) {
-  // Each reduce task's output is sorted by key, and the partitioner keys
-  // on the block key alone, so a block's cells are one contiguous group
-  // of one task's output. Merging the tasks' groups by key — a heap of r
-  // task cursors, each reading its task's output front to back — puts
-  // the ≈b groups in block order without comparing the ≈cells.
+  const uint32_t m = static_cast<uint32_t>(runs.size());
+  if (!partition_sources.empty() && partition_sources.size() != m) {
+    return Status::InvalidArgument(
+        "partition_sources size must equal the number of runs");
+  }
+  // One pass over the m runs; a block's cells tie on the key and come
+  // out in run (= partition) order.
+  std::vector<CellCursor> cursors;
+  cursors.reserve(m);
   size_t cells = 0;
-  for (const auto& part : outputs) cells += part.size();
+  for (uint32_t p = 0; p < m; ++p) {
+    cursors.emplace_back(p, &runs[p]);
+    cells += runs[p].size();
+  }
   std::vector<BdmTriple> triples;
   triples.reserve(cells);
-  struct Cursor {
-    uint64_t prefix;  // KeyPrefix of the next group's key
-    uint32_t task;
-    size_t next;
-  };
-  const auto later = [&outputs](const Cursor& a, const Cursor& b) {
-    if (a.prefix != b.prefix) return a.prefix > b.prefix;
-    return outputs[a.task][a.next].second.block_key >
-           outputs[b.task][b.next].second.block_key;
-  };
-  std::vector<Cursor> heap;
-  for (uint32_t t = 0; t < outputs.size(); ++t) {
-    if (outputs[t].empty()) continue;
-    heap.push_back(Cursor{KeyPrefix(outputs[t][0].second.block_key), t, 0});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor& cursor = heap.back();
-    auto& part = outputs[cursor.task];
-    size_t end = cursor.next + 1;
-    while (end < part.size() && part[end].second.block_key ==
-                                    part[cursor.next].second.block_key) {
-      ++end;
-    }
-    for (size_t i = cursor.next; i < end; ++i) {
-      triples.push_back(std::move(part[i].second));
-    }
-    if (end == part.size()) {
-      heap.pop_back();
-      continue;
-    }
-    cursor.next = end;
-    cursor.prefix = KeyPrefix(part[end].second.block_key);
-    std::push_heap(heap.begin(), heap.end(), later);
-  }
+  mr::LoserTreeMergeCursors(
+      std::span<CellCursor>(cursors), std::less<CellHead>(),
+      [&](CellHead&& head) {
+        triples.push_back(BdmTriple{
+            std::move(head.cell->first),
+            partition_sources.empty() ? er::Source::kR
+                                      : partition_sources[head.run],
+            head.run, head.cell->second});
+      });
+  BdmRuns().swap(runs);
   if (!partition_sources.empty()) {
     return Bdm::FromTriplesTwoSource(std::move(triples), partition_sources);
   }
-  return Bdm::FromTriples(std::move(triples), num_partitions);
+  return Bdm::FromTriples(std::move(triples), m);
 }
 
 Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
@@ -232,40 +165,27 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
     return Status::InvalidArgument("input must have at least one partition");
   }
   const uint32_t m = static_cast<uint32_t>(input.size());
-  const bool two_source = !options.partition_sources.empty();
-  if (two_source && options.partition_sources.size() != m) {
+  if (!options.partition_sources.empty() &&
+      options.partition_sources.size() != m) {
     return Status::InvalidArgument(
         "partition_sources size must equal number of input partitions");
   }
 
   auto side = std::make_shared<AnnotatedStore>(m);
 
-  uint32_t num_reduce_tasks = options.num_reduce_tasks;
-  if (num_reduce_tasks == 0) {
-    // Auto: Metis-style sampling presplit — key a strided sample of the
-    // input and size r from the estimated distinct-block count. Safe
-    // here because the BDM result is independent of r.
-    const mr::PresplitSample sample = mr::SamplePartitionKeys(
-        input,
-        [&blocking](const er::EntityRef& e) { return blocking.Key(*e); });
-    num_reduce_tasks = mr::PickReduceTasks(sample, runner.num_workers());
-  }
-
-  mr::TypedJobSpec<uint32_t, er::EntityRef, BdmKey, uint64_t, uint32_t,
-                   BdmTriple, BdmKeyLessFn, BdmKeyEqualFn, BdmPartitionFn>
+  // Map-only: each task's combined run is its partition's BDM cells.
+  mr::TypedJobSpec<uint32_t, er::EntityRef, std::string, uint64_t,
+                   std::string, uint64_t, std::less<>, std::equal_to<>>
       spec;
-  spec.num_reduce_tasks = num_reduce_tasks;
-  const auto& opts = options;
-  spec.mapper_factory = [&blocking, side, &opts,
-                         two_source](const mr::TaskContext& ctx) {
+  spec.num_reduce_tasks = 0;
+  const MissingKeyPolicy missing_key_policy = options.missing_key_policy;
+  spec.mapper_factory = [&blocking, side,
+                         missing_key_policy](const mr::TaskContext& ctx) {
     // A fresh attempt starts from an empty side slot so retried tasks
     // stay self-contained (no duplicated annotations).
     side->mutable_files()[ctx.task_index].clear();
-    er::Source src = two_source ? opts.partition_sources[ctx.task_index]
-                                : er::Source::kR;
     return std::make_unique<BdmMapper>(&blocking, side.get(),
-                                       ctx.task_index, src,
-                                       opts.missing_key_policy);
+                                       ctx.task_index, missing_key_policy);
   };
   // The annotated partition is Algorithm 3's "additional output" to
   // DFS: durable alongside the spill file, so a resumed job restores it
@@ -302,17 +222,15 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
     }
     return p == end;
   };
-  spec.reducer_factory = [](const mr::TaskContext&) {
-    return std::make_unique<BdmReducer>();
+  // Sums a block's counts map-side ("a combine function ... might be
+  // employed as an optimization", Section III-B footnote); without it a
+  // run would hold one cell per entity.
+  spec.combiner = [](std::span<const std::pair<std::string, uint64_t>> group,
+                     std::vector<std::pair<std::string, uint64_t>>* out) {
+    uint64_t sum = 0;
+    for (const auto& [k, v] : group) sum += v;
+    out->emplace_back(group.front().first, sum);
   };
-  if (options.use_combiner) {
-    spec.combiner = [](std::span<const std::pair<BdmKey, uint64_t>> group,
-                       std::vector<std::pair<BdmKey, uint64_t>>* out) {
-      uint64_t sum = 0;
-      for (const auto& [k, v] : group) sum += v;
-      out->emplace_back(group.front().first, sum);
-    };
-  }
 
   // Build input with dummy keys (paper: k_in = unused).
   std::vector<std::vector<std::pair<uint32_t, er::EntityRef>>> job_input(m);
@@ -332,7 +250,7 @@ Result<BdmJobOutput> RunBdmJob(const er::Partitions& input,
 
   BdmJobOutput out;
   ERLB_ASSIGN_OR_RETURN(
-      out.bdm, AssembleBdm(std::move(job_result.outputs_per_reduce_task), m,
+      out.bdm, AssembleBdm(std::move(job_result.outputs_per_reduce_task),
                            options.partition_sources));
   out.annotated = std::move(side);
   out.metrics = std::move(job_result.metrics);

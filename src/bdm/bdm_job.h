@@ -1,6 +1,13 @@
 // MR Job 1 (Algorithm 3): computes the block distribution matrix and
 // writes the "additional output" Π'i — each entity annotated with its
 // blocking key — that Job 2 consumes with the same input partitioning.
+//
+// The paper keys each entity by (blocking key ∘ partition index) and
+// sums the counts in reduce. Each such key comes from exactly one map
+// task, so once the combiner has summed a task's sorted output, that run
+// already holds its partition's final cells: the job runs map-only
+// (mr/job.h), keyed by the blocking key alone, and AssembleBdm merges
+// the m per-partition runs into the matrix.
 #ifndef ERLB_BDM_BDM_JOB_H_
 #define ERLB_BDM_BDM_JOB_H_
 
@@ -32,14 +39,6 @@ enum class MissingKeyPolicy {
 
 /// Options for the BDM job.
 struct BdmJobOptions {
-  /// r for Job 1. The paper uses the same cluster configuration for both
-  /// jobs; the BDM result is independent of this value. 0 means auto:
-  /// a sampling presplitter (mr/presplit.h) keys a strided sample of the
-  /// input and sizes r from the estimated distinct-block count.
-  uint32_t num_reduce_tasks = 1;
-  /// Aggregate per-block counts map-side ("a combine function ... might be
-  /// employed as an optimization", Section III-B footnote).
-  bool use_combiner = true;
   /// Non-empty enables two-source mode; size must equal the number of
   /// input partitions and tag each with its source.
   std::vector<er::Source> partition_sources;
@@ -59,20 +58,18 @@ struct BdmJobOutput {
   uint64_t skipped_entities = 0;
 };
 
-/// Job 1's reduce output: one vector per reduce task, sorted by block
-/// key within each task (the value of each pair is the triple).
-using BdmReduceOutput =
-    std::vector<std::vector<std::pair<uint32_t, BdmTriple>>>;
+/// Job 1's output: one run of (block key, count) cells per input
+/// partition, sorted by block key, each key at most once per run.
+using BdmRuns = std::vector<std::vector<std::pair<std::string, uint64_t>>>;
 
-/// Builds the BDM from Job 1's reduce output, taking its triples. Needs
-/// each task's output sorted by key and each block's cells within one
-/// task — what a job that partitions by block key alone produces — to
-/// skip FromTriples' sort; any other input is still built correctly,
-/// just through that sort. Non-empty `partition_sources` builds the
-/// two-source BDM.
+/// Builds the BDM from Job 1's per-partition runs, taking their keys:
+/// run p holds partition p's cells. The runs are merged by block key;
+/// ties come out in run (= partition) order, so the cells reach
+/// Bdm::FromTriples already in its (block key, partition) order.
+/// Non-empty `partition_sources` (one tag per run) builds the two-source
+/// BDM.
 [[nodiscard]] Result<Bdm> AssembleBdm(
-    BdmReduceOutput outputs, uint32_t num_partitions,
-    const std::vector<er::Source>& partition_sources);
+    BdmRuns runs, const std::vector<er::Source>& partition_sources);
 
 /// Runs Algorithm 3 over `input` (one map task per partition).
 [[nodiscard]] Result<BdmJobOutput> RunBdmJob(

@@ -51,15 +51,6 @@ double Pcg32::NextDouble() {
   return Next() * (1.0 / 4294967296.0);
 }
 
-double Pcg32::NextExponential(double lambda) {
-  ERLB_CHECK(lambda > 0);
-  double u;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
-
 double Pcg32::NextGaussian(double mean, double stddev) {
   double u1;
   do {

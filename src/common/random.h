@@ -30,9 +30,6 @@ class Pcg32 {
   /// Uniform double in [0, 1).
   double NextDouble();
 
-  /// Standard exponential variate with rate `lambda` (> 0).
-  double NextExponential(double lambda);
-
   /// Normal variate via Box-Muller.
   double NextGaussian(double mean = 0.0, double stddev = 1.0);
 

@@ -32,20 +32,6 @@ std::vector<std::string> Split(std::string_view s, char delim) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string PrefixKey(std::string_view s, size_t n) {
   return ToLowerAscii(s.substr(0, std::min(n, s.size())));
 }

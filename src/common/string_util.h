@@ -18,13 +18,6 @@ std::string_view TrimAscii(std::string_view s);
 /// Splits `s` on `delim`; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// First `n` characters of `s` (fewer if `s` is shorter), lowercased.
 /// This is the paper's default blocking key ("first three letters of the
 /// title") for n = 3.

@@ -180,8 +180,6 @@ Status BdmStage::Run(DataflowContext* ctx) {
   ERLB_ASSIGN_OR_RETURN(const PartitionedEntities* input,
                         ctx->In<PartitionedEntities>(in_));
   bdm::BdmJobOptions options;
-  options.num_reduce_tasks = options_.num_reduce_tasks;
-  options.use_combiner = options_.use_combiner;
   options.missing_key_policy = options_.missing_key_policy;
   options.partition_sources = input->sources;
   ERLB_ASSIGN_OR_RETURN(
@@ -337,9 +335,8 @@ Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
                         const er::BlockingFunction* blocking,
                         const er::Matcher* matcher,
                         const std::string& dataset_prefix) {
-  // Reject bad job options before any stage exists: BdmStage reads r = 0
-  // as "auto-size", so the BDM job would otherwise run to completion
-  // before PlanStage refused the options.
+  // Reject bad job options before any stage exists: the BDM job would
+  // otherwise run to completion before PlanStage refused them.
   const lb::MatchJobOptions match_options = options.MatchOptions();
   ERLB_RETURN_NOT_OK(lb::ValidateMatchJobOptions(match_options));
   auto named = [&dataset_prefix](const char* name) {
@@ -355,8 +352,6 @@ Status AddStandardGraph(Dataflow* df, const StandardGraphOptions& options,
   }
 
   BdmStageOptions bdm_options;
-  bdm_options.num_reduce_tasks = options.num_reduce_tasks;
-  bdm_options.use_combiner = options.use_combiner;
   bdm_options.missing_key_policy = options.missing_key_policy;
   df->Emplace<BdmStage>(named("bdm"), named(kDatasetPartitions),
                         named(kDatasetBdm), named(kDatasetAnnotated),

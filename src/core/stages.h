@@ -114,9 +114,6 @@ class EntitySourceStage : public Stage {
 /// Options of a BdmStage — BdmJobOptions minus the partition sources,
 /// which travel with the PartitionedEntities dataset.
 struct BdmStageOptions {
-  /// 0 = auto: the sampling presplitter picks r from the input.
-  uint32_t num_reduce_tasks = 1;
-  bool use_combiner = true;
   bdm::MissingKeyPolicy missing_key_policy = bdm::MissingKeyPolicy::kError;
 };
 
@@ -225,11 +222,10 @@ class UnionMatchesStage : public Stage {
 /// Strategy/topology knobs shared by the graph builders.
 struct StandardGraphOptions {
   lb::StrategyKind strategy = lb::StrategyKind::kBlockSplit;
-  /// r for both jobs (the paper runs one cluster configuration).
+  /// r for the matching job (the BDM job is map-only).
   uint32_t num_reduce_tasks = 8;
   lb::TaskAssignment assignment = lb::TaskAssignment::kGreedyLpt;
   uint32_t sub_splits = 1;
-  bool use_combiner = true;
   bdm::MissingKeyPolicy missing_key_policy = bdm::MissingKeyPolicy::kError;
 
   lb::MatchJobOptions MatchOptions() const {

@@ -79,13 +79,5 @@ MatchResult ClustersToPairs(const Clusters& clusters) {
   return out;
 }
 
-uint64_t ClusterPairCount(const Clusters& clusters) {
-  uint64_t pairs = 0;
-  for (const auto& c : clusters) {
-    pairs += c.size() * (c.size() - 1) / 2;
-  }
-  return pairs;
-}
-
 }  // namespace er
 }  // namespace erlb

@@ -27,9 +27,6 @@ Clusters ClusterMatches(const MatchResult& matches);
 /// cluster pair) — the transitive closure of the original match result.
 MatchResult ClustersToPairs(const Clusters& clusters);
 
-/// Number of pairs implied by the clustering (Σ C(|cluster|, 2)).
-uint64_t ClusterPairCount(const Clusters& clusters);
-
 }  // namespace er
 }  // namespace erlb
 

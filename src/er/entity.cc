@@ -5,8 +5,6 @@
 namespace erlb {
 namespace er {
 
-const char* SourceName(Source s) { return s == Source::kR ? "R" : "S"; }
-
 namespace {
 
 template <typename GetRef, typename Container>

@@ -15,9 +15,6 @@ namespace er {
 /// Identifies the origin dataset in two-source (record linkage) workflows.
 enum class Source : uint8_t { kR = 0, kS = 1 };
 
-/// Returns "R" or "S".
-const char* SourceName(Source s);
-
 /// A single record to be resolved.
 ///
 /// `fields[0]` is the primary matching attribute by convention (the title

@@ -24,6 +24,11 @@
 //    The merged sequence is byte-identical to the engine's previous
 //    concatenate-then-stable-sort shuffle (differential-tested).
 //  * Optional combiner per map task (the BDM job's counting optimization).
+//  * Hadoop's zero-reducer job shape: a spec with num_reduce_tasks == 0
+//    runs its map phase only, and its output is each map task's sorted,
+//    combined run — one run per map task, in map-task order. The BDM job
+//    runs this way: each of its keys comes from one map task, so the
+//    combined runs already hold the final counts.
 //  * Tasks run on a fixed-size worker pool (work-stealing scheduler,
 //    mr/task_scheduler.h), emulating a cluster with a fixed number of
 //    processes.
@@ -69,6 +74,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -214,13 +220,26 @@ class Reducer {
   virtual void Close(ReduceContext<OutK, OutV>* ctx) { (void)ctx; }
 };
 
+/// The partitioner of a map-only job (num_reduce_tasks == 0), which
+/// routes no key; JobRunner::Run rejects it for a job with reduce tasks.
+struct NoPartitioner {
+  template <typename K>
+  uint32_t operator()(const K& /*key*/, uint32_t /*r*/) const {
+    return 0;
+  }
+};
+
 /// Full specification of an MR job. `KeyLess`, `GroupEqual` and
 /// `Partitioner` are functor types invoked on every key comparison /
 /// routing decision of the sort, merge and group loops; stateless structs
 /// here devirtualize the hottest calls of the engine.
+///
+/// With num_reduce_tasks == 0 the job is map-only: reducer_factory and
+/// the partitioner go unused, the output types must be the map output
+/// types, and the result holds one run per map task.
 template <typename InK, typename InV, typename MidK, typename MidV,
           typename OutK, typename OutV, typename KeyLess, typename GroupEqual,
-          typename Partitioner>
+          typename Partitioner = NoPartitioner>
 struct TypedJobSpec {
   using MapperT = Mapper<InK, InV, MidK, MidV>;
   using ReducerT = Reducer<MidK, MidV, OutK, OutV>;
@@ -269,10 +288,10 @@ struct TypedJobSpec {
   uint32_t num_reduce_tasks = 1;
 };
 
-/// Result of running a job: output pairs per reduce task plus metrics.
-/// `status` is non-OK when the external shuffle hit an I/O error (spill
-/// write, temp-dir creation, run read-back); outputs are then incomplete
-/// and must not be consumed.
+/// Result of running a job: output pairs per reduce task (per map task
+/// for a map-only job) plus metrics. `status` is non-OK when the external
+/// shuffle hit an I/O error (spill write, temp-dir creation, run
+/// read-back); outputs are then incomplete and must not be consumed.
 template <typename OutK, typename OutV>
 struct JobResult {
   std::vector<std::vector<std::pair<OutK, OutV>>> outputs_per_reduce_task;
@@ -433,11 +452,15 @@ class JobRunner {
     using MidK = typename Spec::MidKey;
     using MidV = typename Spec::MidValue;
     ERLB_CHECK(spec.mapper_factory != nullptr);
-    ERLB_CHECK(spec.reducer_factory != nullptr);
-    ERLB_CHECK(!IsUnset(spec.partitioner));
     ERLB_CHECK(!IsUnset(spec.key_less));
     ERLB_CHECK(!IsUnset(spec.group_equal));
-    ERLB_CHECK(spec.num_reduce_tasks >= 1);
+    if (spec.num_reduce_tasks > 0) {
+      ERLB_CHECK(spec.reducer_factory != nullptr);
+      ERLB_CHECK(!IsUnset(spec.partitioner));
+    } else {
+      ERLB_CHECK(kMapOnlyShape<Spec>)
+          << "a map-only job's output types must be its map output types";
+    }
 
     if (Status options_status = options_.Validate(); !options_status.ok()) {
       JobResult<typename Spec::OutKey, typename Spec::OutValue> result;
@@ -511,15 +534,21 @@ class JobRunner {
       std::pair<typename Spec::MidKey, typename Spec::MidValue>>>>;
 
   /// True iff `f` is an unset std::function (a spec may name
-  /// std::function types); plain functors are always considered set.
+  /// std::function types) or NoPartitioner; other functors are set.
   template <typename F>
   static bool IsUnset(const F& f) {
     if constexpr (requires { f == nullptr; }) {
       return f == nullptr;
     } else {
-      return false;
+      return std::is_same_v<F, NoPartitioner>;
     }
   }
+
+  /// True iff `Spec` can run map-only: its map output is its job output.
+  template <typename Spec>
+  static constexpr bool kMapOnlyShape =
+      std::is_same_v<typename Spec::MidKey, typename Spec::OutKey> &&
+      std::is_same_v<typename Spec::MidValue, typename Spec::OutValue>;
 
   /// Sampled spill-size estimate of the input (kAuto's decision input):
   /// per partition, the first records are measured with ApproxSpillBytes
@@ -557,6 +586,10 @@ class JobRunner {
   //   map task t    -> spill-<t>.run (+ side-<t>.dat) + map-<t>.done
   //   reduce task t -> out-<t>.run                     + reduce-<t>.done
   //
+  // A map-only job's spill-<t>.run holds one run, the task's output. An
+  // in-process task also keeps that run as the job output; a task run by
+  // a worker or restored on resume is read back from its record.
+  //
   // A scoped single-process spill directory dies with the job and
   // commits nothing. Workers inherit the spec and input copy-on-write at
   // fork time; the only parent state created after the fork that they
@@ -569,6 +602,8 @@ class JobRunner {
   JobResult<typename Spec::OutKey, typename Spec::OutValue> RunJob(
       const Spec& spec, const SpecInput<Spec>& input) const {
     static_assert(kSpill || !kProcs, "workers shuffle through spill files");
+    using MidK = typename Spec::MidKey;
+    using MidV = typename Spec::MidValue;
     using OutK = typename Spec::OutKey;
     using OutV = typename Spec::OutValue;
     // Reduce outputs are committed (and restorable) only when they have
@@ -584,7 +619,15 @@ class JobRunner {
     metrics.multi_process = kProcs;
     metrics.map_tasks.resize(m);
     metrics.reduce_tasks.resize(r);
-    result.outputs_per_reduce_task.resize(r);
+    result.outputs_per_reduce_task.resize(r > 0 ? r : m);
+    // A map-only job's output slot for map task t, or nullptr.
+    const auto map_output =
+        [&](uint32_t t) -> std::vector<std::pair<MidK, MidV>>* {
+      if constexpr (kMapOnlyShape<Spec>) {
+        if (r == 0) return &result.outputs_per_reduce_task[t];
+      }
+      return nullptr;
+    };
 
     // The job directory: durable under <checkpoint.dir>/job-<seq>, where
     // it survives the process and a restarted job with the same input
@@ -630,10 +673,11 @@ class JobRunner {
       if (kProcs && !durable) static_cast<void>(ClaimTempDirForPid(dir));
     };
 
-    // Shuffle state: in-memory runs, or one spill file of r runs per map
-    // task. Each task writes only its own index, so pool threads never
-    // race; in a worker process every write below lands in the worker's
-    // copy-on-write image, and the parent collects from disk instead.
+    // Shuffle state: in-memory runs, or one spill file of r runs (one
+    // for a map-only job) per map task. Each task writes only its own
+    // index, so pool threads never race; in a worker process every write
+    // below lands in the worker's copy-on-write image, and the parent
+    // collects from disk instead.
     Buckets<Spec> buckets(kSpill ? 0 : m,
                           typename Buckets<Spec>::value_type(r));
     std::vector<SpillFile> spill_files(kSpill ? m : 0);
@@ -647,10 +691,13 @@ class JobRunner {
       TaskMetrics* tm = &metrics.map_tasks[t];
       return internal::RunTaskWithRetry(options_, tm, [&, t]() -> Status {
         if constexpr (kSpill) {
+          // A worker's output reaches the parent through its spill file.
           return RunMapTaskSpill(spec, input[t], m, r, t, dir, signature,
-                                 commit, durable, &spill_files[t], tm);
+                                 commit, durable, &spill_files[t],
+                                 kProcs ? nullptr : map_output(t), tm);
         } else {
-          return RunMapTask(spec, input[t], m, r, t, &buckets[t], tm);
+          return RunMapTask(spec, input[t], m, r, t, &buckets[t],
+                            map_output(t), tm);
         }
       });
     };
@@ -692,9 +739,13 @@ class JobRunner {
     if constexpr (kSpill) {
       map_phase.try_collect = [&](uint32_t t, bool adopted) -> bool {
         auto record = ReadTaskCommitRecord(dir, "map", t, signature,
-                                           /*expected_runs=*/r,
+                                           /*expected_runs=*/r > 0 ? r : 1,
                                            options_.io_buffer_bytes);
         if (!record.ok()) return false;
+        if (auto* output = map_output(t);
+            output != nullptr && !ReadCommittedRun(record->file, output)) {
+          return false;
+        }
         if (spec.decode_side_output) {
           // Restoring a task must also replay its side output; a record
           // without (valid) side bytes is treated as uncommitted.
@@ -715,23 +766,11 @@ class JobRunner {
         auto record = ReadTaskCommitRecord(dir, "reduce", t, signature,
                                            /*expected_runs=*/1,
                                            options_.io_buffer_bytes);
-        if (!record.ok()) return false;
-        const RunExtent& extent = record->file.runs[0];
-        std::vector<std::pair<OutK, OutV>> output;
-        // Every record takes at least one of the run's bytes, which the
-        // footer check bounded by the file size: a damaged record count
-        // cannot force a huge allocation.
-        output.reserve(
-            static_cast<size_t>(std::min(extent.records, extent.bytes)));
-        RunCursor<OutK, OutV> cursor;
-        size_t buffer = static_cast<size_t>(std::min<uint64_t>(
-            std::max<uint64_t>(extent.bytes, 1), options_.io_buffer_bytes));
-        if (!cursor.Open(record->file.path, extent, buffer).ok()) {
+        if (!record.ok() ||
+            !ReadCommittedRun(record->file,
+                              &result.outputs_per_reduce_task[t])) {
           return false;
         }
-        while (!cursor.exhausted()) output.push_back(cursor.Pop());
-        if (!cursor.status().ok()) return false;
-        result.outputs_per_reduce_task[t] = std::move(output);
         CollectMetrics(std::move(record->metrics), adopted,
                        &metrics.reduce_tasks[t],
                        &metrics.reduce_tasks_resumed);
@@ -773,7 +812,10 @@ class JobRunner {
       metrics.worker_deaths = coord_stats.worker_deaths;
       if (coord_stats.phases.size() == 2) {
         metrics.map_phase_nanos = coord_stats.phases[0].duration_nanos;
-        metrics.reduce_phase_nanos = coord_stats.phases[1].duration_nanos;
+        // A map-only job's reduce phase has no task and takes no time.
+        if (r > 0) {
+          metrics.reduce_phase_nanos = coord_stats.phases[1].duration_nanos;
+        }
       }
     } else {
       std::optional<ThreadPool> owned_pool;
@@ -782,7 +824,7 @@ class JobRunner {
                              : owned_pool.emplace(num_workers_);
       status = RunPhaseOnPool(map_phase, resume, &pool,
                               &metrics.map_phase_nanos);
-      if (status.ok()) {
+      if (status.ok() && r > 0) {
         status = RunPhaseOnPool(reduce_phase, resume, &pool,
                                 &metrics.reduce_phase_nanos);
       }
@@ -835,6 +877,25 @@ class JobRunner {
       slot->resumed = true;
       ++*resumed_count;
     }
+  }
+
+  /// Reads the one run of a committed task's spill file into `out`;
+  /// false if the run cannot be read back whole.
+  template <typename K, typename V>
+  bool ReadCommittedRun(const SpillFile& file,
+                        std::vector<std::pair<K, V>>* out) const {
+    const RunExtent& extent = file.runs[0];
+    out->clear();
+    // Every record takes at least one of the run's bytes, which the
+    // footer check bounded by the file size: a damaged record count
+    // cannot force a huge allocation.
+    out->reserve(static_cast<size_t>(std::min(extent.records, extent.bytes)));
+    RunCursor<K, V> cursor;
+    size_t buffer = static_cast<size_t>(std::min<uint64_t>(
+        std::max<uint64_t>(extent.bytes, 1), options_.io_buffer_bytes));
+    if (!cursor.Open(file.path, extent, buffer).ok()) return false;
+    while (!cursor.exhausted()) out->push_back(cursor.Pop());
+    return cursor.status().ok();
   }
 
   /// Worker side: patches the worker's image of `spill_files` with the
@@ -998,9 +1059,9 @@ class JobRunner {
     return combined;
   }
 
-  /// Routes every record of `final_out` to its reduce task. Fills `dest`
-  /// (per-record target) and `run_offsets` (r+1 prefix sums of run
-  /// sizes).
+  /// Routes every record of `final_out` to its reduce task, or all of
+  /// them to one run for a map-only job (r == 0). Fills `dest`
+  /// (per-record target) and `run_offsets` (prefix sums of run sizes).
   template <typename Spec>
   static void PartitionRecords(
       const Spec& spec,
@@ -1009,15 +1070,16 @@ class JobRunner {
       uint32_t r, std::vector<uint32_t>* dest,
       std::vector<size_t>* run_offsets) {
     const size_t n_out = final_out.size();
+    const uint32_t runs = std::max<uint32_t>(r, 1);
     dest->resize(n_out);
-    run_offsets->assign(r + 1, 0);
+    run_offsets->assign(runs + 1, 0);
     for (size_t i = 0; i < n_out; ++i) {
-      uint32_t p = spec.partitioner(final_out[i].first, r);
-      ERLB_CHECK(p < r) << "partitioner returned " << p << " for r=" << r;
+      uint32_t p = r == 0 ? 0 : spec.partitioner(final_out[i].first, r);
+      ERLB_CHECK(p < runs) << "partitioner returned " << p << " for r=" << r;
       (*dest)[i] = p;
       ++(*run_offsets)[p + 1];
     }
-    for (uint32_t p = 0; p < r; ++p) {
+    for (uint32_t p = 0; p < runs; ++p) {
       (*run_offsets)[p + 1] += (*run_offsets)[p];
     }
   }
@@ -1031,6 +1093,8 @@ class JobRunner {
       std::vector<std::vector<
           std::pair<typename Spec::MidKey, typename Spec::MidValue>>>*
           out_buckets,
+      std::vector<std::pair<typename Spec::MidKey, typename Spec::MidValue>>*
+          map_output,
       TaskMetrics* metrics) {
     ERLB_RETURN_NOT_OK(internal::MapTaskFaultPoint());
     // Self-contained per attempt: a retry starts from empty runs.
@@ -1038,6 +1102,11 @@ class JobRunner {
     Stopwatch watch;
     auto final_out =
         MapSortCombine(spec, partition, m, r, task_index, metrics);
+    if (map_output != nullptr) {
+      *map_output = std::move(final_out);
+      metrics->duration_nanos = watch.ElapsedNanos();
+      return Status::OK();
+    }
 
     // Scatter: a counting pass sizes every run exactly, then pairs are
     // moved (not copied) into their runs. Order is preserved, so each run
@@ -1061,7 +1130,9 @@ class JobRunner {
   /// file is staged under a pid temp name and published by rename, then
   /// the side output, and last the task's .done record — the commit
   /// point, which must never name a half-written file. `durable` fsyncs
-  /// each of them.
+  /// each of them. A map-only task (r == 0) keeps its run in
+  /// `map_output` (null in a worker process) and writes it to disk only
+  /// to commit it.
   template <typename Spec>
   [[nodiscard]] Status RunMapTaskSpill(
       const Spec& spec,
@@ -1069,6 +1140,8 @@ class JobRunner {
                                   typename Spec::InValue>>& partition,
       uint32_t m, uint32_t r, uint32_t task_index, const std::string& dir,
       uint64_t signature, bool commit, bool durable, SpillFile* out_file,
+      std::vector<std::pair<typename Spec::MidKey, typename Spec::MidValue>>*
+          map_output,
       TaskMetrics* metrics) const {
     using MidK = typename Spec::MidKey;
     using MidV = typename Spec::MidValue;
@@ -1076,6 +1149,12 @@ class JobRunner {
     Stopwatch watch;
     auto final_out =
         MapSortCombine(spec, partition, m, r, task_index, metrics);
+    if (map_output != nullptr && !commit) {
+      *map_output = std::move(final_out);
+      metrics->spill_bytes = 0;
+      metrics->duration_nanos = watch.ElapsedNanos();
+      return Status::OK();
+    }
 
     std::vector<uint32_t> dest;
     std::vector<size_t> run_offsets;
@@ -1096,7 +1175,7 @@ class JobRunner {
     SpillFileWriter<MidK, MidV> writer;
     ERLB_RETURN_NOT_OK(writer.Open(write_path, options_.io_buffer_bytes,
                                    options_.fail_writer_after_bytes));
-    for (uint32_t p = 0; p < r; ++p) {
+    for (uint32_t p = 0; p + 1 < run_offsets.size(); ++p) {
       ERLB_RETURN_NOT_OK(writer.BeginRun());
       for (size_t i = run_offsets[p]; i < run_offsets[p + 1]; ++i) {
         const auto& rec = final_out[order[i]];
@@ -1105,7 +1184,10 @@ class JobRunner {
     }
     ERLB_ASSIGN_OR_RETURN(*out_file, writer.Finish(/*sync=*/durable));
     out_file->path = final_path;
-    metrics->spill_bytes = static_cast<int64_t>(out_file->TotalBytes());
+    // A map-only task's file commits its output, as out-<t>.run commits
+    // a reduce task's: no shuffle data is spilled.
+    metrics->spill_bytes =
+        r == 0 ? 0 : static_cast<int64_t>(out_file->TotalBytes());
     metrics->duration_nanos = watch.ElapsedNanos();
     if (!commit) return Status::OK();
 
@@ -1131,8 +1213,10 @@ class JobRunner {
       ERLB_RETURN_NOT_OK(side_writer.Close());
       ERLB_RETURN_NOT_OK(internal::PublishFile(side_tmp, record.side.path));
     }
-    return WriteTaskCommitRecord(dir, "map", task_index, signature, record,
-                                 durable);
+    ERLB_RETURN_NOT_OK(WriteTaskCommitRecord(dir, "map", task_index,
+                                             signature, record, durable));
+    if (map_output != nullptr) *map_output = std::move(final_out);
+    return Status::OK();
   }
 
   /// In-memory reduce task under the retry policy. The task's column of

@@ -182,7 +182,6 @@ inline PlanExecutionRun RunWithPlan(
   mr::JobRunner runner(workers);
 
   bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = r;
   if (partition_sources != nullptr) {
     bdm_options.partition_sources = *partition_sources;
   }
@@ -216,14 +215,11 @@ inline PlanExecutionRun RunWithPlan(
 /// over kDatasetPartitions, `plan` bound as kDatasetPlan, and MatchStage.
 /// No plan stage runs, and the plan decides the matching strategy.
 [[nodiscard]] inline Status AddHeldPlanGraph(
-    core::Dataflow* df, uint32_t num_reduce_tasks,
-    const er::BlockingFunction* blocking, const er::Matcher* matcher,
+    core::Dataflow* df, const er::BlockingFunction* blocking, const er::Matcher* matcher,
     lb::MatchPlan plan) {
-  core::BdmStageOptions bdm_options;
-  bdm_options.num_reduce_tasks = num_reduce_tasks;
   df->Emplace<core::BdmStage>("bdm", core::kDatasetPartitions,
                               core::kDatasetBdm, core::kDatasetAnnotated,
-                              blocking, bdm_options);
+                              blocking, core::BdmStageOptions{});
   ERLB_RETURN_NOT_OK(df->AddInput(
       core::kDatasetPlan,
       core::Dataset(std::make_shared<const lb::MatchPlan>(std::move(plan)))));

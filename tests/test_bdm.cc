@@ -89,8 +89,6 @@ TEST(BdmTest, BlockIndexLookup) {
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(*idx, 3u);
   EXPECT_TRUE(bdm->BlockIndex("nope").status().IsNotFound());
-  EXPECT_TRUE(bdm->HasBlock("w"));
-  EXPECT_FALSE(bdm->HasBlock("v"));
 }
 
 TEST(BdmTest, FromTriplesMatchesFromKeys) {

@@ -3,15 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/io_buffer.h"
-#include "common/random.h"
 #include "gen/skew_gen.h"
 #include "paper_example.h"
 
@@ -27,7 +24,6 @@ using testing_util::PaperTwoSourceTags;
 TEST(BdmJobTest, PaperExampleMatrix) {
   mr::JobRunner runner(2);
   BdmJobOptions options;
-  options.num_reduce_tasks = 3;
   auto blocking = ExampleBlocking();
   auto out = RunBdmJob(PaperExamplePartitions(), blocking, options, runner);
   ASSERT_TRUE(out.ok());
@@ -39,54 +35,10 @@ TEST(BdmJobTest, PaperExampleMatrix) {
   EXPECT_EQ(bdm.TotalPairs(), 20u);
 }
 
-TEST(BdmJobTest, ResultIndependentOfReduceTasks) {
-  mr::JobRunner runner(3);
-  auto blocking = ExampleBlocking();
-  for (uint32_t r : {1u, 2u, 5u, 16u}) {
-    BdmJobOptions options;
-    options.num_reduce_tasks = r;
-    auto out =
-        RunBdmJob(PaperExamplePartitions(), blocking, options, runner);
-    ASSERT_TRUE(out.ok()) << "r=" << r;
-    EXPECT_EQ(out->bdm.TotalPairs(), 20u) << "r=" << r;
-    EXPECT_EQ(out->bdm.num_blocks(), 4u) << "r=" << r;
-  }
-}
-
-TEST(BdmJobTest, CombinerDoesNotChangeResult) {
-  mr::JobRunner runner(2);
-  auto blocking = ExampleBlocking();
-  BdmJobOptions with, without;
-  with.num_reduce_tasks = without.num_reduce_tasks = 2;
-  with.use_combiner = true;
-  without.use_combiner = false;
-  auto a = RunBdmJob(PaperExamplePartitions(), blocking, with, runner);
-  auto b = RunBdmJob(PaperExamplePartitions(), blocking, without, runner);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->bdm.ToTriples().size(), b->bdm.ToTriples().size());
-  for (uint32_t k = 0; k < a->bdm.num_blocks(); ++k) {
-    for (uint32_t p = 0; p < 2; ++p) {
-      EXPECT_EQ(a->bdm.Size(k, p), b->bdm.Size(k, p));
-    }
-  }
-  // The combiner shrinks the shuffle: one record per (block, partition).
-  int64_t with_recs = 0, without_recs = 0;
-  for (const auto& t : a->metrics.reduce_tasks) {
-    with_recs += t.input_records;
-  }
-  for (const auto& t : b->metrics.reduce_tasks) {
-    without_recs += t.input_records;
-  }
-  EXPECT_EQ(with_recs, 8);      // 8 non-zero BDM cells
-  EXPECT_EQ(without_recs, 14);  // one per entity
-}
-
 TEST(BdmJobTest, AnnotatedSideOutputMirrorsInput) {
   mr::JobRunner runner(2);
   auto blocking = ExampleBlocking();
   BdmJobOptions options;
-  options.num_reduce_tasks = 2;
   auto parts = PaperExamplePartitions();
   auto out = RunBdmJob(parts, blocking, options, runner);
   ASSERT_TRUE(out.ok());
@@ -107,7 +59,6 @@ TEST(BdmJobTest, MissingKeyErrorPolicy) {
   mr::JobRunner runner(2);
   er::AttributeBlocking blocking(5);  // field 5 doesn't exist -> empty key
   BdmJobOptions options;
-  options.num_reduce_tasks = 1;
   auto out = RunBdmJob(PaperExamplePartitions(), blocking, options, runner);
   EXPECT_TRUE(out.status().IsInvalidArgument());
 }
@@ -116,7 +67,6 @@ TEST(BdmJobTest, MissingKeySkipPolicy) {
   mr::JobRunner runner(2);
   er::AttributeBlocking blocking(5);
   BdmJobOptions options;
-  options.num_reduce_tasks = 1;
   options.missing_key_policy = MissingKeyPolicy::kSkip;
   auto out = RunBdmJob(PaperExamplePartitions(), blocking, options, runner);
   ASSERT_TRUE(out.ok());
@@ -128,7 +78,6 @@ TEST(BdmJobTest, MissingKeyBottomPolicy) {
   mr::JobRunner runner(2);
   er::AttributeBlocking blocking(5);
   BdmJobOptions options;
-  options.num_reduce_tasks = 1;
   options.missing_key_policy = MissingKeyPolicy::kBottom;
   auto out = RunBdmJob(PaperExamplePartitions(), blocking, options, runner);
   ASSERT_TRUE(out.ok());
@@ -149,7 +98,6 @@ TEST(BdmJobTest, TwoSourceTagsInTriples) {
   mr::JobRunner runner(2);
   auto blocking = ExampleBlocking();
   BdmJobOptions options;
-  options.num_reduce_tasks = 2;
   options.partition_sources = PaperTwoSourceTags();
   auto out =
       RunBdmJob(PaperTwoSourcePartitions(), blocking, options, runner);
@@ -174,47 +122,32 @@ TEST(BdmJobTest, MapOutputCountsMatchEntityCounts) {
   mr::JobRunner runner(2);
   auto blocking = ExampleBlocking();
   BdmJobOptions options;
-  options.num_reduce_tasks = 2;
-  options.use_combiner = false;
   auto out = RunBdmJob(PaperExamplePartitions(), blocking, options, runner);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->metrics.TotalMapOutputPairs(), 14);
   EXPECT_EQ(out->metrics.TotalMapInputRecords(), 14);
+  // Map-only: the combined map runs are the job output.
+  EXPECT_TRUE(out->metrics.reduce_tasks.empty());
+  EXPECT_EQ(out->metrics.reduce_phase_nanos, 0);
 }
 
-// ---- BDM assembly from the job's reduce output ----------------------------
+// ---- BDM assembly from the job's per-partition runs -----------------------
 //
-// RunBdmJob orders the per-task groups of its reduce output instead of
+// RunBdmJob merges its m per-partition runs by block key instead of
 // sorting every cell, and FromTriples then takes the already sorted
-// triples in one pass. The result must be exactly FromTriples over the
-// same cells in any order — in every execution mode, including a run
-// resumed from commit records, for any number of reduce tasks.
+// triples in one pass. The result must be exactly the BDM counted
+// directly from the blocking keys — in every execution mode, and in a
+// run resumed from commit records.
 
-/// The BDM cells of `parts` counted directly, as triples in shuffled
-/// order.
-std::vector<BdmTriple> ShuffledCells(const er::Partitions& parts,
-                                     const er::BlockingFunction& blocking,
-                                     const std::vector<er::Source>& sources,
-                                     uint64_t seed) {
-  std::map<std::pair<std::string, uint32_t>, uint64_t> counts;
-  for (uint32_t p = 0; p < parts.size(); ++p) {
-    for (const auto& e : parts[p]) ++counts[{blocking.Key(*e), p}];
+/// The BDM of `parts` counted directly from the blocking keys.
+Result<Bdm> OracleBdm(const er::Partitions& parts,
+                      const er::BlockingFunction& blocking,
+                      const std::vector<er::Source>& sources) {
+  std::vector<std::vector<std::string>> keys(parts.size());
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (const auto& e : parts[p]) keys[p].push_back(blocking.Key(*e));
   }
-  std::vector<BdmTriple> triples;
-  for (const auto& [cell, count] : counts) {
-    BdmTriple t;
-    t.block_key = cell.first;
-    t.partition = cell.second;
-    t.source = sources.empty() ? er::Source::kR : sources[cell.second];
-    t.count = count;
-    triples.push_back(std::move(t));
-  }
-  Pcg32 rng(seed);
-  for (size_t i = triples.size(); i > 1; --i) {
-    std::swap(triples[i - 1],
-              triples[rng.NextBounded(static_cast<uint32_t>(i))]);
-  }
-  return triples;
+  return Bdm::FromKeys(keys, sources.empty() ? nullptr : &sources);
 }
 
 void ExpectSameBdm(const Bdm& got, const Bdm& want, const std::string& label) {
@@ -248,14 +181,10 @@ class BdmAssemblyTest : public ::testing::Test {
     dir_.emplace(std::move(*dir));
   }
 
-  /// Runs the BDM job in every execution mode for r in {1, 3, 32} and
-  /// compares each result with FromTriples over the shuffled cells.
+  /// Runs the BDM job in every execution mode and under a checkpoint
+  /// resume, and compares each result with the oracle.
   void ExpectEveryModeMatches(const std::vector<er::Source>& sources) {
-    std::vector<BdmTriple> cells =
-        ShuffledCells(parts_, blocking_, sources, 99);
-    auto want = sources.empty()
-                    ? Bdm::FromTriples(cells, 6)
-                    : Bdm::FromTriplesTwoSource(cells, sources);
+    auto want = OracleBdm(parts_, blocking_, sources);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
     struct Mode {
@@ -271,36 +200,31 @@ class BdmAssemblyTest : public ::testing::Test {
     modes[2].name = "multi-process";
     modes[2].options.mode = mr::ExecutionMode::kMultiProcess;
     modes[2].options.num_worker_processes = 2;
+    BdmJobOptions options;
+    options.partition_sources = sources;
     for (const Mode& mode : modes) {
-      for (uint32_t r : {1u, 3u, 32u}) {
-        const std::string label =
-            std::string(mode.name) + " r=" + std::to_string(r);
-        BdmJobOptions options;
-        options.num_reduce_tasks = r;
-        options.partition_sources = sources;
-        auto out = RunBdmJob(parts_, blocking_, options,
-                             mr::JobRunner(3, mode.options));
-        ASSERT_TRUE(out.ok()) << label << ": " << out.status().ToString();
-        ExpectSameBdm(out->bdm, *want, label);
-      }
+      auto out = RunBdmJob(parts_, blocking_, options,
+                           mr::JobRunner(3, mode.options));
+      ASSERT_TRUE(out.ok()) << mode.name << ": " << out.status().ToString();
+      ExpectSameBdm(out->bdm, *want, mode.name);
     }
 
     // Resumed: a second runner over the same checkpoint restores every
-    // reduce task's output from its commit record instead of running it.
+    // map task's run and annotated partition from its commit record
+    // instead of running it.
     mr::ExecutionOptions durable;
     durable.mode = mr::ExecutionMode::kExternal;
     durable.checkpoint.dir =
         dir_->path() + "/ck" + std::to_string(sources.size());
-    BdmJobOptions options;
-    options.num_reduce_tasks = 3;
-    options.partition_sources = sources;
     auto first =
         RunBdmJob(parts_, blocking_, options, mr::JobRunner(3, durable));
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     auto resumed =
         RunBdmJob(parts_, blocking_, options, mr::JobRunner(3, durable));
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    EXPECT_EQ(resumed->metrics.reduce_tasks_resumed, 3);
+    EXPECT_EQ(resumed->metrics.map_tasks_resumed, 6);
+    EXPECT_EQ(resumed->annotated->TotalRecords(), 3000u);
+    ExpectSameBdm(first->bdm, *want, "checkpointed");
     ExpectSameBdm(resumed->bdm, *want, "resumed");
   }
 
@@ -309,16 +233,16 @@ class BdmAssemblyTest : public ::testing::Test {
   std::optional<ScopedTempDir> dir_;
 };
 
-TEST_F(BdmAssemblyTest, OneSourceEqualsFromShuffledTriples) {
-  ExpectEveryModeMatches({});
-}
+TEST_F(BdmAssemblyTest, OneSourceEqualsOracle) { ExpectEveryModeMatches({}); }
 
-TEST_F(BdmAssemblyTest, TwoSourceWithSPartitionsFirstEqualsFromShuffled) {
-  // The job orders a block's cells by (source, partition) and R sorts
-  // before S, so with S partitions ahead of R partitions a block's cells
-  // reach FromTriples out of partition order: its sort fix-up must run.
+TEST_F(BdmAssemblyTest, TwoSourceWithSPartitionsFirstEqualsOracle) {
   ExpectEveryModeMatches({er::Source::kS, er::Source::kS, er::Source::kS,
                           er::Source::kR, er::Source::kR, er::Source::kR});
+}
+
+TEST_F(BdmAssemblyTest, TwoSourceInterleavedEqualsOracle) {
+  ExpectEveryModeMatches({er::Source::kS, er::Source::kR, er::Source::kS,
+                          er::Source::kR, er::Source::kR, er::Source::kS});
 }
 
 TEST(BdmFromTriplesTest, SortedInputWithDuplicateIsAlreadyExists) {
@@ -338,32 +262,38 @@ TEST(BdmFromTriplesTest, SortedInputWithDuplicateIsAlreadyExists) {
   EXPECT_TRUE(Bdm::FromTriples(sorted, 2).status().IsOutOfRange());
 }
 
-TEST(BdmFromTriplesTest, AssembleBdmSortsGroupsNotAlreadyInKeyOrder) {
-  // Reduce output that breaks the job's layout — one task's groups out
-  // of key order, one block split across two tasks — is still built
-  // correctly, through FromTriples' sort.
-  BdmReduceOutput outputs(2);
-  auto triple = [](const char* key, uint32_t partition, uint64_t count) {
-    BdmTriple t;
-    t.block_key = key;
-    t.partition = partition;
-    t.count = count;
-    return std::make_pair(0u, t);
-  };
-  outputs[0] = {triple("c", 0, 1), triple("a", 1, 2), triple("b", 1, 1)};
-  outputs[1] = {triple("b", 0, 4), triple("d", 0, 3)};
-  auto bdm = AssembleBdm(outputs, 2, {});
+TEST(AssembleBdmTest, MergesPerPartitionRunsInPartitionOrder) {
+  // Run p is partition p's cells; block "b" occurs in every run and the
+  // runs alternate sources, so its cells interleave R and S partitions.
+  BdmRuns runs(3);
+  runs[0] = {{"a", 2}, {"b", 1}};
+  runs[1] = {{"b", 4}, {"d", 3}};
+  runs[2] = {{"b", 1}, {"c", 5}};
+  const std::vector<er::Source> sources{er::Source::kR, er::Source::kS,
+                                        er::Source::kR};
+  auto bdm = AssembleBdm(runs, sources);
   ASSERT_TRUE(bdm.ok()) << bdm.status().ToString();
-  std::vector<BdmTriple> all;
-  for (const auto& part : outputs) {
-    for (const auto& [unused, t] : part) all.push_back(t);
-  }
-  auto want = Bdm::FromTriples(all, 2);
+  std::vector<std::vector<std::string>> keys{
+      {"a", "a", "b"}, {"b", "b", "b", "b", "d", "d", "d"},
+      {"b", "c", "c", "c", "c", "c"}};
+  auto want = Bdm::FromKeys(keys, &sources);
   ASSERT_TRUE(want.ok());
-  ExpectSameBdm(*bdm, *want, "out of order");
+  ExpectSameBdm(*bdm, *want, "two-source runs");
   ASSERT_EQ(bdm->num_blocks(), 4u);
-  EXPECT_EQ(bdm->Size(1, 0), 4u);
-  EXPECT_EQ(bdm->Size(1, 1), 1u);
+  EXPECT_EQ(bdm->view(1).size_r(), 2u);
+  EXPECT_EQ(bdm->view(1).size_s(), 4u);
+
+  auto one_source = AssembleBdm(runs, {});
+  ASSERT_TRUE(one_source.ok());
+  auto want_one = Bdm::FromKeys(keys);
+  ASSERT_TRUE(want_one.ok());
+  ExpectSameBdm(*one_source, *want_one, "one-source runs");
+}
+
+TEST(AssembleBdmTest, SourceTagCountMustMatchRuns) {
+  EXPECT_TRUE(AssembleBdm(BdmRuns(2), {er::Source::kR})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -88,8 +88,6 @@ Result<LegacyResult> LegacyRunPartitioned(
   }
 
   bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = config.num_reduce_tasks;
-  bdm_options.use_combiner = config.use_combiner;
   bdm_options.missing_key_policy = config.missing_key_policy;
   if (partition_sources != nullptr) {
     bdm_options.partition_sources = *partition_sources;
@@ -240,9 +238,7 @@ TEST_P(DataflowDifferentialTest, PrebuiltPlanMatchesLegacyByteForByte) {
 
   // Build the plan the legacy way, then feed it to both paths.
   mr::JobRunner runner(resources_.EffectiveWorkers(), resources_.execution);
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = graph_.num_reduce_tasks;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
+  auto bdm_out = bdm::RunBdmJob(parts, blocking, {}, runner);
   ASSERT_TRUE(bdm_out.ok());
   auto plan = lb::MakeStrategy(graph_.strategy)
                   ->BuildPlan(bdm_out->bdm, graph_.MatchOptions());
@@ -257,8 +253,7 @@ TEST_P(DataflowDifferentialTest, PrebuiltPlanMatchesLegacyByteForByte) {
   ASSERT_TRUE(
       df.AddInput(core::kDatasetPartitions, core::Dataset(input)).ok());
   // The caller already holds the plan; neither path builds one.
-  ASSERT_TRUE(testing_util::AddHeldPlanGraph(&df, graph_.num_reduce_tasks,
-                                             &blocking, &matcher,
+  ASSERT_TRUE(testing_util::AddHeldPlanGraph(&df, &blocking, &matcher,
                                              std::move(*plan))
                   .ok());
   RunAndCompare(&df, *legacy);

@@ -24,11 +24,6 @@ TEST(EntityTest, TitleIsFirstField) {
   EXPECT_EQ(e.title(), "canon eos");
 }
 
-TEST(EntityTest, SourceNames) {
-  EXPECT_STREQ(SourceName(Source::kR), "R");
-  EXPECT_STREQ(SourceName(Source::kS), "S");
-}
-
 TEST(PartitionTest, SplitsEvenly) {
   std::vector<Entity> entities;
   for (uint64_t i = 0; i < 10; ++i) entities.push_back(MakeEntity(i, "t"));

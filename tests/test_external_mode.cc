@@ -3,10 +3,12 @@
 // in-memory shuffle — same match output, same counters, same per-task
 // workloads, same PlanStats — for all three strategies, one- and
 // two-source, plus a randomized engine-level stress sweep mirroring
-// test_mr_stress.cc. Also covers ExecutionMode::kAuto's threshold
-// selection and the chunked-CSV out-of-core entry point.
+// test_mr_stress.cc. Also covers map-only jobs in every mode and under
+// resume, ExecutionMode::kAuto's threshold selection and the chunked-CSV
+// out-of-core entry point.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -143,6 +145,88 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---- Auto mode ----------------------------------------------------------
+
+// ---- Map-only jobs (num_reduce_tasks == 0) --------------------------------
+
+using SumSpecT = mr::TypedJobSpec<int, int64_t, std::string, int64_t,
+                                  std::string, int64_t, std::less<>,
+                                  std::equal_to<>>;
+
+/// Map-only: per map task, the sum of each key's values.
+SumSpecT MapOnlySumSpec() {
+  SumSpecT spec;
+  spec.num_reduce_tasks = 0;
+  spec.mapper_factory = [](const mr::TaskContext&) {
+    return std::make_unique<IdentityMapper>();
+  };
+  spec.combiner = [](std::span<const std::pair<std::string, int64_t>> group,
+                     std::vector<std::pair<std::string, int64_t>>* out) {
+    int64_t sum = 0;
+    for (const auto& [k, v] : group) sum += v;
+    out->emplace_back(group.front().first, sum);
+  };
+  return spec;
+}
+
+TEST(MapOnlyJobTest, EachModeReturnsEveryTasksCombinedRun) {
+  constexpr int kTasks = 5;
+  Pcg32 rng(29);
+  std::vector<std::vector<std::pair<int, int64_t>>> input(kTasks);
+  std::vector<std::vector<std::pair<std::string, int64_t>>> want(kTasks);
+  for (int t = 0; t < kTasks; ++t) {
+    std::map<std::string, int64_t> sums;
+    const uint32_t records = t == 2 ? 0 : 50 + rng.NextBounded(200);
+    for (uint32_t i = 0; i < records; ++i) {
+      const int key = static_cast<int>(rng.NextBounded(40));
+      const int64_t value = rng.NextInRange(-1000, 1000);
+      input[t].push_back({key, value});
+      std::string k = "k";
+      k += std::to_string(key);
+      sums[k] += value;
+    }
+    want[t].assign(sums.begin(), sums.end());
+  }
+
+  auto dir = ScopedTempDir::Make("", "erlb-map-only");
+  ASSERT_TRUE(dir.ok());
+  std::vector<std::pair<std::string, mr::ExecutionOptions>> modes(4);
+  modes[0].first = "in-memory";
+  modes[0].second.mode = mr::ExecutionMode::kInMemory;
+  modes[1].first = "external";
+  modes[1].second.mode = mr::ExecutionMode::kExternal;
+  modes[1].second.io_buffer_bytes = 64;
+  modes[2].first = "multi-process";
+  modes[2].second.mode = mr::ExecutionMode::kMultiProcess;
+  modes[2].second.num_worker_processes = 2;
+  modes[3].first = "checkpointed";
+  modes[3].second.mode = mr::ExecutionMode::kExternal;
+  modes[3].second.checkpoint.dir = dir->path() + "/ck";
+  const SumSpecT spec = MapOnlySumSpec();
+  for (const auto& [name, options] : modes) {
+    auto result = mr::JobRunner(3, options).Run(spec, input);
+    ASSERT_TRUE(result.status.ok()) << name << ": "
+                                    << result.status.ToString();
+    EXPECT_EQ(result.outputs_per_reduce_task, want) << name;
+    EXPECT_TRUE(result.metrics.reduce_tasks.empty()) << name;
+    EXPECT_EQ(result.metrics.reduce_phase_nanos, 0) << name;
+    EXPECT_EQ(result.metrics.spill_bytes_written, 0) << name;
+    EXPECT_EQ(result.metrics.map_tasks_resumed, 0) << name;
+  }
+
+  // A second run over the checkpoint restores every map task's run from
+  // its commit record instead of running the task.
+  SumSpecT counting = spec;
+  auto mapper_calls = std::make_shared<std::atomic<int>>(0);
+  counting.mapper_factory = [mapper_calls](const mr::TaskContext&) {
+    ++*mapper_calls;
+    return std::make_unique<IdentityMapper>();
+  };
+  auto resumed = mr::JobRunner(3, modes[3].second).Run(counting, input);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(resumed.outputs_per_reduce_task, want);
+  EXPECT_EQ(resumed.metrics.map_tasks_resumed, kTasks);
+  EXPECT_EQ(mapper_calls->load(), 0);
+}
 
 TEST(ExecutionModeAutoTest, SmallInputStaysInMemory) {
   mr::ExecutionOptions options;  // defaults: kAuto, 256 MiB threshold

@@ -85,7 +85,7 @@ TEST_P(PipelineStrategyTest, PrebuiltPlanMatchesFreshRun) {
           AddStandardGraph(&df, Graph(GetParam(), 7), &blocking, &matcher)
               .ok());
     } else {
-      EXPECT_TRUE(AddHeldPlanGraph(&df, 7, &blocking, &matcher, *plan).ok());
+      EXPECT_TRUE(AddHeldPlanGraph(&df, &blocking, &matcher, *plan).ok());
     }
     return RunGraph(&df);
   };

@@ -107,9 +107,7 @@ TEST_P(PlanRoundTripTest, DeserializedPlanExecutesIdentically) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 
   mr::JobRunner runner(4);
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = 3;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
+  auto bdm_out = bdm::RunBdmJob(parts, blocking, {}, runner);
   ASSERT_TRUE(bdm_out.ok());
   auto out = lb::MakeStrategy(GetParam())
                  ->ExecutePlan(*reloaded, *bdm_out->annotated,
@@ -224,9 +222,7 @@ TEST(PlanJsonErrorsTest, ExecuteRejectsTamperedPairRangeBoundaries) {
       [](const er::Entity&, const er::Entity&) { return true; },
       "accept-all");
   mr::JobRunner runner(2);
-  bdm::BdmJobOptions bdm_options;
-  bdm_options.num_reduce_tasks = 3;
-  auto bdm_out = bdm::RunBdmJob(parts, blocking, bdm_options, runner);
+  auto bdm_out = bdm::RunBdmJob(parts, blocking, {}, runner);
   ASSERT_TRUE(bdm_out.ok());
 
   MatchJobOptions options;

@@ -77,14 +77,6 @@ TEST(Pcg32Test, DoubleInUnitInterval) {
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(Pcg32Test, ExponentialMeanMatchesRate) {
-  Pcg32 rng(7);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.NextExponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.03);
-}
-
 TEST(Pcg32Test, GaussianMoments) {
   Pcg32 rng(8);
   double sum = 0, sq = 0;

@@ -32,19 +32,6 @@ TEST(StringUtilTest, SplitSingleField) {
   EXPECT_EQ(f[0], "abc");
 }
 
-TEST(StringUtilTest, JoinRoundTrip) {
-  std::vector<std::string> parts{"x", "y", "z"};
-  EXPECT_EQ(Join(parts, ", "), "x, y, z");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
-TEST(StringUtilTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("hello", "he"));
-  EXPECT_TRUE(StartsWith("hello", ""));
-  EXPECT_FALSE(StartsWith("he", "hello"));
-  EXPECT_FALSE(StartsWith("hello", "el"));
-}
-
 TEST(StringUtilTest, PrefixKeyIsPapersBlockingKey) {
   // "the first three letters of the title"
   EXPECT_EQ(PrefixKey("Canon EOS 5D", 3), "can");

@@ -1,6 +1,6 @@
-// Work-stealing scheduler: claim-exactly-once semantics, determinism of
-// job outputs across worker counts / repeated runs (the TSan preset runs
-// this file too), and the sampling presplitter.
+// Work-stealing scheduler: claim-exactly-once semantics and determinism
+// of job outputs across worker counts / repeated runs (the TSan preset
+// runs this file too).
 #include "mr/task_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "mr/job.h"
-#include "mr/presplit.h"
 
 namespace erlb {
 namespace mr {
@@ -190,59 +189,6 @@ TEST(SchedulerDeterminismTest, ExternalModeIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(serialized, reference) << "workers=" << workers;
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// Sampling presplitter.
-// ---------------------------------------------------------------------
-
-TEST(PresplitTest, EmptyInputFallsBackToWorkerCount) {
-  PresplitSample sample;
-  EXPECT_EQ(PickReduceTasks(sample, 4), 4u);
-  EXPECT_EQ(PickReduceTasks(sample, 0), 1u);
-}
-
-TEST(PresplitTest, FewKeysNeverExceedEstimatedKeyCount) {
-  PresplitSample sample;
-  sample.total_records = 100;
-  sample.sampled_records = 100;
-  sample.sampled_distinct_keys = 2;
-  // 8 workers but only 2 keys: more than 2 tasks would be keyless.
-  EXPECT_EQ(PickReduceTasks(sample, 8), 2u);
-}
-
-TEST(PresplitTest, ManyKeysScaleWithTargetAndClampToWorkerBand) {
-  PresplitOptions options;
-  options.target_keys_per_task = 100;
-  PresplitSample sample;
-  sample.total_records = 100000;
-  sample.sampled_records = 1000;
-  sample.sampled_distinct_keys = 10;  // density 1% → ~1000 keys estimated
-  EXPECT_EQ(PickReduceTasks(sample, 4, options), 10u);  // 1000/100
-  // Estimate beyond the band clamps to workers * max_tasks_per_worker.
-  sample.sampled_distinct_keys = 1000;  // all distinct → 100000 keys
-  EXPECT_EQ(PickReduceTasks(sample, 4, options), 32u);  // 4 * 8
-}
-
-TEST(PresplitTest, StridedSampleIsDeterministic) {
-  std::vector<std::vector<std::string>> partitions(3);
-  for (int p = 0; p < 3; ++p) {
-    for (int i = 0; i < 1000; ++i) {
-      // Appending to an lvalue sidesteps GCC 12's -Wrestrict false
-      // positive on `"lit" + std::to_string(x)`.
-      std::string key = "k";
-      key += std::to_string((i + p * 17) % 200);
-      partitions[p].push_back(std::move(key));
-    }
-  }
-  auto key_of = [](const std::string& s) { return s; };
-  const PresplitSample a = SamplePartitionKeys(partitions, key_of);
-  const PresplitSample b = SamplePartitionKeys(partitions, key_of);
-  EXPECT_EQ(a.total_records, 3000u);
-  EXPECT_EQ(a.sampled_records, b.sampled_records);
-  EXPECT_EQ(a.sampled_distinct_keys, b.sampled_distinct_keys);
-  EXPECT_GT(a.sampled_distinct_keys, 0u);
-  EXPECT_LE(a.sampled_records, 3 * 128u);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@ The kill is anchored to commit events, not task starts: the
 renamed into place, so `kill@N` leaves at least N committed tasks behind
 however many tasks the pool runs concurrently. Both crash points are
 exercised — mid-map (some map tasks of the first job committed, some
-not) and mid-reduce (every map task and the first reduce task
-committed) — for all three load balancing strategies. Stdlib only, like
+not) and mid-reduce (every map task and the first reduce task of the
+matching job committed) — for all three load balancing strategies. Stdlib only, like
 bench_compare.py.
 
 A second leg covers the shared-nothing multi-process mode: the
@@ -335,13 +335,17 @@ def main():
     failures = []
     for strategy in args.strategies.split(","):
         strategy = strategy.strip()
-        # The first MR job of every strategy runs one map task per split,
-        # and its reduce phase starts only after every map task has
-        # committed. Mid-map: die right after the commit of a map task
-        # below the map-task count. Mid-reduce: die right after the first
-        # reduce commit, which follows all num_splits map commits.
+        # Every MR job runs one map task per split, and a reduce phase
+        # starts only after every map task of its job has committed.
+        # Mid-map: die right after the commit of a map task below the
+        # map-task count. Mid-reduce: die right after the matching job's
+        # first reduce commit. Basic's matching job is its only job, so
+        # that commit follows num_splits map commits; BlockSplit and
+        # PairRange first run the map-only BDM job, so it follows
+        # 2 * num_splits map commits.
+        map_commits = num_splits if strategy == "Basic" else 2 * num_splits
         for case, hit in (("mid-map", num_splits - 2),
-                          ("mid-reduce", num_splits + 1)):
+                          ("mid-reduce", map_commits + 1)):
             try:
                 run_case(args.exe, work, input_csv, strategy, case, hit)
             except HarnessError as e:
